@@ -52,20 +52,13 @@ namespace {
 
 BatchedCompiledEngine::BatchedCompiledEngine(const CompiledNetlist& net,
                                              std::uint32_t lanes)
-    : net_(&net), lanes_(lanes) {
+    : net_(&net),
+      lanes_(lanes),
+      weights_(net, lanes, "BatchedCompiledEngine") {
   if (lanes == 0) {
     throw std::invalid_argument("BatchedCompiledEngine: zero lanes");
   }
   slots_.resize(std::size_t{net.num_slots} * lanes, 0);
-  if (net.parameterised) {
-    weights_.resize(net.params.size() * lanes);
-    for (std::size_t p = 0; p < net.params.size(); ++p) {
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        weights_[p * lanes + l] = net.params[p];
-      }
-    }
-  }
-  oracle_bound_.assign(lanes, 1);
 
   // Partition each level into kind-major runs (see class comment).  The
   // execution order is a permutation of op indices; runs delimit the
@@ -150,58 +143,14 @@ void BatchedCompiledEngine::notify_end() {
   for (ReplayObserver* obs : observers_) obs->on_replay_end(*net_);
 }
 
-void BatchedCompiledEngine::bind(std::uint32_t lane,
-                                 const std::vector<Cost>& weights) {
-  if (!net_->parameterised) {
-    throw std::invalid_argument(
-        "BatchedCompiledEngine::bind: tape was lowered without a parameter "
-        "plane (LowerOptions::parameterise)");
-  }
-  if (lane >= lanes_) {
-    throw std::invalid_argument("BatchedCompiledEngine::bind: lane " +
-                                std::to_string(lane) + " out of range");
-  }
-  if (weights.size() != net_->params.size()) {
-    throw std::invalid_argument(
-        "BatchedCompiledEngine::bind: weight table has " +
-        std::to_string(weights.size()) + " entries, tape has " +
-        std::to_string(net_->params.size()) + " parameters");
-  }
-  for (std::size_t p = 0; p < weights.size(); ++p) {
-    weights_[p * lanes_ + lane] = weights[p];
-  }
-  set_oracle_bound(lane, weights == net_->params);
-}
-
-void BatchedCompiledEngine::bind_oracle(std::uint32_t lane) {
-  if (lane >= lanes_) {
-    throw std::invalid_argument("BatchedCompiledEngine::bind_oracle: lane " +
-                                std::to_string(lane) + " out of range");
-  }
-  for (std::size_t p = 0; p < net_->params.size(); ++p) {
-    weights_[p * lanes_ + lane] = net_->params[p];
-  }
-  set_oracle_bound(lane, true);
-}
-
-void BatchedCompiledEngine::set_oracle_bound(std::uint32_t lane, bool bound) {
-  if ((oracle_bound_[lane] != 0) != bound) {
-    if (bound) {
-      --rebound_lanes_;
-    } else {
-      ++rebound_lanes_;
-    }
-  }
-  oracle_bound_[lane] = bound ? 1 : 0;
-}
-
 namespace {
 
 /// Everything a lane kernel touches, gathered so the kernels can be free
 /// functions (function multiversioning cannot apply to member templates).
 struct RunCtx {
   Cost* slots;
-  const Cost* wtab;
+  const Cost* wtab;  ///< lane-planar: lane l, param p at wtab[l*wstride + p]
+  std::size_t wstride;
   const Op* ops;
   const std::uint32_t* ord;
   const KindRun* runs;
@@ -225,6 +174,7 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
   const std::uint32_t B = kW != 0 ? kW : ctx.lanes;
   Cost* const slots = ctx.slots;
   const Cost* const wtab = ctx.wtab;
+  const std::size_t P = ctx.wstride;
   const Op* const ops = ctx.ops;
   const std::uint32_t* const ord = ctx.ord;
   for (std::uint32_t r = rlo; r < rhi; ++r) {
@@ -237,11 +187,10 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
           const Cost* const __restrict pb = slots + std::size_t{op.b} * B;
           Cost* const __restrict d = slots + std::size_t{op.dst} * B;
           if constexpr (kParam) {
-            const Cost* const __restrict wrow =
-                wtab + std::size_t{op.param} * B;
+            const Cost* const __restrict w = wtab + op.param;
             SYSDP_LANE_IVDEP
             for (std::uint32_t l = 0; l < B; ++l) {
-              d[l] = S::plus(pa[l], lane_sat_add(wrow[l], pb[l]));
+              d[l] = S::plus(pa[l], lane_sat_add(w[l * P], pb[l]));
             }
           } else {
             with_w_class(op.w, [&](auto wc) {
@@ -263,12 +212,11 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
           const Cost* const __restrict pc = slots + std::size_t{op.c} * B;
           Cost* const __restrict d = slots + std::size_t{op.dst} * B;
           if constexpr (kParam) {
-            const Cost* const __restrict wrow =
-                wtab + std::size_t{op.param} * B;
+            const Cost* const __restrict w = wtab + op.param;
             SYSDP_LANE_IVDEP
             for (std::uint32_t l = 0; l < B; ++l) {
               const Cost cand =
-                  lane_sat_add(lane_sat_add(pb[l], pc[l]), wrow[l]);
+                  lane_sat_add(lane_sat_add(pb[l], pc[l]), w[l * P]);
               const Cost prev = pa[l];
               d[l] = S::improves(cand, prev) ? cand : prev;
             }
@@ -298,11 +246,10 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
               slots + (std::size_t{op.dst} + 1) * B;
           const Cost station = static_cast<Cost>(op.c);
           if constexpr (kParam) {
-            const Cost* const __restrict wrow =
-                wtab + std::size_t{op.param} * B;
+            const Cost* const __restrict w = wtab + op.param;
             SYSDP_LANE_IVDEP
             for (std::uint32_t l = 0; l < B; ++l) {
-              const Cost cand = lane_sat_add(pb[l], wrow[l]);
+              const Cost cand = lane_sat_add(pb[l], w[l * P]);
               const Cost prev = pa[l];
               const bool better = S::improves(cand, prev);
               d[l] = better ? cand : prev;
@@ -385,17 +332,12 @@ void BatchedCompiledEngine::exec_level(std::uint32_t level) {
   const std::uint32_t rlo = level_run_off_[level];
   const std::uint32_t rhi = level_run_off_[level + 1];
   if (rlo == rhi) return;
-  // Weight-table reads are pure overhead while every lane still replays
-  // the oracle binding: the lane-major table equals the baked immediates
-  // row for row, but streaming it costs lanes*8 bytes per op — on long
-  // tapes that is megabytes per replay and turns the hot loop memory-
-  // bound.  So the parameter path switches on only once some lane actually
-  // deviates from the oracle's weights; results are bit-identical either
-  // way.
-  const bool param = !weights_.empty() && rebound_lanes_ != 0;
-  const RunCtx ctx{slots_.data(), param ? weights_.data() : nullptr,
+  // nullptr while every lane is oracle-bound: the immediates equal the
+  // planes then, and not streaming the planes keeps replay compute-bound.
+  const Cost* const wtab = weights_.tables();
+  const RunCtx ctx{slots_.data(), wtab,          weights_.stride(),
                    net_->ops.data(), order_.data(), runs_.data(), lanes_};
-  exec_runs_dispatch(ctx, rlo, rhi, net_->semiring, param);
+  exec_runs_dispatch(ctx, rlo, rhi, net_->semiring, wtab != nullptr);
   ops_executed_ += std::uint64_t{net_->cycle_off[level + 1] -
                                  net_->cycle_off[level]} *
                    lanes_;
@@ -452,28 +394,6 @@ void BatchedCompiledEngine::run(sim::Cycle n) {
 void BatchedCompiledEngine::run_all() {
   run(cycles() > now_ ? cycles() - now_ : 0);
   notify_end();
-}
-
-Divergence BatchedCompiledEngine::verify_outputs(std::uint32_t lane) const {
-  if (!oracle_bound(lane)) {
-    throw std::logic_error(
-        "BatchedCompiledEngine::verify_outputs: lane " + std::to_string(lane) +
-        " is not oracle-bound; recorded expectations describe the oracle's "
-        "weight binding only");
-  }
-  for (std::uint64_t i = 0; i < net_->outputs.size(); ++i) {
-    const Output& out = net_->outputs[i];
-    const Cost got = value(out.slot, lane);
-    if (got != out.expected) {
-      Divergence d;
-      d.found = true;
-      d.index = i;
-      d.got = got;
-      d.expected = out.expected;
-      return d;
-    }
-  }
-  return {};
 }
 
 Cost BatchedCompiledEngine::output(std::string_view tag, std::uint64_t index,

@@ -30,12 +30,10 @@
 // keeps the reordering honest for future tapes).
 //
 // Lanes bind weight tables independently on parameterised tapes
-// (compile/lower.hpp, LowerOptions::parameterise): one lowering of a
-// family shape serves B different weight assignments per replay, and
-// thousands across replays — amortising the oracle run that produced the
-// tape.  Per-lane results are bit-identical to a scalar CompiledEngine
-// replay of the same binding; the differential suite proves it lane by
-// lane.
+// (LowerOptions::parameterise): one lowering of a family shape serves B
+// weight assignments per replay, and thousands across replays.  Per-lane
+// results are bit-identical to a scalar CompiledEngine replay of the same
+// binding; the differential suite proves it lane by lane.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +43,7 @@
 #include "compile/aligned.hpp"
 #include "compile/engine.hpp"  // Divergence
 #include "compile/program.hpp"
+#include "compile/weight_planes.hpp"
 #include "semiring/cost.hpp"
 #include "sim/module.hpp"
 
@@ -99,20 +98,24 @@ class BatchedCompiledEngine {
   /// Install a per-instance weight table on one lane (parameterised tapes
   /// only).  Throws std::invalid_argument on a non-parameterised tape, a
   /// bad lane, or a wrong-length table.
-  void bind(std::uint32_t lane, const std::vector<Cost>& weights);
+  void bind(std::uint32_t lane, const std::vector<Cost>& weights) {
+    weights_.bind(lane, weights);
+  }
 
   /// Restore lane `lane` to the oracle's weight binding.
-  void bind_oracle(std::uint32_t lane);
+  void bind_oracle(std::uint32_t lane) { weights_.bind_oracle(lane); }
 
   /// True while lane `lane` replays the oracle's own weight binding.
   [[nodiscard]] bool oracle_bound(std::uint32_t lane) const {
-    return oracle_bound_[lane] != 0;
+    return weights_.oracle_bound(lane);
   }
 
   /// Compare lane `lane`'s declared outputs with the oracle's observed
   /// values.  Throws std::logic_error if the lane is not oracle-bound —
   /// the recorded expectations describe the oracle binding only.
-  [[nodiscard]] Divergence verify_outputs(std::uint32_t lane) const;
+  [[nodiscard]] Divergence verify_outputs(std::uint32_t lane) const {
+    return weights_.verify_outputs(slots_.data(), lane);
+  }
 
   /// Op-lane executions retired (ops per level × lanes).
   [[nodiscard]] std::uint64_t ops_executed() const noexcept {
@@ -146,7 +149,6 @@ class BatchedCompiledEngine {
 
  private:
   void exec_level(std::uint32_t level);
-  void set_oracle_bound(std::uint32_t lane, bool bound);
   void notify_level(sim::Cycle t);
   void notify_end();
 
@@ -155,15 +157,15 @@ class BatchedCompiledEngine {
   /// Lane-major slot file: `slots_[slot*lanes_ + lane]`, 64-byte aligned
   /// so every row starts SIMD-friendly.
   AlignedVec<Cost> slots_;
-  /// Lane-major weight tables on parameterised tapes:
-  /// `weights_[param*lanes_ + lane]`.  Empty on non-parameterised tapes.
-  AlignedVec<Cost> weights_;
-  std::vector<std::uint8_t> oracle_bound_;
-  /// Lanes whose binding differs from the oracle's.  While zero, execution
-  /// takes the baked-immediate path and never streams `weights_` — the
-  /// table is bit-identical to the immediates then, and skipping it keeps
-  /// oracle-bound replays compute-bound instead of bandwidth-bound.
-  std::uint32_t rebound_lanes_ = 0;
+  /// Lane-planar weight tables (compile/weight_planes.hpp): lane l's
+  /// table is one contiguous plane, chosen so bind(lane) is a sequential
+  /// copy, not a lane-major scatter dirtying a cache line per parameter.
+  /// A rebound op pays with B weight reads at stride P instead of one row.
+  /// Per 8-lane Design 1 16x96 / GKT 96 batch (perfbench rebind), bind is
+  /// 1.7 / 1.8 ms against 6.3 / 6.7 ms lane-major, replay 1.53 / 2.26 ms
+  /// against 1.29 / 1.92 ms.  While every lane is oracle-bound, replay
+  /// takes the baked-immediate path and never streams the planes.
+  WeightPlanes weights_;
   /// Kind-major execution order: permutation of op indices, level by level.
   std::vector<std::uint32_t> order_;
   std::vector<KindRun> runs_;

@@ -16,9 +16,11 @@
 // diagnostics) — the compiled program is the same netlist, flattened.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -87,25 +89,42 @@ template <typename R>
 /// each lane's storage key is looked up among the declared storages, its
 /// label becomes the declared port label and its module the storage's
 /// first writer (or the environment node when nothing writes it).  Module
-/// names are interned first-seen into Provenance::modules, which fixes the
-/// compiled timeline's PE-row order.  Returns the number of lanes named.
+/// names are interned first-seen into Provenance::modules (empty on entry:
+/// the recorder leaves it to this pass), which fixes the compiled
+/// timeline's PE-row order.  Returns the number of lanes named.
+/// Lanes look up a (key, storage) index sorted once per call, because
+/// Netlist::storage_of scans every storage, which is quadratic over a tape
+/// (GKT n = 96: 4,560 lanes x 18,240 storages); ties sort by index, so a
+/// key resolves to its first storage, as there.  Module names intern
+/// through a map for the same reason.
 inline std::uint64_t resolve_provenance(Provenance& prov,
                                         const std::vector<const void*>& keys,
                                         const analysis::Netlist& netlist) {
+  using Entry = std::pair<std::uintptr_t, std::uint32_t>;
+  std::vector<Entry> by_key;
+  by_key.reserve(netlist.storages.size());
+  for (std::uint32_t s = 0; s < netlist.storages.size(); ++s) {
+    by_key.emplace_back(
+        reinterpret_cast<std::uintptr_t>(netlist.storages[s].key), s);
+  }
+  std::sort(by_key.begin(), by_key.end());
+  std::unordered_map<std::string, std::uint32_t> module_ids;
   std::uint64_t named = 0;
   for (std::size_t i = 0; i < prov.lanes.size() && i < keys.size(); ++i) {
-    const std::uint32_t s = netlist.storage_of(keys[i]);
-    if (s == analysis::Netlist::npos) continue;
-    const analysis::Storage& storage = netlist.storages[s];
+    const auto key = reinterpret_cast<std::uintptr_t>(keys[i]);
+    const auto it =
+        std::lower_bound(by_key.begin(), by_key.end(), Entry{key, 0});
+    if (it == by_key.end() || it->first != key) continue;
+    const analysis::Storage& storage = netlist.storages[it->second];
     ProvenanceLane& lane = prov.lanes[i];
     if (!storage.label.empty()) lane.label = storage.label;
     lane.module = storage.writers.empty()
                       ? netlist.node(netlist.environment).name
                       : netlist.node(storage.writers.front()).name;
-    std::uint32_t id = 0;
-    while (id < prov.modules.size() && prov.modules[id] != lane.module) ++id;
-    if (id == prov.modules.size()) prov.modules.push_back(lane.module);
-    lane.module_id = id;
+    const auto [id, fresh] = module_ids.try_emplace(
+        lane.module, static_cast<std::uint32_t>(prov.modules.size()));
+    if (fresh) prov.modules.push_back(lane.module);
+    lane.module_id = id->second;
     lane.named = true;
     ++named;
   }

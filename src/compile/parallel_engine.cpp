@@ -23,7 +23,8 @@ constexpr std::uint32_t kNone = 0xffffffffu;
 /// member templates).
 struct SpanCtx {
   Cost* slots;
-  const Cost* wtab;
+  const Cost* wtab;  ///< lane-planar: lane l, param p at wtab[l*wstride + p]
+  std::size_t wstride;
   const Op* ops;
   std::uint32_t lanes;
 };
@@ -39,6 +40,7 @@ inline void exec_span_impl(const SpanCtx& ctx, std::uint32_t lo,
   const std::uint32_t B = kW != 0 ? kW : ctx.lanes;
   Cost* const slots = ctx.slots;
   const Cost* const wtab = ctx.wtab;
+  const std::size_t P = ctx.wstride;
   for (std::uint32_t i = lo; i < hi; ++i) {
     const Op& op = ctx.ops[i];
     switch (op.kind) {
@@ -47,10 +49,10 @@ inline void exec_span_impl(const SpanCtx& ctx, std::uint32_t lo,
         const Cost* const __restrict pb = slots + std::size_t{op.b} * B;
         Cost* const __restrict d = slots + std::size_t{op.dst} * B;
         if constexpr (kParam) {
-          const Cost* const __restrict wrow = wtab + std::size_t{op.param} * B;
+          const Cost* const __restrict w = wtab + op.param;
           SYSDP_LANE_IVDEP
           for (std::uint32_t l = 0; l < B; ++l) {
-            d[l] = S::plus(pa[l], lane_sat_add(wrow[l], pb[l]));
+            d[l] = S::plus(pa[l], lane_sat_add(w[l * P], pb[l]));
           }
         } else {
           with_w_class(op.w, [&](auto wc) {
@@ -70,10 +72,11 @@ inline void exec_span_impl(const SpanCtx& ctx, std::uint32_t lo,
         const Cost* const __restrict pc = slots + std::size_t{op.c} * B;
         Cost* const __restrict d = slots + std::size_t{op.dst} * B;
         if constexpr (kParam) {
-          const Cost* const __restrict wrow = wtab + std::size_t{op.param} * B;
+          const Cost* const __restrict w = wtab + op.param;
           SYSDP_LANE_IVDEP
           for (std::uint32_t l = 0; l < B; ++l) {
-            const Cost cand = lane_sat_add(lane_sat_add(pb[l], pc[l]), wrow[l]);
+            const Cost cand =
+                lane_sat_add(lane_sat_add(pb[l], pc[l]), w[l * P]);
             const Cost prev = pa[l];
             d[l] = S::improves(cand, prev) ? cand : prev;
           }
@@ -100,10 +103,10 @@ inline void exec_span_impl(const SpanCtx& ctx, std::uint32_t lo,
         Cost* const __restrict darg = slots + (std::size_t{op.dst} + 1) * B;
         const Cost station = static_cast<Cost>(op.c);
         if constexpr (kParam) {
-          const Cost* const __restrict wrow = wtab + std::size_t{op.param} * B;
+          const Cost* const __restrict w = wtab + op.param;
           SYSDP_LANE_IVDEP
           for (std::uint32_t l = 0; l < B; ++l) {
-            const Cost cand = lane_sat_add(pb[l], wrow[l]);
+            const Cost cand = lane_sat_add(pb[l], w[l * P]);
             const Cost prev = pa[l];
             const bool better = S::improves(cand, prev);
             d[l] = better ? cand : prev;
@@ -161,7 +164,10 @@ void exec_span_dispatch(const SpanCtx& ctx, std::uint32_t lo, std::uint32_t hi,
 ParallelCompiledEngine::ParallelCompiledEngine(const CompiledNetlist& net,
                                                sim::ThreadPool* pool,
                                                Options opt)
-    : net_(&net), pool_(pool), lanes_(opt.lanes) {
+    : net_(&net),
+      pool_(pool),
+      lanes_(opt.lanes),
+      weights_(net, opt.lanes, "ParallelCompiledEngine") {
   if (lanes_ == 0) {
     throw std::invalid_argument("ParallelCompiledEngine: zero lanes");
   }
@@ -169,15 +175,6 @@ ParallelCompiledEngine::ParallelCompiledEngine(const CompiledNetlist& net,
                       ? static_cast<std::uint32_t>(pool_->num_lanes())
                       : 1;
   slots_.resize(std::size_t{net.num_slots} * lanes_, 0);
-  if (net.parameterised) {
-    weights_.resize(net.params.size() * lanes_);
-    for (std::size_t p = 0; p < net.params.size(); ++p) {
-      for (std::uint32_t l = 0; l < lanes_; ++l) {
-        weights_[p * lanes_ + l] = net.params[p];
-      }
-    }
-  }
-  oracle_bound_.assign(lanes_, 1);
   for (std::uint64_t i = 0; i < net.ops.size(); ++i) {
     switch (net.ops[i].kind) {
       case OpKind::kMac:
@@ -319,22 +316,23 @@ void ParallelCompiledEngine::reset() {
 }
 
 void ParallelCompiledEngine::exec_ops(std::uint32_t lo, std::uint32_t hi,
-                                      bool param) {
+                                      const Cost* wtab) {
   if (lo == hi) return;
-  const SpanCtx ctx{slots_.data(), param ? weights_.data() : nullptr,
-                    net_->ops.data(), lanes_};
-  exec_span_dispatch(ctx, lo, hi, net_->semiring, param);
+  const SpanCtx ctx{slots_.data(), wtab, weights_.stride(), net_->ops.data(),
+                    lanes_};
+  exec_span_dispatch(ctx, lo, hi, net_->semiring, wtab != nullptr);
 }
 
-void ParallelCompiledEngine::run_plan(std::uint32_t participant, bool param) {
+void ParallelCompiledEngine::run_plan(std::uint32_t participant,
+                                      const Cost* wtab) {
   for (const Segment& seg : segments_) {
     if (seg.parallel) {
       const std::uint32_t slo = cuts_[seg.cut_off + participant];
       const std::uint32_t shi = cuts_[seg.cut_off + participant + 1];
-      exec_ops(slo, shi, param);
+      exec_ops(slo, shi, wtab);
     } else if (participant == 0) {
       for (std::uint32_t t = seg.level_lo; t < seg.level_hi; ++t) {
-        exec_ops(net_->cycle_off[t], net_->cycle_off[t + 1], param);
+        exec_ops(net_->cycle_off[t], net_->cycle_off[t + 1], wtab);
       }
     }
     // Sense-reversing barrier between segments.  The last arriver's RMW on
@@ -363,16 +361,17 @@ void ParallelCompiledEngine::run_plan(std::uint32_t participant, bool param) {
 
 void ParallelCompiledEngine::run_all() {
   if (replayed_) return;
-  const bool param = !weights_.empty() && rebound_lanes_ != 0;
+  // nullptr while every lane is oracle-bound: the baked-immediate path.
+  const Cost* const wtab = weights_.tables();
   const bool any_parallel = parallel_levels_ > 0 && participants_ > 1;
   if (!any_parallel || pool_ == nullptr) {
     // Serial plan (or no pool): no barriers needed, walk the levels once.
     for (std::uint32_t t = 0; t + 1 < net_->cycle_off.size(); ++t) {
-      exec_ops(net_->cycle_off[t], net_->cycle_off[t + 1], param);
+      exec_ops(net_->cycle_off[t], net_->cycle_off[t + 1], wtab);
     }
   } else {
-    pool_->parallel_for(participants_, [this, param](std::size_t p) {
-      run_plan(static_cast<std::uint32_t>(p), param);
+    pool_->parallel_for(participants_, [this, wtab](std::size_t p) {
+      run_plan(static_cast<std::uint32_t>(p), wtab);
     });
   }
   now_ = net_->cycles();
@@ -390,73 +389,6 @@ ReplayResult ParallelCompiledEngine::result() const noexcept {
           total_mac_ * lanes_,
           total_fold_ * lanes_,
           total_relax_ * lanes_};
-}
-
-void ParallelCompiledEngine::bind(std::uint32_t lane,
-                                  const std::vector<Cost>& weights) {
-  if (!net_->parameterised) {
-    throw std::invalid_argument(
-        "ParallelCompiledEngine::bind: tape was lowered without a parameter "
-        "plane (LowerOptions::parameterise)");
-  }
-  if (lane >= lanes_) {
-    throw std::invalid_argument("ParallelCompiledEngine::bind: lane " +
-                                std::to_string(lane) + " out of range");
-  }
-  if (weights.size() != net_->params.size()) {
-    throw std::invalid_argument(
-        "ParallelCompiledEngine::bind: weight table has " +
-        std::to_string(weights.size()) + " entries, tape has " +
-        std::to_string(net_->params.size()) + " parameters");
-  }
-  for (std::size_t p = 0; p < weights.size(); ++p) {
-    weights_[p * lanes_ + lane] = weights[p];
-  }
-  set_oracle_bound(lane, weights == net_->params);
-}
-
-void ParallelCompiledEngine::bind_oracle(std::uint32_t lane) {
-  if (lane >= lanes_) {
-    throw std::invalid_argument("ParallelCompiledEngine::bind_oracle: lane " +
-                                std::to_string(lane) + " out of range");
-  }
-  for (std::size_t p = 0; p < net_->params.size(); ++p) {
-    weights_[p * lanes_ + lane] = net_->params[p];
-  }
-  set_oracle_bound(lane, true);
-}
-
-void ParallelCompiledEngine::set_oracle_bound(std::uint32_t lane, bool bound) {
-  if ((oracle_bound_[lane] != 0) != bound) {
-    if (bound) {
-      --rebound_lanes_;
-    } else {
-      ++rebound_lanes_;
-    }
-  }
-  oracle_bound_[lane] = bound ? 1 : 0;
-}
-
-Divergence ParallelCompiledEngine::verify_outputs(std::uint32_t lane) const {
-  if (!oracle_bound(lane)) {
-    throw std::logic_error(
-        "ParallelCompiledEngine::verify_outputs: lane " + std::to_string(lane) +
-        " is not oracle-bound; recorded expectations describe the oracle's "
-        "weight binding only");
-  }
-  for (std::uint64_t i = 0; i < net_->outputs.size(); ++i) {
-    const Output& out = net_->outputs[i];
-    const Cost got = value(out.slot, lane);
-    if (got != out.expected) {
-      Divergence d;
-      d.found = true;
-      d.index = i;
-      d.got = got;
-      d.expected = out.expected;
-      return d;
-    }
-  }
-  return {};
 }
 
 Cost ParallelCompiledEngine::output(std::string_view tag, std::uint64_t index,

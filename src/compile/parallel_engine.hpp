@@ -36,11 +36,12 @@
 //
 // Lanes compose exactly as in BatchedCompiledEngine: the slot file is
 // lane-major (`slots[slot*lanes + lane]`, 64-byte aligned), per-lane
-// weight bindings replay parameterised tapes, and each slab's lane loop
-// auto-vectorises — threads × lanes.  Observers are deliberately not
-// supported: the ReplayObserver contract delivers levels one at a time
-// with a settled slot image, which is precisely the serialisation this
-// engine exists to remove; profile the serial engines, then replay here.
+// weight bindings live in the same lane-planar WeightPlanes, and each
+// slab's lane loop auto-vectorises — threads × lanes.  Observers are
+// deliberately not supported: the ReplayObserver contract delivers levels
+// one at a time with a settled slot image, which is precisely the
+// serialisation this engine exists to remove; profile the serial engines,
+// then replay here.
 #pragma once
 
 #include <atomic>
@@ -52,6 +53,7 @@
 #include "compile/engine.hpp"  // Divergence
 #include "compile/program.hpp"
 #include "compile/replay_observer.hpp"
+#include "compile/weight_planes.hpp"
 #include "semiring/cost.hpp"
 #include "sim/module.hpp"
 #include "sim/thread_pool.hpp"
@@ -114,19 +116,23 @@ class ParallelCompiledEngine {
 
   /// Install a per-instance weight table on one lane (parameterised tapes
   /// only); same contract as BatchedCompiledEngine::bind.
-  void bind(std::uint32_t lane, const std::vector<Cost>& weights);
+  void bind(std::uint32_t lane, const std::vector<Cost>& weights) {
+    weights_.bind(lane, weights);
+  }
 
   /// Restore lane `lane` to the oracle's weight binding.
-  void bind_oracle(std::uint32_t lane);
+  void bind_oracle(std::uint32_t lane) { weights_.bind_oracle(lane); }
 
   /// True while lane `lane` replays the oracle's own weight binding.
   [[nodiscard]] bool oracle_bound(std::uint32_t lane) const {
-    return oracle_bound_[lane] != 0;
+    return weights_.oracle_bound(lane);
   }
 
   /// Compare lane `lane`'s declared outputs with the oracle's observed
   /// values.  Throws std::logic_error if the lane is not oracle-bound.
-  [[nodiscard]] Divergence verify_outputs(std::uint32_t lane) const;
+  [[nodiscard]] Divergence verify_outputs(std::uint32_t lane) const {
+    return weights_.verify_outputs(slots_.data(), lane);
+  }
 
   /// Activity accounting, in op-lane executions (ops × lanes) like the
   /// batched engine.  Counts are whole-tape totals once run_all() has
@@ -168,9 +174,8 @@ class ParallelCompiledEngine {
   };
 
   void build_plan(std::uint32_t min_parallel_width);
-  void exec_ops(std::uint32_t lo, std::uint32_t hi, bool param);
-  void run_plan(std::uint32_t participant, bool param);
-  void set_oracle_bound(std::uint32_t lane, bool bound);
+  void exec_ops(std::uint32_t lo, std::uint32_t hi, const Cost* wtab);
+  void run_plan(std::uint32_t participant, const Cost* wtab);
 
   const CompiledNetlist* net_;
   sim::ThreadPool* pool_;
@@ -178,10 +183,9 @@ class ParallelCompiledEngine {
   std::uint32_t participants_ = 1;
   /// Lane-major slot file: `slots_[slot*lanes_ + lane]`.
   AlignedVec<Cost> slots_;
-  /// Lane-major weight tables on parameterised tapes.
-  AlignedVec<Cost> weights_;
-  std::vector<std::uint8_t> oracle_bound_;
-  std::uint32_t rebound_lanes_ = 0;
+  /// Lane-planar weight tables, as in BatchedCompiledEngine: bind(lane)
+  /// is one sequential copy, a rebound op reads its weights at stride P.
+  WeightPlanes weights_;
 
   std::vector<Segment> segments_;
   /// Slab boundaries (global op indices) of the parallel segments.

@@ -26,6 +26,7 @@
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
+#include "compile/parallel_engine.hpp"
 #include "sim/thread_pool.hpp"
 #include "baseline/matrix_chain.hpp"
 #include "baseline/multistage_dp.hpp"
@@ -525,31 +526,53 @@ void expect_same_shape(const compile::CompiledNetlist& a,
   }
 }
 
-/// Run a B-lane batched replay of `net` with `tables[l]` bound on lane l
-/// (an empty table means the oracle binding) and require every lane to be
-/// bit-identical, slot for slot, to an independent scalar CompiledEngine
-/// replay of the same binding.
+/// Pooled parallel replay options that slice even the small test tapes'
+/// levels across participants.
+compile::ParallelReplayOptions sliced(std::uint32_t lanes) {
+  return {.lanes = lanes, .min_parallel_width = 2};
+}
+
+/// Run a B-lane replay of `net` with `tables[l]` bound on lane l (an empty
+/// table means the oracle binding) on the batched engine and twice on the
+/// thread-parallel engine — without a pool, and on a 2-worker pool with
+/// sliced levels — and require every lane of each to be bit-identical,
+/// slot for slot, to an independent scalar CompiledEngine replay of the
+/// same binding.
 void expect_lanes_bit_identical(
     const compile::CompiledNetlist& net,
     const std::vector<std::vector<Cost>>& tables) {
   const auto lanes = static_cast<std::uint32_t>(tables.size());
   compile::BatchedCompiledEngine be(net, lanes);
-  for (std::uint32_t l = 0; l < lanes; ++l) {
-    if (!tables[l].empty()) be.bind(l, tables[l]);
-  }
+  sim::ThreadPool pool(2);
+  compile::ParallelCompiledEngine unpooled(net, nullptr, {.lanes = lanes});
+  compile::ParallelCompiledEngine pooled(net, &pool, sliced(lanes));
+  const auto bind_and_run = [&](auto& engine) {
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      if (!tables[l].empty()) engine.bind(l, tables[l]);
+    }
+    engine.run_all();
+  };
+  bind_and_run(be);
+  bind_and_run(unpooled);
+  bind_and_run(pooled);
   EXPECT_EQ(be.fallback_levels(), 0u);
-  be.run_all();
   for (std::uint32_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
     compile::CompiledEngine ce(net);
     if (!tables[l].empty()) ce.bind(tables[l]);
     ce.run_all();
     for (sim::SlotId s = 0; s < net.num_slots; ++s) {
-      ASSERT_EQ(be.value(s, l), ce.value(s)) << "slot " << s;
+      ASSERT_EQ(be.value(s, l), ce.value(s)) << "batched, slot " << s;
+      ASSERT_EQ(unpooled.value(s, l), ce.value(s))
+          << "parallel without pool, slot " << s;
+      ASSERT_EQ(pooled.value(s, l), ce.value(s))
+          << "parallel on 2 workers, slot " << s;
     }
     if (be.oracle_bound(l)) {
       EXPECT_FALSE(be.verify_outputs(l).found);
     }
+    EXPECT_EQ(unpooled.oracle_bound(l), be.oracle_bound(l));
+    EXPECT_EQ(pooled.oracle_bound(l), be.oracle_bound(l));
   }
 }
 
@@ -725,6 +748,89 @@ TEST(CompiledBatchDifferential, BstLaneExactAcrossWidths) {
     expect_lanes_bit_identical(
         low.net, std::vector<std::vector<Cost>>(lanes));
   }
+}
+
+// Rebinding between replays on a many-parameter tape, on both lane
+// executors.  With one parameter a lane-major and a lane-planar weight
+// index coincide, so only a tape like this one catches a weight landing on
+// the wrong lane — or a lane left on the stale path after bind_oracle.
+TEST(CompiledBatchDifferential, RebindBetweenReplaysOnBothExecutors) {
+  Rng rng(471);
+  const std::size_t n = 9;
+  GktModularArray arr(random_chain_dims(n, rng));
+  compile::LowerOptions opt;
+  opt.parameterise = true;
+  const auto low = compile::lower_array(arr, opt);
+  ASSERT_GT(low.net.num_params(), 100u);
+  std::vector<std::vector<Cost>> variants;
+  for (int v = 0; v < 3; ++v) {
+    auto vdims = random_chain_dims(n, rng);
+    variants.push_back(variant_params(
+        low.net, [&] { return GktModularArray(vdims); }));
+  }
+  const std::vector<Cost>& oracle = low.net.params;
+
+  // Replay, then check every lane against a scalar replay of `bound[l]`.
+  const auto replay_and_check = [&](auto& engine,
+                                    const std::vector<std::vector<Cost>>&
+                                        bound) {
+    engine.reset();
+    engine.run_all();
+    for (std::uint32_t l = 0; l < bound.size(); ++l) {
+      SCOPED_TRACE("lane " + std::to_string(l));
+      compile::CompiledEngine ce(low.net);
+      ce.bind(bound[l]);
+      ce.run_all();
+      for (sim::SlotId s = 0; s < low.net.num_slots; ++s) {
+        ASSERT_EQ(engine.value(s, l), ce.value(s)) << "slot " << s;
+      }
+      EXPECT_EQ(engine.oracle_bound(l), bound[l] == oracle);
+      if (bound[l] == oracle) {
+        EXPECT_FALSE(engine.verify_outputs(l).found);
+      } else {
+        EXPECT_THROW((void)engine.verify_outputs(l), std::logic_error);
+      }
+    }
+  };
+  const auto drive = [&](auto& engine) {
+    // Bind every lane (one of them to the oracle's own table) and replay.
+    std::vector<std::vector<Cost>> bound = {variants[0], variants[1], oracle,
+                                            variants[2]};
+    for (std::uint32_t l = 0; l < bound.size(); ++l) {
+      engine.bind(l, bound[l]);
+    }
+    {
+      SCOPED_TRACE("all lanes bound");
+      replay_and_check(engine, bound);
+    }
+    // Rebind one lane, restore another to the oracle, replay again.
+    bound[1] = variants[2];
+    engine.bind(1, bound[1]);
+    bound[3] = oracle;
+    engine.bind_oracle(3);
+    {
+      SCOPED_TRACE("lane 1 rebound, lane 3 restored");
+      replay_and_check(engine, bound);
+    }
+    // Restore the rest: the replay returns to the baked immediates.
+    for (const std::uint32_t l : {0u, 1u}) {
+      bound[l] = oracle;
+      engine.bind_oracle(l);
+    }
+    SCOPED_TRACE("every lane restored");
+    replay_and_check(engine, bound);
+  };
+
+  compile::BatchedCompiledEngine be(low.net, 4);
+  {
+    SCOPED_TRACE("batched");
+    drive(be);
+  }
+  sim::ThreadPool pool(2);
+  compile::ParallelCompiledEngine pe(low.net, &pool, sliced(4));
+  EXPECT_GT(pe.parallel_levels(), 0u);
+  SCOPED_TRACE("parallel on 2 workers");
+  drive(pe);
 }
 
 // Rebind fuzz: a random same-shape variant is lowered fresh, its weight
