@@ -32,7 +32,8 @@
 //                                   slot→port provenance, same signal
 //                                   names as the interpreted VCD
 //   <name>.compiled.metrics.json  — tape shape + replay counters +
-//                                   latency histograms (schema v2)
+//                                   latency histograms (schema v2) +
+//                                   lowering's stage times (lower.*_ms)
 //   <name>.compiled.profile.json  — sysdp-profile-v1: per-level op/kind
 //                                   counts, per-replay records, timing
 //   <name>.compiled.trace.json    — Chrome-trace spans of the levels
@@ -287,6 +288,10 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
                       verdict.stats.dependence_depth);
   metrics.set_counter("oracle.busy_steps", low.net.stats.oracle_busy_steps);
   metrics.set_counter("oracle.dense_evals", low.net.stats.oracle_dense_evals);
+  // Lowering's own stage split (wall time, ms).
+  metrics.set_gauge("lower.oracle_ms", low.net.stats.oracle_ms);
+  metrics.set_gauge("lower.naming_ms", low.net.stats.naming_ms);
+  metrics.set_gauge("lower.compact_ms", low.net.stats.compact_ms);
   if (low.net.cycles() > 0) {
     metrics.set_gauge("tape.ops_per_level",
                       static_cast<double>(low.net.num_ops()) /

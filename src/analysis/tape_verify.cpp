@@ -159,6 +159,29 @@ AbsVal abs_select(const AbsVal& x, const AbsVal& y, TapeSemiring sr) {
   return r;
 }
 
+/// Forward-scan state of one slot: its current definition (op index or a
+/// sentinel) and level, how often it was written, whether anything writes
+/// it at all, and its abstract value.
+struct SlotState {
+  std::int64_t def_op = kNoDef;
+  std::int64_t def_level = kNoDef;
+  std::uint32_t writes = 0;
+  bool has_def = false;
+  AbsVal aval;
+};
+
+/// Forward-scan state of one op: its longest def-use chain, in ops, and
+/// the op each of its (up to three) operand reads resolved to, or kNoOp
+/// for an init entry or an unresolved read — the instance-resolved edges
+/// dead-op reachability walks, exact even on compacted tapes where a slot
+/// name alone is ambiguous.  Op indices fit 32 bits: the CSR cycle index
+/// that bounds the tape is 32-bit, so no index reaches kNoOp.
+struct OpState {
+  static constexpr std::uint32_t kNoOp = 0xffffffffu;
+  std::uint32_t depth = 0;
+  std::array<std::uint32_t, 3> rdef{kNoOp, kNoOp, kNoOp};
+};
+
 // ---------------------------------------------------------------------------
 
 /// Structural validation; returns false if the tape is not safely
@@ -462,26 +485,18 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   const Emitter emit_val = emitter(kValueRange);
   const Emitter emit_reach = emitter(kOutputReachability);
 
+  // Forward-scan state, one record per slot and one per op, so an
+  // operand's lookups and an op's bookkeeping each touch one place.
+  std::vector<SlotState> slot(n);
+  std::vector<OpState> opst(nops);
+
   // Which slots are written *anywhere* — separates dangling references
   // (def-before-use) from defined-too-late ones (level-schedule).
-  std::vector<std::uint8_t> has_def(n, 0);
-  for (const SlotInit& si : net.init) has_def[si.slot] = 1;
+  for (const SlotInit& si : net.init) slot[si.slot].has_def = true;
   for (const Op& op : net.ops) {
-    has_def[op.dst] = 1;
-    if (op.kind == OpKind::kRelax) has_def[op.dst + 1] = 1;
+    slot[op.dst].has_def = true;
+    if (op.kind == OpKind::kRelax) slot[op.dst + 1].has_def = true;
   }
-
-  // Forward-scan state: the definition currently visible in each slot.
-  std::vector<std::int64_t> def_op(n, kNoDef);
-  std::vector<std::int64_t> def_level(n, kNoDef);
-  std::vector<std::uint32_t> depth(nops, 0);  // longest def-use chain, in ops
-  // Instance-resolved read edges (up to three per op) for dead-op
-  // reachability — exact even on compacted tapes, where a slot name alone
-  // is ambiguous.
-  std::vector<std::array<std::int64_t, 3>> rdef(
-      nops, {kNoDef, kNoDef, kNoDef});
-  std::vector<std::uint32_t> writes(n, 0);
-  std::vector<AbsVal> aval(n);
 
   // Compaction-safety state: group structure from the very analysis that
   // drives compact_slots(), plus this pass's own last-touch aggregation to
@@ -496,15 +511,16 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   }
 
   for (const SlotInit& si : net.init) {
-    ++writes[si.slot];
-    if (writes[si.slot] > 1) {
+    SlotState& ss = slot[si.slot];
+    ++ss.writes;
+    if (ss.writes > 1) {
       emit_ssa("init", slot_name(si.slot),
                "slot is initialised more than once — the surviving value "
                "depends on init order");
     }
-    def_op[si.slot] = kInitDef;
-    def_level[si.slot] = -1;
-    aval[si.slot] = abs_const(si.value);
+    ss.def_op = kInitDef;
+    ss.def_level = -1;
+    ss.aval = abs_const(si.value);
     if (si.value > st.max_abs_finite && !is_inf(si.value)) {
       st.max_abs_finite = si.value;
     }
@@ -528,7 +544,8 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
     if (lo < hi) ++st.nonempty_levels;
     for (std::uint32_t i = lo; i < hi; ++i) {
       const Op& op = net.ops[i];
-      const std::string site = op_site(i, t);
+      // The site string is built only for a finding, never per op.
+      const auto site = [i, t] { return op_site(i, t); };
 
       // -- reads: resolve each operand against the schedule so far.
       std::uint64_t min_level = 0;  // dependence-minimal level for this op
@@ -541,33 +558,35 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           const std::uint32_t g = lv.base[s];
           glast[g] = std::max(glast[g], static_cast<std::uint32_t>(t));
         }
-        if (!has_def[s]) {
-          emit_dbu(site, slot_name(s),
+        const SlotState& ss = slot[s];
+        if (!ss.has_def) {
+          emit_dbu(site(), slot_name(s),
                    std::string("operand ") + role + " reads a slot nothing "
                        "ever writes — dangling reference");
           return;
         }
-        if (def_op[s] == kNoDef) {
-          emit_sched(site, slot_name(s),
+        if (ss.def_op == kNoDef) {
+          emit_sched(site(), slot_name(s),
                      std::string("operand ") + role + " is read before its "
                          "first definition in the schedule — replay would "
                          "see an uninitialised slot");
           return;
         }
-        rdef[i][rix] = def_op[s];
-        if (def_op[s] >= 0) {
-          d = std::max(d, depth[static_cast<std::size_t>(def_op[s])]);
+        if (ss.def_op >= 0) {
+          const auto def = static_cast<std::uint32_t>(ss.def_op);
+          opst[i].rdef[rix] = def;
+          d = std::max(d, opst[def].depth);
         }
-        if (def_level[s] == static_cast<std::int64_t>(t)) {
+        if (ss.def_level == static_cast<std::int64_t>(t)) {
           // Same-level chain: legal only because the oracle executed the
           // defining op earlier in this very level (forward scan guarantees
           // program order); the batch executor additionally needs both ends
           // to be the same kind, or its kind-major partition reorders them.
           ++st.in_level_chains;
           min_level = std::max(min_level, t);
-          const Op& dop = net.ops[static_cast<std::size_t>(def_op[s])];
+          const Op& dop = net.ops[static_cast<std::size_t>(ss.def_op)];
           if (dop.kind != op.kind) {
-            emit_sched(site, slot_name(s),
+            emit_sched(site(), slot_name(s),
                        std::string("same-level read of a value produced by "
                                    "a different-kind op (") +
                            kind_name(dop.kind) + " feeding " +
@@ -579,7 +598,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           }
         } else {
           min_level =
-              std::max(min_level, static_cast<std::uint64_t>(def_level[s] + 1));
+              std::max(min_level, static_cast<std::uint64_t>(ss.def_level + 1));
         }
       };
 
@@ -597,9 +616,9 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           read(op.a, 0, "a");
           read(op.a + 1, 1, "a+1");
           read(op.b, 2, "b");
-          if (def_op[op.a] != kNoDef && def_op[op.a + 1] != kNoDef &&
-              def_op[op.a] != def_op[op.a + 1]) {
-            emit_dbu(site, slot_name(op.a),
+          if (slot[op.a].def_op != kNoDef && slot[op.a + 1].def_op != kNoDef &&
+              slot[op.a].def_op != slot[op.a + 1].def_op) {
+            emit_dbu(site(), slot_name(op.a),
                      "pair operand halves " + slot_name(op.a) + "/" +
                          slot_name(op.a + 1) +
                          " come from different definitions — not a coherent "
@@ -609,16 +628,16 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       }
 
       // -- dependence depth and transport slack.
-      depth[i] = d + 1;
+      opst[i].depth = d + 1;
       st.dependence_depth = std::max<std::uint64_t>(st.dependence_depth,
-                                                    depth[i]);
+                                                    opst[i].depth);
       if (t > min_level) {
         const std::uint64_t slack = t - min_level;
         ++st.transport_slack_ops;
         st.max_transport_slack = std::max(st.max_transport_slack, slack);
         if (opt.max_transport_slack >= 0 &&
             slack > static_cast<std::uint64_t>(opt.max_transport_slack)) {
-          emit_sched(site, slot_name(op.dst),
+          emit_sched(site(), slot_name(op.dst),
                      "scheduled " + std::to_string(slack) +
                          " level(s) after its dependence-minimal level " +
                          std::to_string(min_level) +
@@ -635,29 +654,29 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       bool clip = false;
       switch (op.kind) {
         case OpKind::kMac: {
-          const TimesResult wb = abs_times(w, aval[op.b]);
+          const TimesResult wb = abs_times(w, slot[op.b].aval);
           clip = wb.clip;
           note_fin(wb.val);
-          out_dst = abs_select(aval[op.a], wb.val, net.semiring);
+          out_dst = abs_select(slot[op.a].aval, wb.val, net.semiring);
           break;
         }
         case OpKind::kFold: {
-          const TimesResult bc = abs_times(aval[op.b], aval[op.c]);
+          const TimesResult bc = abs_times(slot[op.b].aval, slot[op.c].aval);
           const TimesResult cand = abs_times(bc.val, w);
           clip = bc.clip || cand.clip;
           note_fin(bc.val);
           note_fin(cand.val);
-          out_dst = abs_select(aval[op.a], cand.val, net.semiring);
+          out_dst = abs_select(slot[op.a].aval, cand.val, net.semiring);
           break;
         }
         case OpKind::kRelax: {
-          const TimesResult cand = abs_times(aval[op.b], w);
+          const TimesResult cand = abs_times(slot[op.b].aval, w);
           clip = cand.clip;
           note_fin(cand.val);
-          out_dst = abs_select(aval[op.a], cand.val, net.semiring);
+          out_dst = abs_select(slot[op.a].aval, cand.val, net.semiring);
           // dst+1 takes either the station immediate or the old index half.
           out_pair = abs_select(abs_const(static_cast<Cost>(op.c)),
-                                aval[op.a + 1], net.semiring);
+                                slot[op.a + 1].aval, net.semiring);
           break;
         }
       }
@@ -665,7 +684,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       note_fin(out_pair);
       if (clip) {
         clip_found = true;
-        emit_val(site, slot_name(op.dst),
+        emit_val(site(), slot_name(op.dst),
                  "two finite operands can sum into the infinity sentinel "
                  "band — sat_add() would silently clamp a real cost "
                  "(weight " + cost_to_string(wc) + ")");
@@ -677,7 +696,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         // against the state *before* this op's writes, then commit.
         const std::uint32_t g = lv.base[op.dst];
         if (gdef[g] != 0 && glast[g] >= t) {
-          emit_comp(site, slot_name(op.dst),
+          emit_comp(site(), slot_name(op.dst),
                     "redefines a slot whose previous value is still live "
                     "(last touched at level " + std::to_string(glast[g]) +
                         ", redefined at level " + std::to_string(t) +
@@ -688,16 +707,17 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         glast[g] = std::max(glast[g], static_cast<std::uint32_t>(t));
       }
       const auto write = [&](sim::SlotId s, const AbsVal& v) {
-        ++writes[s];
-        if (!st.compacted && writes[s] > 1) {
-          emit_ssa(site, slot_name(s),
+        SlotState& ss = slot[s];
+        ++ss.writes;
+        if (!st.compacted && ss.writes > 1) {
+          emit_ssa(site(), slot_name(s),
                    "slot is written more than once on an uncompacted tape — "
                    "single assignment violated (" +
-                       std::to_string(writes[s]) + " writes so far)");
+                       std::to_string(ss.writes) + " writes so far)");
         }
-        def_op[s] = static_cast<std::int64_t>(i);
-        def_level[s] = static_cast<std::int64_t>(t);
-        aval[s] = v;
+        ss.def_op = static_cast<std::int64_t>(i);
+        ss.def_level = static_cast<std::int64_t>(t);
+        ss.aval = v;
       };
       write(op.dst, out_dst);
       if (op.kind == OpKind::kRelax) write(op.dst + 1, out_pair);
@@ -727,30 +747,24 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   // --- output-reachability: every output written, every op feeding one.
   {
     std::vector<std::uint8_t> live(nops, 0);
-    std::vector<std::uint64_t> work;
     for (const Output& o : net.outputs) {
-      const std::string label = o.tag + "[" + std::to_string(o.index) + "]";
-      if (!has_def[o.slot]) {
-        emit_reach("output", label,
+      if (!slot[o.slot].has_def) {
+        emit_reach("output", o.tag + "[" + std::to_string(o.index) + "]",
                    "declared output reads " + slot_name(o.slot) +
                        ", which nothing ever writes — verify_outputs() "
                        "would compare garbage");
         continue;
       }
-      const std::int64_t d = def_op[o.slot];  // final definition
-      if (d >= 0 && live[static_cast<std::size_t>(d)] == 0) {
-        live[static_cast<std::size_t>(d)] = 1;
-        work.push_back(static_cast<std::uint64_t>(d));
-      }
+      const std::int64_t d = slot[o.slot].def_op;  // final definition
+      if (d >= 0) live[static_cast<std::size_t>(d)] = 1;
     }
-    while (!work.empty()) {
-      const std::uint64_t i = work.back();
-      work.pop_back();
-      for (const std::int64_t d : rdef[i]) {
-        if (d >= 0 && live[static_cast<std::size_t>(d)] == 0) {
-          live[static_cast<std::size_t>(d)] = 1;
-          work.push_back(static_cast<std::uint64_t>(d));
-        }
+    // Every resolved read names an earlier op (the scan records a read
+    // before the op's own writes), so one backward sweep closes the live
+    // set: an op is final once every later op has passed on its reads.
+    for (std::uint64_t i = nops; i-- > 0;) {
+      if (live[i] == 0) continue;
+      for (const std::uint32_t d : opst[i].rdef) {
+        if (d != OpState::kNoOp) live[d] = 1;
       }
     }
     for (std::uint64_t i = 0; i < nops; ++i) {
@@ -811,9 +825,9 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
     std::uint32_t prev_stamp = 0;
     for (std::size_t b = 0; b < prov.binds.size(); ++b) {
       const compile::ProvenanceBind& bind = prov.binds[b];
-      const std::string site = "bind#" + std::to_string(b);
+      const auto site = [b] { return "bind#" + std::to_string(b); };
       if (bind.stamp < prev_stamp) {
-        emit(site, "",
+        emit(site(), "",
              "stamp " + std::to_string(bind.stamp) +
                  " follows stamp " + std::to_string(prev_stamp) +
                  " — bind events are not sorted, the replay waveform "
@@ -821,20 +835,20 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       }
       prev_stamp = std::max(prev_stamp, bind.stamp);
       if (bind.stamp > cycles) {
-        emit(site, "",
+        emit(site(), "",
              "stamp " + std::to_string(bind.stamp) +
                  " lies past the tape's " + std::to_string(cycles) +
                  " replayed cycles — no level ever samples it");
       }
       if (bind.lane >= nlanes) {
-        emit(site, "",
+        emit(site(), "",
              "binds lane " + std::to_string(bind.lane) +
                  ", outside the table of " + std::to_string(nlanes) +
                  " lanes");
         continue;
       }
       if (bind.slot >= n) {
-        emit(site, prov.lanes[bind.lane].label,
+        emit(site(), prov.lanes[bind.lane].label,
              "binds " + slot_name(bind.slot) + ", outside the file of " +
                  std::to_string(n) + " slots");
         continue;
@@ -844,17 +858,17 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
         // of level stamp-1" is provable per bind.  (Compacted tapes reuse
         // slot names; the lifetime extension that keeps these samples
         // valid is compaction-safety's cross-checked territory.)
-        if (def_op[bind.slot] == kNoDef) {
-          emit(site, prov.lanes[bind.lane].label,
+        if (slot[bind.slot].def_op == kNoDef) {
+          emit(site(), prov.lanes[bind.lane].label,
                "binds " + slot_name(bind.slot) +
                    ", which nothing ever writes — the waveform would "
                    "sample garbage");
-        } else if (def_level[bind.slot] >= static_cast<std::int64_t>(
-                                               bind.stamp)) {
-          emit(site, prov.lanes[bind.lane].label,
+        } else if (slot[bind.slot].def_level >=
+                   static_cast<std::int64_t>(bind.stamp)) {
+          emit(site(), prov.lanes[bind.lane].label,
                "stamp " + std::to_string(bind.stamp) + " samples " +
                    slot_name(bind.slot) + " defined at level " +
-                   std::to_string(def_level[bind.slot]) +
+                   std::to_string(slot[bind.slot].def_level) +
                    " — the register would show a value before the tape "
                    "computes it");
         }

@@ -1,6 +1,6 @@
 // Trace-based lowering: modular design -> CompiledNetlist.
 //
-// lower_array() runs the design once on a serial, dense oracle engine with
+// lower_array() runs the design once on a serial, gated oracle engine with
 // a Recorder attached.  The array models narrate every semiring op and
 // register write (sim/record.hpp); the recorder shadow-executes the
 // narration and emits the flat tape.  Why this is sound for the paper's
@@ -8,23 +8,28 @@
 // register, on which cycle — is a function of tags, counters and validity
 // bits only, never of the cost values flowing through.  One concrete run
 // therefore fixes the complete schedule for the instance, and the tape
-// replays it bit-identically, cycle for cycle.
+// replays it bit-identically, cycle for cycle.  The oracle gates
+// (sim::Gating::kSparse): a quiescent module's eval is an observational
+// no-op by the engine's contract, so skipping it narrates nothing the tape
+// needs, and the active modules still step in registration order (the
+// gated sweep runs combinational modules first, and every design
+// registers its one combinational module first).
 //
-// The elaborated dataflow graph rides along: lowering captures
-// analysis::capture()'s netlist at the oracle's elaboration point and uses
-// it to tie the recorder's lanes back to declared storages (stats +
-// diagnostics) — the compiled program is the same netlist, flattened.
+// Provenance names come after the run: one describe_ports sweep over the
+// oracle's modules (and the array's environment taps) keeps only the
+// ports whose storage key some lane narrated, and names each such lane by
+// the rules analysis::capture() applies to the full netlist — so the
+// compiled program is still the elaborated netlist, flattened, without
+// paying for the parts of it no lane touched.
 #pragma once
 
-#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "analysis/netlist.hpp"
 #include "compile/compact.hpp"
 #include "compile/optimize.hpp"
 #include "compile/program.hpp"
@@ -35,7 +40,9 @@
 namespace sysdp::compile {
 
 struct LowerOptions {
-  /// Capture the analysis netlist at elaboration and resolve lane names.
+  /// Name provenance lanes after the oracle run: module and port label
+  /// from the declared ports whose keys the narration touched (see the
+  /// file comment).  Off leaves every lane unnamed ("lane<N>").
   bool capture_netlist = true;
   /// Cross-check tape op count against the oracle's busy-step count: every
   /// paper design marks exactly one busy step per semiring op, so a
@@ -85,42 +92,64 @@ template <typename R>
   }
 }
 
-/// Resolve the recorder's provenance lanes against the captured netlist:
-/// each lane's storage key is looked up among the declared storages, its
-/// label becomes the declared port label and its module the storage's
-/// first writer (or the environment node when nothing writes it).  Module
-/// names are interned first-seen into Provenance::modules (empty on entry:
-/// the recorder leaves it to this pass), which fixes the compiled
-/// timeline's PE-row order.  Returns the number of lanes named.
-/// Lanes look up a (key, storage) index sorted once per call, because
-/// Netlist::storage_of scans every storage, which is quadratic over a tape
-/// (GKT n = 96: 4,560 lanes x 18,240 storages); ties sort by index, so a
-/// key resolves to its first storage, as there.  Module names intern
-/// through a map for the same reason.
-inline std::uint64_t resolve_provenance(Provenance& prov,
-                                        const std::vector<const void*>& keys,
-                                        const analysis::Netlist& netlist) {
-  using Entry = std::pair<std::uintptr_t, std::uint32_t>;
-  std::vector<Entry> by_key;
-  by_key.reserve(netlist.storages.size());
-  for (std::uint32_t s = 0; s < netlist.storages.size(); ++s) {
-    by_key.emplace_back(
-        reinterpret_cast<std::uintptr_t>(netlist.storages[s].key), s);
+/// Name of analysis::capture()'s environment node: the module a lane is
+/// attributed to when only testbench taps (or nothing) write its storage.
+inline constexpr const char* kEnvironmentModule = "environment";
+
+/// Milliseconds since `t0`.
+[[nodiscard]] inline double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Name the recorder's provenance lanes from the ports the oracle's
+/// modules declare, in registration order, then the array's environment
+/// taps — the node order of analysis::capture().  Only ports whose key
+/// some lane narrated are kept, and each named lane gets what capture()
+/// would give its storage: the label of its first declaration, replaced
+/// by any writer's non-empty label (the last one wins), or "lane<N>" when
+/// that is empty; and as module its first writer, or the environment node
+/// when only the environment (or nothing) writes it.  Module names are
+/// interned first-seen in lane order into Provenance::modules (empty on
+/// entry), which fixes the compiled timeline's PE-row order.  Returns the
+/// number of lanes named.
+template <typename Array>
+std::uint64_t name_lanes(Provenance& prov, const Recorder& rec,
+                         const sim::Engine& engine, const Array& arr) {
+  const std::vector<sim::Module*>& modules = engine.modules();
+  const auto env = static_cast<std::uint32_t>(modules.size());
+  std::vector<std::uint8_t> seen(prov.lanes.size(), 0);
+  std::vector<std::uint32_t> writer(prov.lanes.size(), Provenance::kNone);
+  const auto sweep = [&](std::uint32_t node, const sim::PortSet& ports) {
+    for (const sim::Port& p : ports.ports()) {
+      const std::uint32_t l = rec.lane_of(p.storage);
+      if (l == Provenance::kNone) continue;
+      const bool out = p.dir == sim::PortDir::kOut;
+      if (!p.label.empty() && (seen[l] == 0 || out)) {
+        prov.lanes[l].label = p.label;
+      }
+      seen[l] = 1;
+      if (out && writer[l] == Provenance::kNone) writer[l] = node;
+    }
+  };
+  sim::PortSet ports;
+  for (std::uint32_t m = 0; m < env; ++m) {
+    ports.clear();
+    modules[m]->describe_ports(ports);
+    sweep(m, ports);
   }
-  std::sort(by_key.begin(), by_key.end());
+  ports.clear();
+  arr.describe_environment(ports);
+  sweep(env, ports);
+
   std::unordered_map<std::string, std::uint32_t> module_ids;
   std::uint64_t named = 0;
-  for (std::size_t i = 0; i < prov.lanes.size() && i < keys.size(); ++i) {
-    const auto key = reinterpret_cast<std::uintptr_t>(keys[i]);
-    const auto it =
-        std::lower_bound(by_key.begin(), by_key.end(), Entry{key, 0});
-    if (it == by_key.end() || it->first != key) continue;
-    const analysis::Storage& storage = netlist.storages[it->second];
-    ProvenanceLane& lane = prov.lanes[i];
-    if (!storage.label.empty()) lane.label = storage.label;
-    lane.module = storage.writers.empty()
-                      ? netlist.node(netlist.environment).name
-                      : netlist.node(storage.writers.front()).name;
+  for (std::size_t l = 0; l < prov.lanes.size(); ++l) {
+    if (seen[l] == 0) continue;
+    ProvenanceLane& lane = prov.lanes[l];
+    lane.module = writer[l] < env ? modules[writer[l]]->name()
+                                  : std::string(kEnvironmentModule);
     const auto [id, fresh] = module_ids.try_emplace(
         lane.module, static_cast<std::uint32_t>(prov.modules.size()));
     if (fresh) prov.modules.push_back(lane.module);
@@ -134,38 +163,35 @@ inline std::uint64_t resolve_provenance(Provenance& prov,
 }  // namespace detail
 
 /// Lower `arr` by oracle run.  The array must be fresh (never run); the
-/// oracle engine is internal and serial+dense, the canonical program
-/// order.  Throws std::logic_error if the narration is inconsistent with
-/// the oracle's live values or the busy-step invariant fails — lowering
-/// bugs die here, not in a diverging replay.
+/// oracle engine is internal, serial and gated, its active modules
+/// stepping in the canonical program order.  Throws
+/// std::logic_error if the narration is inconsistent with the oracle's
+/// live values or the busy-step invariant fails — lowering bugs die here,
+/// not in a diverging replay.  Fills TapeStats' stage times: the narrated
+/// oracle run, the naming pass and compaction.
 template <typename Array>
 [[nodiscard]] Lowered lower_array(Array& arr, const LowerOptions& opt = {}) {
-  sim::Engine oracle;
+  using Clock = std::chrono::steady_clock;
+  sim::Engine oracle(sim::Gating::kSparse);
   Recorder rec;
   oracle.set_recorder(&rec);
   oracle.add_observer(&rec);
-  analysis::Netlist netlist;
-  bool captured = false;
-  if (opt.capture_netlist) {
-    oracle.set_elaboration_check([&](const sim::Engine& e) {
-      analysis::CaptureOptions copts;
-      arr.describe_environment(copts.environment);
-      netlist = analysis::capture(e, copts);
-      captured = true;
-    });
-  }
 
+  auto t0 = Clock::now();
   const auto result = arr.run(oracle);
 
   Lowered out;
   out.oracle_cycles = oracle.now();
   out.net = rec.finish(opt.parameterise);
+  out.net.stats.oracle_ms = detail::ms_since(t0);
   out.net.stats.oracle_active_evals = oracle.active_evals();
   out.net.stats.oracle_dense_evals = oracle.dense_evals();
   out.net.stats.oracle_busy_steps = detail::busy_steps_of(result);
-  if (captured) {
-    out.net.stats.named_lanes = detail::resolve_provenance(
-        out.net.provenance, rec.lane_key_table(), netlist);
+  if (opt.capture_netlist) {
+    t0 = Clock::now();
+    out.net.stats.named_lanes =
+        detail::name_lanes(out.net.provenance, rec, oracle, arr);
+    out.net.stats.naming_ms = detail::ms_since(t0);
   }
   if (out.net.cycles() != out.oracle_cycles) {
     throw std::logic_error(
@@ -186,7 +212,11 @@ template <typename Array>
     oo.level = opt.optimize;
     optimize_tape(out.net, oo);
   }
-  if (opt.compact) compact_slots(out.net);
+  if (opt.compact) {
+    t0 = Clock::now();
+    compact_slots(out.net);
+    out.net.stats.compact_ms = detail::ms_since(t0);
+  }
   return out;
 }
 

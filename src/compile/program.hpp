@@ -95,17 +95,18 @@ struct Output {
 };
 
 /// One provenance lane: a design storage key the oracle run narrated,
-/// resolved to its writer module and declared port label when lowering
-/// captured the analysis netlist (LowerOptions::capture_netlist).  Lanes
-/// whose key matched no declared storage keep a synthetic "lane<N>" label
-/// and stay unnamed — the waveform layer skips them so every emitted
-/// signal name also exists in the interpreted run's VCD.
+/// named after its writer module and declared port label when lowering
+/// matched it against the modules' declared ports
+/// (LowerOptions::capture_netlist).  Lanes whose key matched no declared
+/// port keep a synthetic "lane<N>" label and stay unnamed — the waveform
+/// layer skips them so every emitted signal name also exists in the
+/// interpreted run's VCD.
 struct ProvenanceLane {
   std::string module;  ///< writer module name; empty when unresolved
   std::string label;   ///< declared port label; "lane<N>" when unresolved
   /// Index into Provenance::modules, or Provenance::kNone when unresolved.
   std::uint32_t module_id = 0xffffffffu;
-  bool named = false;  ///< resolved against the captured netlist
+  bool named = false;  ///< matched to a declared port
 };
 
 /// One binding event: at VCD time `stamp`, the design register behind
@@ -124,7 +125,7 @@ struct ProvenanceBind {
 
 /// The slot→port provenance table: which design module and described port
 /// each tape slot and op originated from.  Emitted by the recorder during
-/// lowering, name-resolved against the captured analysis netlist, and
+/// lowering, named from the modules' declared ports after the run, and
 /// carried through compaction via the live-range remap — the compiled
 /// backend's link from flat slot indices back to the signal names the
 /// interpreted observers (obs::VcdSink, obs::TimelineSink) report.
@@ -155,7 +156,7 @@ struct TapeStats {
   std::uint64_t copies_elided = 0;   ///< register writes with no tape op
   std::uint64_t consts_interned = 0; ///< dedup hits on constant()
   std::uint64_t lanes_bound = 0;     ///< distinct storage keys narrated
-  std::uint64_t named_lanes = 0;     ///< lanes matched to captured storages
+  std::uint64_t named_lanes = 0;     ///< lanes matched to declared ports
   std::uint64_t oracle_active_evals = 0;
   std::uint64_t oracle_dense_evals = 0;
   std::uint64_t oracle_busy_steps = 0;  ///< must equal ops.size()
@@ -175,6 +176,12 @@ struct TapeStats {
   std::uint8_t opt_level = 0;
   std::uint64_t ops_pruned = 0;   ///< dead-op elimination removals
   std::uint64_t levels_fused = 0; ///< dependency levels merged away
+  /// Wall time of lowering's stages, in ms (compile/lower.hpp): the
+  /// narrated oracle run (including sealing the tape), the lane-naming
+  /// pass, and compaction; 0 for a stage lowering did not run.
+  double oracle_ms = 0;
+  double naming_ms = 0;
+  double compact_ms = 0;
 };
 
 struct CompiledNetlist {

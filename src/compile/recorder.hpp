@@ -4,7 +4,7 @@
 // The recorder is both halves of the lowering contract:
 //
 //   * as sim::OpRecorder it receives the narration — lane reads, register
-//     binds, semiring ops — from the array models while the serial dense
+//     binds, semiring ops — from the array models while the serial gated
 //     oracle steps;
 //   * as sim::EngineObserver it hears the clock: on_cycle closes a
 //     dependency level (cycle_off boundary) and applies the two-phase
@@ -17,8 +17,15 @@
 // result is recorded as the tape's expected value.  A mis-narrated model
 // therefore fails loudly at lowering time with the first inconsistent
 // site, instead of producing a tape that silently diverges.
+//
+// Lanes are interned once, in one open-addressing key -> lane table; the
+// lane's current binding lives in a dense per-lane slot vector, so each
+// narrated read or write costs one probe and one indexed load.  The same
+// table answers lane_of() after the run, which is how lowering names lanes
+// from the ports the modules declare.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -60,14 +67,11 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   /// Clock edge: apply staged binds, close the current dependency level.
   void on_cycle(const sim::Engine& engine, sim::Cycle t) override;
 
-  /// Distinct storage keys narrated so far (for netlist name matching).
-  [[nodiscard]] std::vector<const void*> lane_keys() const;
-
-  /// Storage key per provenance lane, indexed by lane id.  Valid after
-  /// finish() too — lowering resolves lane names against the captured
-  /// netlist once the tape is sealed.
-  [[nodiscard]] const std::vector<const void*>& lane_key_table() const {
-    return lane_key_of_;
+  /// Provenance lane narrated for storage `key`, or Provenance::kNone if
+  /// the run never touched it.  Valid after finish() too: lowering names
+  /// lanes from the modules' declared ports once the tape is sealed.
+  [[nodiscard]] std::uint32_t lane_of(const void* key) const noexcept {
+    return table_.empty() ? Provenance::kNone : table_[probe(key)].lane;
   }
 
   /// Seal the tape.  Call after the oracle run completes; the recorder is
@@ -80,14 +84,40 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   sim::SlotId alloc(Cost concrete);
   [[nodiscard]] Cost concrete(sim::SlotId slot, const char* site) const;
   void check_live(sim::SlotId slot, std::int64_t live, const char* site) const;
-  /// Provenance: lane id for `key` (interning on first sight), one bind
-  /// event at `stamp`, and first-bind-wins op attribution via the bound
-  /// slot's defining op.
-  void record_bind(const void* key, sim::SlotId slot, std::uint32_t stamp);
+  /// One entry of the key -> lane table; `lane == kNone` marks it empty.
+  struct KeyLane {
+    const void* key = nullptr;
+    std::uint32_t lane = Provenance::kNone;
+  };
+  /// Table index holding `key`, or the empty entry where it would go.
+  [[nodiscard]] std::size_t probe(const void* key) const noexcept;
+  /// Lane of `key`, interned (bound to no slot yet) on first sight;
+  /// `fresh` reports which.
+  std::uint32_t intern(const void* key, bool& fresh);
+  /// Double the table (at least 64 entries) and reinsert every lane.
+  void grow();
+  /// Copy `key`'s register from `slot` at the current stamp: a copy
+  /// elided from the tape if the lane was bound to another slot.
+  void rebind(const void* key, sim::SlotId slot);
+  /// Provenance: one bind event of `lane` to `slot` at `stamp` (skipped if
+  /// the lane already holds it), and first-bind-wins op attribution via
+  /// the bound slot's defining op.
+  void record_bind(std::uint32_t lane, sim::SlotId slot, std::uint32_t stamp);
 
-  std::vector<Cost> concrete_;          ///< shadow value per slot
-  std::vector<std::uint8_t> pair_head_; ///< slot is the value half of a pair
-  std::unordered_map<const void*, sim::SlotId> bound_;
+  /// Shadow state of one slot: the concrete value the oracle produced
+  /// there, the op that defined it (kNone for constants), and whether it
+  /// is the value half of a pair.
+  struct SlotRec {
+    Cost value = 0;
+    std::uint32_t def_op = Provenance::kNone;
+    std::uint8_t pair_head = 0;
+  };
+  /// Slot `slot`'s record; throws std::logic_error naming `site` if the
+  /// model narrated a slot id the recorder never handed out.
+  [[nodiscard]] const SlotRec& slot_rec(sim::SlotId slot,
+                                        const char* site) const;
+
+  std::vector<SlotRec> slots_;
   std::vector<std::pair<const void*, sim::SlotId>> staged_;
   std::unordered_map<std::int64_t, sim::SlotId> const_cache_;
   std::map<std::pair<std::int64_t, std::int64_t>, sim::SlotId>
@@ -100,14 +130,18 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   std::map<std::pair<std::string, std::uint64_t>, std::size_t> output_index_;
   std::uint64_t copies_elided_ = 0;
   std::uint64_t consts_interned_ = 0;
-  // Provenance plane: lane interning, bind events in narration order
-  // (stamp 0 = reset, stamp t+1 = committed at end of cycle t), the
-  // defining op of each slot, and the lane each op's dst first bound to.
-  std::unordered_map<const void*, std::uint32_t> lane_id_;
-  std::vector<const void*> lane_key_of_;
-  std::vector<std::uint32_t> lane_slot_;  ///< last recorded slot per lane
+  // Lanes and the provenance plane: the key -> lane table (power-of-two
+  // capacity, at most half full, linear probing from the top bits of a
+  // multiplicative hash), each lane's current slot, bind events in
+  // narration order — reset binds (stamp 0, first touches, which arrive
+  // at any cycle) apart from the committed ones (stamp t+1 for cycle t,
+  // which arrive in stamp order) — and the lane each op's dst first bound
+  // to.
+  std::vector<KeyLane> table_;
+  unsigned shift_ = 64;  ///< 64 - log2(table_.size())
+  std::vector<std::uint32_t> lane_slot_;  ///< current slot per lane
+  std::vector<ProvenanceBind> reset_binds_;
   std::vector<ProvenanceBind> binds_;
-  std::vector<std::uint32_t> slot_op_;  ///< defining op per slot, or kNone
   std::vector<std::uint32_t> op_lane_;  ///< parallel to ops_
   bool finished_ = false;
 };

@@ -1,10 +1,14 @@
 #include "io/problem_io.hpp"
 
+#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace sysdp {
 
@@ -15,28 +19,65 @@ namespace {
 }
 
 /// Next whitespace-separated token; throws with context if the stream ends.
+/// Scans the stream buffer directly: `is >> tok` builds a sentry and
+/// consults the locale for every token, which dominated reading large
+/// instances.  Stream state follows operator>>: eofbit when the scan hits
+/// the end, failbit when no token is left.
 std::string next_token(std::istream& is, const char* context) {
+  using Traits = std::istream::traits_type;
+  std::streambuf* const sb = is.good() ? is.rdbuf() : nullptr;
   std::string tok;
-  if (!(is >> tok)) fail(std::string("unexpected end of input reading ") + context);
+  if (sb != nullptr) {
+    int c = sb->sgetc();
+    while (c != Traits::eof() && std::isspace(c) != 0) c = sb->snextc();
+    while (c != Traits::eof() && std::isspace(c) == 0) {
+      tok.push_back(Traits::to_char_type(c));
+      c = sb->snextc();
+    }
+    if (c == Traits::eof()) is.setstate(std::ios::eofbit);
+  }
+  if (tok.empty()) {
+    is.setstate(std::ios::failbit);
+    fail(std::string("unexpected end of input reading ") + context);
+  }
   return tok;
+}
+
+/// `tok` parsed whole as a decimal int64: std::errc{} on success,
+/// result_out_of_range for a well-formed literal past int64, and
+/// invalid_argument for anything else — a fraction, an exponent, a suffix.
+std::errc parse_int(const std::string& tok, std::int64_t& v) {
+  const char* const end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  return ptr == end ? ec : std::errc::invalid_argument;
 }
 
 Cost next_cost(std::istream& is, const char* context) {
   const std::string tok = next_token(is, context);
   if (tok == "inf") return kInfCost;
   if (tok == "-inf") return kNegInfCost;
-  try {
-    return static_cast<Cost>(std::stoll(tok));
-  } catch (const std::exception&) {
+  std::int64_t v = 0;
+  const std::errc ec = parse_int(tok, v);
+  // A finite literal in a sentinel band would silently read as +/-inf.
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() && (is_inf(v) || is_neg_inf(v)))) {
+    fail(std::string(context) + " literal '" + tok +
+         "' lies in the infinity sentinel band (|value| >= " +
+         std::to_string(kInfCost) + "); write 'inf' or '-inf'");
+  }
+  if (ec != std::errc()) {
     fail("expected a cost value for " + std::string(context) + ", got '" +
          tok + "'");
   }
+  return v;
 }
 
 std::size_t next_size(std::istream& is, const char* context) {
-  const Cost v = next_cost(is, context);
-  if (v < 0 || is_inf(v)) {
-    fail("expected a nonnegative count for " + std::string(context));
+  const std::string tok = next_token(is, context);
+  std::int64_t v = 0;
+  if (parse_int(tok, v) != std::errc() || v < 0 || is_inf(v)) {
+    fail("expected a nonnegative count for " + std::string(context) +
+         ", got '" + tok + "'");
   }
   return static_cast<std::size_t>(v);
 }

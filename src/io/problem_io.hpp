@@ -10,9 +10,12 @@
 //    transition, "inf"                       term <arity> <vars..> <table..>
 //    for missing edges>
 //
-// Values are whitespace-separated; "inf" encodes kInfCost.  Readers
-// validate shapes and throw std::runtime_error with a line-accurate message
-// on malformed input.
+// Values are whitespace-separated; "inf" and "-inf" encode kInfCost and
+// kNegInfCost.  Every other value is a decimal integer read whole: a token
+// with a fraction, an exponent or any trailing character is an error, and
+// so is a finite literal in either sentinel band (|value| >= kInfCost),
+// which would otherwise read as an infinity.  Readers validate shapes and
+// throw std::runtime_error naming what was being read on malformed input.
 #pragma once
 
 #include <iosfwd>

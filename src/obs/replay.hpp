@@ -40,7 +40,7 @@
 namespace sysdp::obs {
 
 /// VCD writer for compiled replays, driven by provenance bind events.
-/// Only *named* lanes (resolved against the captured netlist at lowering)
+/// Only *named* lanes (matched to declared ports at lowering)
 /// are rendered, so every emitted signal also exists in the interpreted
 /// run's VCD; for batched engines, `lane` picks which batch lane's values
 /// to dump.  A second on_replay_begin restarts the document.

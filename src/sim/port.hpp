@@ -168,6 +168,12 @@ class PortSet {
   [[nodiscard]] const std::vector<Port>& ports() const noexcept {
     return ports_;
   }
+  /// Drop every declaration, keeping the storage: a sweep over many
+  /// modules reuses one collector instead of reallocating per module.
+  void clear() noexcept {
+    ports_.clear();
+    derivations_.clear();
+  }
   [[nodiscard]] const std::vector<SignalDerivation>& derivations()
       const noexcept {
     return derivations_;

@@ -2,7 +2,7 @@
 //
 // The compiled backend (src/compile) does not re-implement any array's
 // control logic.  Instead it runs the modular design once on a serial,
-// dense Engine — the oracle — with an OpRecorder attached, and the array
+// gated Engine — the oracle — with an OpRecorder attached, and the array
 // models narrate every value-carrying action they perform: each semiring
 // operation becomes a tape op, each register write of an unmodified value
 // becomes a compile-time binding update (a copy elided from the tape).

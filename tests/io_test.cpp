@@ -110,6 +110,31 @@ TEST(ProblemIo, MalformedInputsThrowWithContext) {
   expect_fail("chain 2 4 0 3", "positive");
   expect_fail("objective 2 2 2 1 blob", "expected 'term'");
   expect_fail("objective 2 2 2 1 term 1 5", "out of range");
+  // Every number is read whole: no exponent, suffix or fraction is
+  // silently truncated to its leading digits.
+  expect_fail("chain 2 10 20 1e3",
+              "expected a cost value for chain dimension, got '1e3'");
+  expect_fail("chain 2 10 20x 30",
+              "expected a cost value for chain dimension, got '20x'");
+  expect_fail("multistage 2 1 20x",
+              "expected a nonnegative count for stage size, got '20x'");
+  expect_fail("multistage 2 1 1 5q",
+              "expected a cost value for edge cost, got '5q'");
+  expect_fail("chain 2.5 10 20 30",
+              "expected a nonnegative count for matrix count, got '2.5'");
+  // A finite literal in either sentinel band (or past int64) would read as
+  // an infinity; only "inf" / "-inf" spell one.
+  expect_fail("multistage 2 1 1 2305843009213693951",
+              "edge cost literal '2305843009213693951' lies in the infinity "
+              "sentinel band");
+  expect_fail("multistage 2 1 1 -2305843009213693951",
+              "edge cost literal '-2305843009213693951' lies in the "
+              "infinity sentinel band");
+  expect_fail("chain 1 3 99999999999999999999",
+              "chain dimension literal '99999999999999999999' lies in the "
+              "infinity sentinel band");
+  std::stringstream largest("multistage 2 1 1 2305843009213693950");
+  EXPECT_EQ(read_multistage(largest).edge(0, 0, 0), kInfCost - 1);
 }
 
 TEST(ProblemIo, MissingFileThrows) {

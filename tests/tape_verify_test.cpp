@@ -350,6 +350,39 @@ TEST(TapeVerify, RelaxPairHalvesFromDifferentDefsRejected) {
 // ---------------------------------------------------------------------
 // Verifier ergonomics.
 
+// Site strings are built only when a finding is emitted, so these pin what
+// they say: the op's index and level, or the bind's index.
+TEST(TapeVerify, FindingSitesNameTheOpAndLevelOrTheBind) {
+  {
+    // L0: slot2 = 9, slot3 = 4, slot4 = 6; L1: slot5 = min(slot2, w + slot4).
+    compile::CompiledNetlist net;
+    net.num_slots = 6;
+    net.init = {{0, 10}, {1, 4}};
+    net.ops = {{2, 0, 1, 0, 5, OpKind::kMac, 0},
+               {3, 1, 0, 0, 1, OpKind::kMac, 1},
+               {4, 0, 1, 0, 2, OpKind::kMac, 2},
+               {5, 2, 4, 0, 3, OpKind::kMac, 3}};
+    net.cycle_off = {0, 3, 4};
+    net.expected = {9, 4, 6, 9};
+    net.outputs = {{"res", 0, 5, 9}, {"res", 1, 3, 4}};
+    ASSERT_TRUE(analysis::verify_tape(net, "clean").clean());
+    net.ops[3].w = kInfCost - 2;  // finite, but w + slot4 saturates
+    const auto rep = analysis::verify_tape(net, "fixture");
+    expect_exactly(rep, TapeVerifier::kValueRange, Severity::kError);
+    ASSERT_EQ(rep.diagnostics.size(), 1u) << rep.to_text();
+    EXPECT_EQ(rep.diagnostics[0].module, "op#3@L1");
+    EXPECT_EQ(rep.diagnostics[0].storage, "slot5");
+  }
+  {
+    auto net = provenanced_tape();
+    std::swap(net.provenance.binds[1], net.provenance.binds[2]);
+    const auto rep = analysis::verify_tape(net, "fixture");
+    expect_exactly(rep, TapeVerifier::kProvenance, Severity::kError);
+    ASSERT_EQ(rep.diagnostics.size(), 1u) << rep.to_text();
+    EXPECT_EQ(rep.diagnostics[0].module, "bind#2");
+  }
+}
+
 TEST(TapeVerify, VerifyOrThrowCarriesTheReport) {
   auto net = small_tape();
   net.init = {{0, 10}, {1, 4}, {0, 10}};
