@@ -75,7 +75,6 @@
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
-#include "compile/parallel_engine.hpp"
 #include "graph/generators.hpp"
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
@@ -287,11 +286,11 @@ std::vector<GatingEntry> measure_gating() {
     std::uint64_t dense_busy = 0, sparse_busy = 0;
     e.dense_seconds = median5_seconds([&] {
       Design1Modular d(mats, v);
-      dense_busy = d.run(nullptr, sim::Gating::kDense).busy_steps;
+      dense_busy = d.run(sim::Gating::kDense).busy_steps;
     });
     e.sparse_seconds = median5_seconds([&] {
       Design1Modular d(mats, v);
-      const auto r = d.run(nullptr, sim::Gating::kSparse);
+      const auto r = d.run(sim::Gating::kSparse);
       sparse_busy = r.busy_steps;
       e.active_evals = r.active_evals;
       e.dense_evals = r.dense_evals;
@@ -311,11 +310,11 @@ std::vector<GatingEntry> measure_gating() {
     std::uint64_t dense_busy = 0, sparse_busy = 0;
     e.dense_seconds = median5_seconds([&] {
       Design3Modular d(nv);
-      dense_busy = d.run(nullptr, sim::Gating::kDense).stats.busy_steps;
+      dense_busy = d.run(sim::Gating::kDense).stats.busy_steps;
     });
     e.sparse_seconds = median5_seconds([&] {
       Design3Modular d(nv);
-      const auto r = d.run(nullptr, sim::Gating::kSparse);
+      const auto r = d.run(sim::Gating::kSparse);
       sparse_busy = r.stats.busy_steps;
       e.active_evals = r.stats.active_evals;
       e.dense_evals = r.stats.dense_evals;
@@ -340,12 +339,12 @@ std::vector<GatingEntry> measure_gating() {
     std::uint64_t dense_busy = 0, sparse_busy = 0;
     Cost dense_total = 0, sparse_total = 0;
     e.dense_seconds = median5_seconds([&] {
-      const auto r = arr.run(nullptr, sim::Gating::kDense);
+      const auto r = arr.run(sim::Gating::kDense);
       dense_busy = r.stats.busy_steps;
       dense_total = r.total();
     });
     e.sparse_seconds = median5_seconds([&] {
-      const auto r = arr.run(nullptr, sim::Gating::kSparse);
+      const auto r = arr.run(sim::Gating::kSparse);
       sparse_busy = r.stats.busy_steps;
       sparse_total = r.total();
       e.active_evals = r.stats.active_evals;
@@ -407,7 +406,7 @@ CompiledSample measure_compiled_one(const char* name, MakeArray&& make,
   std::uint64_t busy = 0;
   s.interpreted_seconds = best_seconds(9, [&] {
     auto arr = make();
-    busy = busy_of(arr.run(nullptr, sim::Gating::kDense));
+    busy = busy_of(arr.run(sim::Gating::kDense));
   });
   auto arr = make();
   auto low = compile::lower_array(arr);
@@ -711,101 +710,6 @@ std::vector<OptimizedSample> measure_optimized() {
   return out;
 }
 
-// ------------------------------------------------ parallel replay ---------
-
-/// One wide-level family replayed serially (CompiledEngine) and through
-/// ParallelCompiledEngine on a dedicated 4-worker pool (5 participants).
-/// The family must carry wide dependency levels — the plan slices a level
-/// only above ParallelReplayOptions::min_parallel_width — so the 2-D gkt
-/// wavefront at n=192 (levels hundreds of op-lanes wide) is the shape
-/// this decomposition exists for.
-struct ParallelSample {
-  std::string name;
-  std::uint64_t num_ops = 0;
-  std::uint64_t levels = 0;
-  std::uint64_t parallel_levels = 0;
-  std::uint64_t serial_levels = 0;
-  std::uint64_t cuts_adjusted = 0;
-  std::uint32_t participants = 0;
-  double serial_seconds = 0.0;
-  double parallel_seconds = 0.0;
-
-  [[nodiscard]] double speedup() const {
-    return parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
-  }
-};
-
-/// Floor for the in-binary parallel gate at 4 workers.  Enforced only when
-/// the host has >= 4 hardware threads: on fewer cores the 5 participants
-/// time-slice and the measurement degrades to an oversubscription test,
-/// which the section's "degraded" flag records instead of failing CI.
-constexpr double kParallelSpeedupFloor = 1.8;
-constexpr std::size_t kParallelGateWorkers = 4;
-
-template <typename MakeArray>
-ParallelSample measure_parallel_one(const char* name, MakeArray&& make,
-                                    sim::ThreadPool& ppool) {
-  ParallelSample s;
-  s.name = name;
-  auto arr = make();
-  const auto low = compile::lower_array(arr);
-  s.num_ops = low.net.num_ops();
-  s.levels = low.net.cycles();
-  compile::CompiledEngine ce(low.net);
-  if (ce.run_all_checked().found || ce.verify_outputs().found) {
-    std::fprintf(stderr, "bench_all: compiled backend diverges on %s\n", name);
-    std::exit(1);
-  }
-  s.serial_seconds = best_seconds(9, [&] {
-    ce.reset();
-    ce.run_all();
-    benchmark::DoNotOptimize(ce.now());
-  });
-  compile::ParallelCompiledEngine pe(low.net, &ppool);
-  pe.run_all();
-  // Bit-exactness across the whole slot file, not just outputs: the
-  // static slab cuts must reproduce the serial tape order everywhere.
-  for (sim::SlotId slot = 0; slot < low.net.num_slots; ++slot) {
-    if (pe.value(slot, 0) != ce.value(slot)) {
-      std::fprintf(stderr, "bench_all: parallel replay diverges on %s\n",
-                   name);
-      std::exit(1);
-    }
-  }
-  s.parallel_levels = pe.parallel_levels();
-  s.serial_levels = pe.serial_levels();
-  s.cuts_adjusted = pe.cuts_adjusted();
-  s.participants = pe.participants();
-  s.parallel_seconds = best_seconds(9, [&] {
-    pe.reset();
-    pe.run_all();
-    benchmark::DoNotOptimize(pe.now());
-  });
-  return s;
-}
-
-std::vector<ParallelSample> measure_parallel(sim::ThreadPool& ppool) {
-  std::vector<ParallelSample> out;
-  {
-    Rng rng(192192);
-    const auto dims = random_chain_dims(192, rng);
-    out.push_back(measure_parallel_one(
-        "parallel_gkt_n192", [&] { return GktModularArray(dims); }, ppool));
-  }
-  {
-    Rng rng(778);
-    std::uniform_int_distribution<Cost> freq(1, 40);
-    std::vector<Cost> f(192);
-    for (auto& x : f) x = freq(rng);
-    const BstRule rule(f);
-    out.push_back(measure_parallel_one(
-        "parallel_bst_n192",
-        [&] { return TriangularModularArray<BstRule>(rule, rule.num_keys()); },
-        ppool));
-  }
-  return out;
-}
-
 // --------------------------------------------------------- baseline -------
 
 struct MetricSample {
@@ -933,10 +837,6 @@ std::vector<MetricSample> comparable_metrics(const std::string& text) {
   // opt2 replays run in microseconds, where one tick of timer
   // quantisation dwarfs the 15% tolerance.  Their gate is the in-binary
   // >=1.3x opt0-vs-opt2 floor — a same-run ratio, immune to host drift.
-  for (auto& s : scan_section(text, "parallel_replay_throughput",
-                              "parallel_seconds", "/par")) {
-    out.push_back(std::move(s));
-  }
   for (auto& s : scan_section(text, "gating", "sparse_seconds", "/sparse")) {
     out.push_back(std::move(s));
   }
@@ -1044,7 +944,7 @@ int main(int argc, char** argv) {
   }
 
   // Engine-level throughput on one wide array (96 PEs): cycles simulated
-  // and module-evals/sec, serial engine versus threaded eval/commit.
+  // and module-evals/sec on the gated engine.
   Rng rng(42);
   const auto g = with_single_source_sink(random_multistage(7, 96, rng));
   auto prob = to_string_product(g);
@@ -1053,12 +953,12 @@ int main(int argc, char** argv) {
     std::uint64_t active_evals = 0;
     std::uint64_t dense_evals = 0;
   };
-  const auto engine_run = [&](sim::ThreadPool* p) {
+  const auto engine_run = [&] {
     EngineSample s;
     RunResult<Cost> res;
     s.t.wall_seconds = best_seconds(9, [&] {
       Design1Modular arr(prob.mats, prob.v);
-      res = arr.run(p);
+      res = arr.run();
     });
     s.t.cycles = res.cycles;
     s.t.module_evals = res.active_evals;  // evals actually performed
@@ -1066,19 +966,18 @@ int main(int argc, char** argv) {
     s.dense_evals = res.dense_evals;
     return s;
   };
-  const auto eng_serial = engine_run(nullptr);
-  const auto eng_parallel = engine_run(&pool);
+  const auto eng_serial = engine_run();
   // Observer-attached variant: same workload with a do-nothing probe, so
   // the delta against design1_modular_serial is the telemetry layer's
   // when-on dispatch cost (the when-off cost is gated separately via
-  // --engine-tolerance on the two entries above).
+  // --engine-tolerance on the entry above).
   sim::EngineObserver noop_observer;
   const auto engine_run_observed = [&] {
     EngineSample s;
     RunResult<Cost> res;
     s.t.wall_seconds = best_seconds(9, [&] {
       Design1Modular arr(prob.mats, prob.v);
-      sim::Engine engine(nullptr, sim::Gating::kSparse);
+      sim::Engine engine(sim::Gating::kSparse);
       engine.add_observer(&noop_observer);
       res = arr.run(engine);
     });
@@ -1089,9 +988,8 @@ int main(int argc, char** argv) {
     return s;
   };
   const auto eng_observed = engine_run_observed();
-  std::printf("  engine 96-PE design1: serial %.0f evals/s, parallel %.0f evals/s, observed %.0f evals/s, activity %.3f\n",
-              eng_serial.t.evals_per_sec(), eng_parallel.t.evals_per_sec(),
-              eng_observed.t.evals_per_sec(),
+  std::printf("  engine 96-PE design1: serial %.0f evals/s, observed %.0f evals/s, activity %.3f\n",
+              eng_serial.t.evals_per_sec(), eng_observed.t.evals_per_sec(),
               static_cast<double>(eng_serial.active_evals) /
                   static_cast<double>(eng_serial.dense_evals));
 
@@ -1140,30 +1038,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(c.ops_pruned), c.speedup());
   }
 
-  // Thread-parallel replay on the wide-level families, on a dedicated
-  // 4-worker pool (the gate's fixed configuration, independent of
-  // --workers).  On hosts below 4 hardware threads the 5 participants
-  // time-slice, so the numbers are recorded but the gate is waived.
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  const bool parallel_degraded = hw_threads < kParallelGateWorkers;
-  std::vector<ParallelSample> parallel;
-  {
-    sim::ThreadPool ppool(kParallelGateWorkers);
-    parallel = measure_parallel(ppool);
-  }
-  std::size_t parallel_fast_families = 0;
-  for (const auto& c : parallel) {
-    if (c.speedup() >= kParallelSpeedupFloor) ++parallel_fast_families;
-    std::printf(
-        "  parallel %-23s serial=%8.3fms x%u=%8.3fms speedup=%.2fx "
-        "(%llu/%llu levels sliced, %llu cuts adjusted)%s\n",
-        c.name.c_str(), c.serial_seconds * 1e3, c.participants,
-        c.parallel_seconds * 1e3, c.speedup(),
-        static_cast<unsigned long long>(c.parallel_levels),
-        static_cast<unsigned long long>(c.parallel_levels + c.serial_levels),
-        static_cast<unsigned long long>(c.cuts_adjusted),
-        parallel_degraded ? "  [degraded host]" : "");
-  }
 
   // ----------------------------------------------------------- output -----
   std::ofstream out(out_path);
@@ -1245,9 +1120,8 @@ int main(int argc, char** argv) {
                   trailer);
     out << buf;
   };
-  section_open("engine_throughput", g_workers, pool_degraded);
+  section_open("engine_throughput", 0, false);
   engine_entry("design1_modular_serial", eng_serial, ",");
-  engine_entry("design1_modular_parallel", eng_parallel, ",");
   engine_entry("design1_modular_observed", eng_observed, "");
   section_close();
 
@@ -1314,27 +1188,6 @@ int main(int argc, char** argv) {
   }
   section_close();
 
-  section_open("parallel_replay_throughput", kParallelGateWorkers,
-               parallel_degraded);
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    const auto& c = parallel[i];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"num_ops\": %llu, "
-                  "\"levels\": %llu, \"parallel_levels\": %llu, "
-                  "\"serial_levels\": %llu, \"cuts_adjusted\": %llu, "
-                  "\"participants\": %u, \"serial_seconds\": %.6f, "
-                  "\"parallel_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                  c.name.c_str(), static_cast<unsigned long long>(c.num_ops),
-                  static_cast<unsigned long long>(c.levels),
-                  static_cast<unsigned long long>(c.parallel_levels),
-                  static_cast<unsigned long long>(c.serial_levels),
-                  static_cast<unsigned long long>(c.cuts_adjusted),
-                  c.participants, c.serial_seconds, c.parallel_seconds,
-                  c.speedup(), i + 1 < parallel.size() ? "," : "");
-    out << buf;
-  }
-  section_close();
-
   // Baseline comparison: per-benchmark medians against a committed
   // BENCH_SIM.json; only benchmarks present in both documents compare.
   std::size_t regressed = 0;
@@ -1364,12 +1217,9 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof buf,
                     "    {\"name\": \"design1_modular_serial\", "
                     "\"wall_seconds\": %.6f},\n"
-                    "    {\"name\": \"design1_modular_parallel\", "
-                    "\"wall_seconds\": %.6f},\n"
                     "    {\"name\": \"design1_modular_observed\", "
                     "\"wall_seconds\": %.6f}\n  ],\n",
-                    eng_serial.t.wall_seconds, eng_parallel.t.wall_seconds,
-                    eng_observed.t.wall_seconds);
+                    eng_serial.t.wall_seconds, eng_observed.t.wall_seconds);
       tmp << buf;
       tmp << "  \"compiled_throughput\": [\n";
       for (const auto& c : compiled) {
@@ -1393,14 +1243,6 @@ int main(int argc, char** argv) {
         std::snprintf(buf, sizeof buf,
                       "    {\"name\": \"%s\", \"opt2_seconds\": %.6f},\n",
                       c.name.c_str(), c.opt2_seconds);
-        tmp << buf;
-      }
-      tmp << "  ],\n";
-      tmp << "  \"parallel_replay_throughput\": [\n";
-      for (const auto& c : parallel) {
-        std::snprintf(buf, sizeof buf,
-                      "    {\"name\": \"%s\", \"parallel_seconds\": %.6f},\n",
-                      c.name.c_str(), c.parallel_seconds);
         tmp << buf;
       }
       tmp << "  ],\n";
@@ -1496,8 +1338,8 @@ int main(int argc, char** argv) {
 
   // Optimizer gate: the opt-2 tape must beat the untouched tape by
   // kOptimizedSpeedupFloor on at least two of the fill/drain-heavy
-  // families.  Serial replay of the same op stream — no host-parallelism
-  // caveat applies, so this gate is unconditional.
+  // families.  Serial replay of the same op stream, so this gate is
+  // unconditional.
   if (optimized_fast_families < 2) {
     std::fprintf(stderr,
                  "bench_all: optimized replay >= %.1fx on only %zu/%zu "
@@ -1505,25 +1347,6 @@ int main(int argc, char** argv) {
                  kOptimizedSpeedupFloor, optimized_fast_families,
                  optimized.size());
     return 2;
-  }
-
-  // Parallel gate: at 4 workers, at least one wide-level family must
-  // replay >= kParallelSpeedupFloor faster than the serial engine — but
-  // only where the host can actually run 4 threads; below that the
-  // section is marked degraded instead.
-  if (!parallel_degraded && parallel_fast_families < 1) {
-    std::fprintf(stderr,
-                 "bench_all: parallel replay >= %.1fx at %zu workers on "
-                 "0/%zu families (need >= 1)\n",
-                 kParallelSpeedupFloor, kParallelGateWorkers,
-                 parallel.size());
-    return 2;
-  }
-  if (parallel_degraded) {
-    std::fprintf(stderr,
-                 "bench_all: note: parallel gate waived (host has %u "
-                 "hardware threads, gate needs >= %zu)\n",
-                 hw_threads, kParallelGateWorkers);
   }
 
   if (regressed > 0) {

@@ -122,28 +122,6 @@ BENCHMARK(bm_e1_grid_batch)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-// Engine-level parallelism on one big array: all PEs eval/commit across
-// the pool each cycle.  Arg(0) = serial engine.  Fine-grained fork-join
-// per cycle only pays off for wide arrays on multi-core hosts; the point
-// of benching it is to *measure* that boundary, not to assume it.
-void bm_design1_modular_engine(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  const auto g = instance(8, 96, 42);
-  auto prob = to_string_product(g);
-  std::optional<sysdp::sim::ThreadPool> pool;
-  if (workers > 0) pool.emplace(workers);
-  for (auto _ : state) {
-    Design1Modular arr(prob.mats, prob.v);
-    auto res = arr.run(pool ? &*pool : nullptr);
-    benchmark::DoNotOptimize(res.values);
-  }
-}
-BENCHMARK(bm_design1_modular_engine)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 SYSDP_BENCH_MAIN(report)

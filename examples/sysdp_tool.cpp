@@ -5,8 +5,7 @@
 //   sysdp_tool gen objective <vars> <domain> <seed>     (banded, eq. 36)
 //   sysdp_tool info <file>                              classify and describe
 //   sysdp_tool solve <file> [k] [--metrics] [--engine=modular|compiled]
-//                    [--batch=N] [--opt=0|1|2] [--replay-workers=N]
-//                                                       route per Table 1
+//                    [--batch=N] [--opt=0|1|2]          route per Table 1
 //
 // `solve` dispatches exactly as core/solver.hpp: multistage graphs to the
 // Design 1 systolic array (plus divide-and-conquer when k > 1 is given),
@@ -21,23 +20,26 @@
 // multi-instance path the benchmarks use, driven from the CLI.
 // --opt=0|1|2 runs the tape optimizer pipeline at lowering time
 // (compile/optimize.hpp) — the replay stays oracle-checked, so an
-// optimizer bug can never change a printed answer.  --replay-workers=N
-// additionally replays through the thread-parallel executor on an
-// N-worker pool and verifies its outputs too.
+// optimizer bug can never change a printed answer.
+//
+// Numeric arguments are read whole (examples/cli_args.hpp) and checked
+// before the instance is loaded: a malformed number or an unknown option
+// names itself and exits 2.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "analysis/tape_verify.hpp"
 #include "andor/stage_reduction.hpp"
 #include "arrays/design1_modular.hpp"
 #include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
+#include "cli_args.hpp"
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
-#include "compile/parallel_engine.hpp"
 #include "compile/profile.hpp"
 #include "obs/replay.hpp"
 #include "sim/batch.hpp"
@@ -61,7 +63,7 @@ int usage() {
                "  sysdp_tool info <file>\n"
                "  sysdp_tool solve <file> [k] [--metrics]\n"
                "                  [--engine=modular|compiled] [--batch=N]\n"
-               "                  [--opt=0|1|2] [--replay-workers=N]\n"
+               "                  [--opt=0|1|2]\n"
                "  sysdp_tool reduce <file>      stage-reduction plan "
                "(multistage only)\n");
   return 2;
@@ -103,23 +105,26 @@ void print_metrics(const SolveReport& rep, obs::MetricsRegistry& metrics) {
 int cmd_gen(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string kind = argv[0];
+  using examples::unsigned_arg;
   if (kind == "multistage" && argc == 4) {
-    Rng rng(std::stoull(argv[3]));
-    write_multistage(std::cout,
-                     random_multistage(std::stoul(argv[1]),
-                                       std::stoul(argv[2]), rng));
+    const auto stages = unsigned_arg("<stages>", argv[1]);
+    const auto width = unsigned_arg("<width>", argv[2]);
+    Rng rng(unsigned_arg("<seed>", argv[3]));
+    write_multistage(std::cout, random_multistage(stages, width, rng));
     return 0;
   }
   if (kind == "chain" && argc == 3) {
-    Rng rng(std::stoull(argv[2]));
-    write_chain(std::cout, random_chain_dims(std::stoul(argv[1]), rng));
+    // Zero matrices would write a file solve rejects.
+    const auto matrices = unsigned_arg("<matrices>", argv[1], 1);
+    Rng rng(unsigned_arg("<seed>", argv[2]));
+    write_chain(std::cout, random_chain_dims(matrices, rng));
     return 0;
   }
   if (kind == "objective" && argc == 4) {
-    Rng rng(std::stoull(argv[3]));
-    write_objective(std::cout,
-                    random_banded_objective(std::stoul(argv[1]),
-                                            std::stoul(argv[2]), rng));
+    const auto vars = unsigned_arg("<vars>", argv[1]);
+    const auto domain = unsigned_arg("<domain>", argv[2]);
+    Rng rng(unsigned_arg("<seed>", argv[3]));
+    write_objective(std::cout, random_banded_objective(vars, domain, rng));
     return 0;
   }
   return usage();
@@ -226,43 +231,16 @@ std::string batched_replay(const compile::Lowered& low, std::uint64_t n) {
 /// solvers share one signature.
 struct CompiledRoute {
   std::uint64_t batch = 1;
-  int opt = 0;                ///< --opt=N tape optimizer level
-  std::uint64_t workers = 0;  ///< --replay-workers=N pool size
-  bool parallel = false;      ///< --replay-workers given at all
+  int opt = 0;  ///< --opt=N tape optimizer level
 };
 
-/// --replay-workers=N: replay the verified tape once more through the
-/// thread-parallel executor on an N-worker pool and verify its outputs —
-/// the CLI face of ParallelCompiledEngine.  Reports the plan shape so the
-/// user can see whether the tape was wide enough to slice.
-std::string parallel_replay(const compile::Lowered& low,
-                            std::uint64_t workers) {
-  sim::ThreadPool pool(static_cast<std::size_t>(workers));
-  sim::WallTimer timer;
-  compile::ParallelCompiledEngine pe(low.net, &pool);
-  pe.run_all();
-  if (pe.verify_outputs(0).found) {
-    throw std::runtime_error(
-        "parallel replay diverged from the modular oracle");
-  }
-  const double secs = timer.seconds();
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "; parallel x%u: %llu sliced + %llu serial levels in %.3fs",
-                pe.participants(),
-                static_cast<unsigned long long>(pe.parallel_levels()),
-                static_cast<unsigned long long>(pe.serial_levels()), secs);
-  return buf;
-}
-
 /// Decorations shared by the compiled routes' method strings: optimizer
-/// level, batched throughput, parallel-replay plan.
+/// level and batched throughput.
 std::string route_suffix(const compile::Lowered& low,
                          const CompiledRoute& route) {
   std::string s;
   if (route.opt > 0) s += ", opt" + std::to_string(route.opt);
   if (route.batch > 1) s += batched_replay(low, route.batch);
-  if (route.parallel) s += parallel_replay(low, route.workers);
   return s;
 }
 
@@ -407,7 +385,7 @@ int main(int argc, char** argv) {
       bool compiled = false;
       CompiledRoute route;
       for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
+        const std::string_view arg = argv[i];
         if (arg == "--metrics") {
           metrics = true;
         } else if (arg == "--engine=compiled") {
@@ -415,30 +393,30 @@ int main(int argc, char** argv) {
         } else if (arg == "--engine=modular") {
           compiled = false;
         } else if (arg.rfind("--batch=", 0) == 0) {
-          route.batch = std::stoull(arg.substr(8));
+          route.batch = examples::unsigned_arg("--batch", arg.substr(8));
         } else if (arg.rfind("--opt=", 0) == 0) {
-          route.opt = std::stoi(arg.substr(6));
-          if (route.opt < 0 || route.opt > 2) {
-            std::fprintf(stderr, "error: --opt takes 0, 1 or 2\n");
-            return 2;
-          }
-        } else if (arg.rfind("--replay-workers=", 0) == 0) {
-          route.workers = std::stoull(arg.substr(17));
-          route.parallel = true;
+          route.opt = static_cast<int>(
+              examples::unsigned_arg("--opt", arg.substr(6), 0, 2));
+        } else if (arg.rfind("--", 0) == 0) {
+          throw examples::UsageError("unknown option '" + std::string(arg) +
+                                     "'");
         } else {
-          k = std::stoull(arg);
+          k = examples::unsigned_arg("k", arg);
         }
       }
-      if ((route.batch > 1 || route.opt > 0 || route.parallel) && !compiled) {
+      if ((route.batch > 1 || route.opt > 0) && !compiled) {
         std::fprintf(stderr,
-                     "note: --batch/--opt/--replay-workers require "
-                     "--engine=compiled; ignored\n");
+                     "note: --batch/--opt require --engine=compiled; "
+                     "ignored\n");
         route = CompiledRoute{};
       }
       return cmd_solve(argv[2], k, metrics, compiled, route);
     }
     if (cmd == "reduce" && argc == 3) return cmd_reduce(argv[2]);
     return usage();
+  } catch (const examples::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

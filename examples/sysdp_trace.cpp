@@ -1,9 +1,8 @@
 // One-shot telemetry capture for any registered design instance.
 //
 //   sysdp_trace [--design <substr>] [--out-dir <dir>] [--bucket <cycles>]
-//               [--pool <threads>] [--gating <dense|sparse>]
-//               [--engine <modular|compiled>] [--opt=0|1|2]
-//               [--replay-workers=N] [--dnc <N,K>] [--list]
+//               [--gating <dense|sparse>] [--engine <modular|compiled>]
+//               [--opt=0|1|2] [--dnc <N,K>] [--list]
 //
 // For every matching design of examples/design_registry.hpp (the same
 // fixed instances the lint gate certifies) the tool runs the array once on
@@ -14,8 +13,7 @@
 //   <name>.metrics.json  — sysdp-metrics-v1 counters/gauges + utilisation
 //                          timeline (per-PE busy deltas per bucket)
 //   <name>.trace.json    — Chrome trace-event JSON (chrome://tracing or
-//                          Perfetto); includes host thread-pool spans when
-//                          --pool is given
+//                          Perfetto)
 //
 // The tool cross-checks its own telemetry before writing: the timeline's
 // aggregate busy count must equal the run's busy_steps (the observer saw
@@ -47,28 +45,28 @@
 // the tape optimizer pipeline at that level, so the artifacts describe
 // the optimized schedule: the metrics document carries the optimizer's
 // own stats (tape.opt_level, tape.ops_pruned, tape.levels_fused) and the
-// cross-checks run against the rewritten tape.  --replay-workers=N
-// additionally replays the verified tape through the thread-parallel
-// executor on an N-worker pool, verifies its outputs, and records the
-// slicing plan (parallel.levels_sliced etc.) in the metrics.
+// cross-checks run against the rewritten tape.
 //
 // --dnc N,K additionally records the divide-and-conquer scheduler of
 // src/dnc/schedule over an N-leaf problem on K arrays and writes
 // dnc-n<N>-k<K>.trace.json with one Chrome-trace thread per array; the
 // span density is the paper's eq. (29) processor utilisation.
+//
+// Numeric arguments are read whole (examples/cli_args.hpp): a malformed
+// value or an unknown option names itself and exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/tape_verify.hpp"
+#include "cli_args.hpp"
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
-#include "compile/parallel_engine.hpp"
 #include "compile/profile.hpp"
 #include "design_registry.hpp"
 #include "dnc/metrics.hpp"
@@ -79,7 +77,6 @@
 #include "obs/timeline.hpp"
 #include "obs/vcd.hpp"
 #include "sim/engine.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -89,10 +86,8 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: sysdp_trace [--design <substring>] [--out-dir <dir>]\n"
-      "                   [--bucket <cycles>] [--pool <threads>]\n"
-      "                   [--gating <dense|sparse>]\n"
-      "                   [--engine <modular|compiled>]\n"
-      "                   [--opt=0|1|2] [--replay-workers=N]\n"
+      "                   [--bucket <cycles>] [--gating <dense|sparse>]\n"
+      "                   [--engine <modular|compiled>] [--opt=0|1|2]\n"
       "                   [--dnc <N,K>] [--list]\n");
   return 2;
 }
@@ -117,12 +112,9 @@ struct Options {
   std::string filter;
   std::string out_dir = ".";
   sim::Cycle bucket = 1;
-  std::size_t pool_threads = 0;
   sim::Gating gating = sim::Gating::kSparse;
   bool compiled = false;
   int opt_level = 0;
-  std::size_t replay_workers = 0;
-  bool parallel = false;
   bool list = false;
   bool dnc = false;
   std::uint64_t dnc_n = 0;
@@ -231,35 +223,7 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
   batched.run_all();
   profiler.finish();
 
-  // --replay-workers=N: one more replay through the thread-parallel
-  // executor, verified against the same oracle outputs; its slicing plan
-  // lands in the metrics document below.
-  std::uint64_t par_sliced = 0;
-  std::uint64_t par_serial = 0;
-  std::uint64_t par_cuts_adjusted = 0;
-  std::uint32_t par_participants = 0;
-  if (opt.parallel) {
-    sim::ThreadPool ppool(opt.replay_workers);
-    compile::ParallelCompiledEngine pe(low.net, &ppool);
-    pe.run_all();
-    if (pe.verify_outputs(0).found) {
-      std::fprintf(stderr, "sysdp_trace: %s: parallel replay outputs diverge\n",
-                   spec.name.c_str());
-      return false;
-    }
-    par_sliced = pe.parallel_levels();
-    par_serial = pe.serial_levels();
-    par_cuts_adjusted = pe.cuts_adjusted();
-    par_participants = pe.participants();
-  }
-
   obs::MetricsRegistry metrics;
-  if (opt.parallel) {
-    metrics.set_counter("parallel.participants", par_participants);
-    metrics.set_counter("parallel.levels_sliced", par_sliced);
-    metrics.set_counter("parallel.levels_serial", par_serial);
-    metrics.set_counter("parallel.cuts_adjusted", par_cuts_adjusted);
-  }
   obs::profile_metrics(metrics, profiler);
   metrics.set_counter("replay.levels_executed", rres.levels_executed);
   metrics.set_counter("replay.levels_skipped", rres.levels_skipped);
@@ -320,22 +284,17 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
 
 /// Capture one design: run with VCD + timeline observers, cross-check,
 /// write the three artifacts.  Returns false on telemetry mismatch.
-bool trace_design(const examples::DesignSpec& spec, const Options& opt,
-                  sim::ThreadPool* pool) {
+bool trace_design(const examples::DesignSpec& spec, const Options& opt) {
   const auto inst = spec.make();
 
-  sim::Engine engine(pool, opt.gating);
+  sim::Engine engine(opt.gating);
   obs::VcdSink vcd(file_base(spec.name));
   obs::TimelineSink timeline(
       inst->num_pes(),
       [&inst](std::size_t pe) { return inst->pe_busy(pe); }, opt.bucket);
   engine.add_observer(&vcd);
   engine.add_observer(&timeline);
-
-  obs::PoolTraceRecorder pool_recorder;
-  if (pool != nullptr) pool->set_observer(&pool_recorder);
   inst->run(engine);
-  if (pool != nullptr) pool->set_observer(nullptr);
   timeline.finalize();
   const examples::RunStats& stats = inst->stats();
 
@@ -380,10 +339,6 @@ bool trace_design(const examples::DesignSpec& spec, const Options& opt,
   obs::ChromeTraceWriter trace;
   trace.process_name(2, "simulated: " + spec.name);
   obs::append_timeline_trace(trace, timeline, 2);
-  if (pool != nullptr) {
-    trace.process_name(3, "host: thread pool");
-    obs::append_pool_trace(trace, pool_recorder, 3);
-  }
 
   const std::filesystem::path dir(opt.out_dir);
   const std::string base = file_base(spec.name);
@@ -422,78 +377,86 @@ bool trace_dnc(const Options& opt) {
   return true;
 }
 
-bool parse_dnc(std::string_view arg, Options& opt) {
+/// --dnc N,K: an N-leaf problem (N >= 2) on K >= 1 arrays.
+void parse_dnc(std::string_view arg, Options& opt) {
   const std::size_t comma = arg.find(',');
-  if (comma == std::string_view::npos) return false;
-  const std::string n(arg.substr(0, comma));
-  const std::string k(arg.substr(comma + 1));
-  char* end = nullptr;
-  opt.dnc_n = std::strtoull(n.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || opt.dnc_n < 2) return false;
-  opt.dnc_k = std::strtoull(k.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || opt.dnc_k == 0) return false;
+  const auto n = examples::parse_unsigned(arg.substr(0, comma), 2);
+  const auto k = comma == std::string_view::npos
+                     ? std::nullopt
+                     : examples::parse_unsigned(arg.substr(comma + 1), 1);
+  if (!n || !k) {
+    throw examples::UsageError(
+        "--dnc takes N,K with N >= 2 and K >= 1, got '" + std::string(arg) +
+        "'");
+  }
+  opt.dnc_n = *n;
+  opt.dnc_k = *k;
   opt.dnc = true;
-  return true;
+}
+
+Options parse_options(int argc, char** argv) {
+  Options opt;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const auto value = [&]() -> std::string_view {
+      if (i + 1 >= argc) {
+        throw examples::UsageError(std::string(arg) + " needs a value");
+      }
+      return argv[++i];
+    };
+    if (arg == "--list") {
+      opt.list = true;
+    } else if (arg == "--design") {
+      opt.filter = value();
+    } else if (arg == "--out-dir") {
+      opt.out_dir = value();
+    } else if (arg == "--bucket") {
+      opt.bucket = examples::unsigned_arg(arg, value(), 1);
+    } else if (arg == "--gating") {
+      const std::string_view g = value();
+      if (g == "dense") {
+        opt.gating = sim::Gating::kDense;
+      } else if (g == "sparse") {
+        opt.gating = sim::Gating::kSparse;
+      } else {
+        throw examples::UsageError("--gating takes dense or sparse, got '" +
+                                   std::string(g) + "'");
+      }
+    } else if (arg == "--engine") {
+      const std::string_view e = value();
+      if (e == "compiled") {
+        opt.compiled = true;
+      } else if (e != "modular") {
+        throw examples::UsageError(
+            "--engine takes modular or compiled, got '" + std::string(e) +
+            "'");
+      }
+    } else if (arg.rfind("--opt=", 0) == 0) {
+      opt.opt_level = static_cast<int>(
+          examples::unsigned_arg("--opt", arg.substr(6), 0, 2));
+    } else if (arg == "--dnc") {
+      parse_dnc(value(), opt);
+    } else {
+      throw examples::UsageError("unknown option '" + std::string(arg) + "'");
+    }
+  }
+  return opt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--list") {
-      opt.list = true;
-    } else if (arg == "--design" && i + 1 < argc) {
-      opt.filter = argv[++i];
-    } else if (arg == "--out-dir" && i + 1 < argc) {
-      opt.out_dir = argv[++i];
-    } else if (arg == "--bucket" && i + 1 < argc) {
-      const long v = std::atol(argv[++i]);
-      if (v <= 0) return usage();
-      opt.bucket = static_cast<sim::Cycle>(v);
-    } else if (arg == "--pool" && i + 1 < argc) {
-      const long v = std::atol(argv[++i]);
-      if (v <= 0) return usage();
-      opt.pool_threads = static_cast<std::size_t>(v);
-    } else if (arg == "--gating" && i + 1 < argc) {
-      const std::string_view g = argv[++i];
-      if (g == "dense") {
-        opt.gating = sim::Gating::kDense;
-      } else if (g == "sparse") {
-        opt.gating = sim::Gating::kSparse;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--engine" && i + 1 < argc) {
-      const std::string_view e = argv[++i];
-      if (e == "compiled") {
-        opt.compiled = true;
-      } else if (e != "modular") {
-        return usage();
-      }
-    } else if (arg.rfind("--opt=", 0) == 0) {
-      const long v = std::atol(std::string(arg.substr(6)).c_str());
-      if (v < 0 || v > 2) return usage();
-      opt.opt_level = static_cast<int>(v);
-    } else if (arg.rfind("--replay-workers=", 0) == 0) {
-      const long v = std::atol(std::string(arg.substr(17)).c_str());
-      if (v < 0) return usage();
-      opt.replay_workers = static_cast<std::size_t>(v);
-      opt.parallel = true;
-    } else if (arg == "--dnc" && i + 1 < argc) {
-      if (!parse_dnc(argv[++i], opt)) return usage();
-    } else {
-      return usage();
-    }
+  try {
+    opt = parse_options(argc, argv);
+  } catch (const examples::UsageError& e) {
+    std::fprintf(stderr, "sysdp_trace: %s\n", e.what());
+    return usage();
   }
 
-  if ((opt.opt_level > 0 || opt.parallel) && !opt.compiled) {
-    std::fprintf(stderr,
-                 "note: --opt/--replay-workers require --engine compiled; "
-                 "ignored\n");
+  if (opt.opt_level > 0 && !opt.compiled) {
+    std::fprintf(stderr, "note: --opt requires --engine compiled; ignored\n");
     opt.opt_level = 0;
-    opt.parallel = false;
   }
 
   const auto designs = examples::all_designs();
@@ -510,11 +473,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::unique_ptr<sim::ThreadPool> pool;
-  if (opt.pool_threads > 0) {
-    pool = std::make_unique<sim::ThreadPool>(opt.pool_threads);
-  }
-
   std::size_t traced = 0;
   bool ok = true;
   for (const auto& d : designs) {
@@ -522,7 +480,7 @@ int main(int argc, char** argv) {
       continue;
     }
     ok = (opt.compiled ? trace_design_compiled(d, opt)
-                       : trace_design(d, opt, pool.get())) &&
+                       : trace_design(d, opt)) &&
          ok;
     ++traced;
   }

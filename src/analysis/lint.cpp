@@ -76,9 +76,10 @@ void check_multiple_drivers(const Netlist& net, const Emitter& emit) {
 }
 
 void check_comb_hazard(const Netlist& net, const Emitter& emit) {
-  // A signal driver that is not a declared combinational module: the
-  // parallel engine would fan it out with the listeners, a same-phase
-  // read-after-write race.
+  // A signal driver that is not a declared combinational module:
+  // Gating::kSparse evaluates every flagged driver before any unflagged
+  // module, so a flagged listener would read this driver's previous-cycle
+  // value and the gated run would diverge from the dense one.
   for (const Storage& st : net.storages) {
     if (st.kind != sim::PortKind::kSignal) continue;
     for (const NodeId w : st.writers) {
@@ -86,8 +87,9 @@ void check_comb_hazard(const Netlist& net, const Emitter& emit) {
       if (n.module != nullptr && !n.combinational) {
         emit(n.name, st.label,
              "signal '" + st.label + "' is driven by " + n.name +
-                 ", which does not report combinational() — the parallel "
-                 "engine races it against same-cycle listeners");
+                 ", which does not report combinational() — the gated "
+                 "engine evaluates it after every flagged driver, so "
+                 "same-cycle listeners can read a stale value");
       }
     }
   }

@@ -10,7 +10,8 @@
 //                       flags a key declared both register and signal.
 //   comb-hazard       — same-phase read-after-write hazards: a signal
 //                       driven by a module not marked combinational() (the
-//                       parallel engine would race it), a listener
+//                       gated engine evaluates flagged drivers before every
+//                       unflagged module, so it would run late), a listener
 //                       registered before its driver (it reads last
 //                       cycle's value), and combinational cycles.
 //   dangling-port     — a read port no module or environment tap ever

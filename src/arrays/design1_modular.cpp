@@ -7,7 +7,6 @@
 #include "sim/module.hpp"
 #include "sim/record.hpp"
 #include "sim/stats.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sysdp {
 
@@ -376,9 +375,8 @@ void Design1Modular::describe_environment(sim::PortSet& ports) const {
                        "r[" + std::to_string(m_ - 1) + "]");
 }
 
-RunResult<Design1Modular::V> Design1Modular::run(sim::ThreadPool* pool,
-                                                 sim::Gating gating) {
-  sim::Engine engine(pool, gating);
+RunResult<Design1Modular::V> Design1Modular::run(sim::Gating gating) {
+  sim::Engine engine(gating);
   return run(engine);
 }
 

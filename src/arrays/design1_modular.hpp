@@ -32,10 +32,6 @@
 #include "sim/port.hpp"
 #include "sim/stats.hpp"
 
-namespace sysdp::sim {
-class ThreadPool;
-}  // namespace sysdp::sim
-
 namespace sysdp {
 
 class Design1Modular {
@@ -50,13 +46,10 @@ class Design1Modular {
   Design1Modular(const Design1Modular&) = delete;
   Design1Modular& operator=(const Design1Modular&) = delete;
 
-  /// Run to completion.  With a pool the engine fans PE eval/commit across
-  /// threads; with Gating::kSparse (the default) idle PEs are skipped
-  /// entirely.  Results are bit-identical across all four mode
-  /// combinations (the host input feed is the only combinational driver
-  /// and stays serialised).
-  [[nodiscard]] RunResult<V> run(sim::ThreadPool* pool = nullptr,
-                                 sim::Gating gating = sim::Gating::kSparse);
+  /// Run to completion.  With Gating::kSparse (the default) idle PEs are
+  /// skipped entirely; results are bit-identical to the dense run (the
+  /// host input feed is the only combinational driver).
+  [[nodiscard]] RunResult<V> run(sim::Gating gating = sim::Gating::kSparse);
 
   /// Run on a caller-constructed engine, so telemetry observers (VCD,
   /// timelines — sim/observer.hpp) can attach before time starts.  The

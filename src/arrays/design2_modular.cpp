@@ -225,9 +225,8 @@ void Design2Modular::describe_environment(sim::PortSet& ports) const {
   }
 }
 
-RunResult<Design2Modular::V> Design2Modular::run(sim::ThreadPool* pool,
-                                                 sim::Gating gating) {
-  sim::Engine engine(pool, gating);
+RunResult<Design2Modular::V> Design2Modular::run(sim::Gating gating) {
+  sim::Engine engine(gating);
   return run(engine);
 }
 

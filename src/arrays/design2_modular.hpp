@@ -44,14 +44,11 @@ class Design2Modular {
   Design2Modular(const Design2Modular&) = delete;
   Design2Modular& operator=(const Design2Modular&) = delete;
 
-  /// Run to completion.  With a pool the PEs evaluate and latch across
-  /// threads; the FeedbackUnit is the bus driver and stays serialised, so
-  /// results are bit-identical to the serial run.  Design 2 keeps every PE
-  /// busy almost every cycle (that is its selling point in the paper), so
-  /// activity gating only retires PEs beyond the rectangular final
-  /// matrix's rows during the last multiply.
-  [[nodiscard]] RunResult<V> run(sim::ThreadPool* pool = nullptr,
-                                 sim::Gating gating = sim::Gating::kSparse);
+  /// Run to completion.  The FeedbackUnit is the bus driver.  Design 2
+  /// keeps every PE busy almost every cycle (that is its selling point in
+  /// the paper), so activity gating only retires PEs beyond the
+  /// rectangular final matrix's rows during the last multiply.
+  [[nodiscard]] RunResult<V> run(sim::Gating gating = sim::Gating::kSparse);
 
   /// Run on a caller-constructed engine, so telemetry observers (VCD,
   /// timelines — sim/observer.hpp) can attach before time starts.  The

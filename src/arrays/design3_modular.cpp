@@ -424,8 +424,8 @@ void Design3Modular::describe_environment(sim::PortSet& ports) const {
                        "r[" + std::to_string(m_ - 1) + "]");
 }
 
-Design3Result Design3Modular::run(sim::ThreadPool* pool, sim::Gating gating) {
-  sim::Engine engine(pool, gating);
+Design3Result Design3Modular::run(sim::Gating gating) {
+  sim::Engine engine(gating);
   return run(engine);
 }
 

@@ -25,10 +25,6 @@
 #include "sim/port.hpp"
 #include "sim/stats.hpp"
 
-namespace sysdp::sim {
-class ThreadPool;
-}  // namespace sysdp::sim
-
 namespace sysdp {
 
 class Design3Modular {
@@ -39,16 +35,13 @@ class Design3Modular {
   Design3Modular(const Design3Modular&) = delete;
   Design3Modular& operator=(const Design3Modular&) = delete;
 
-  /// Run to completion.  With a pool the stations evaluate and latch
-  /// across threads; the feedback controller is the only combinational
-  /// driver and stays serialised, so results are bit-identical to serial.
-  /// With Gating::kSparse (default) stations sleep through pipeline fill
-  /// and drain; wakeup edges along the R pipeline and the feedback path
-  /// (controller -> P_0, P_{p-1} -> P_p, tail and its predecessor ->
-  /// controller, tail -> every station for the round-robin K/H delivery)
-  /// keep the gated run bit-identical.
-  [[nodiscard]] Design3Result run(sim::ThreadPool* pool = nullptr,
-                                  sim::Gating gating = sim::Gating::kSparse);
+  /// Run to completion.  The feedback controller is the only combinational
+  /// driver.  With Gating::kSparse (default) stations sleep through
+  /// pipeline fill and drain; wakeup edges along the R pipeline and the
+  /// feedback path (controller -> P_0, P_{p-1} -> P_p, tail and its
+  /// predecessor -> controller, tail -> every station for the round-robin
+  /// K/H delivery) keep the gated run bit-identical.
+  [[nodiscard]] Design3Result run(sim::Gating gating = sim::Gating::kSparse);
 
   /// Run on a caller-constructed engine, so telemetry observers (VCD,
   /// timelines — sim/observer.hpp) can attach before time starts.  The

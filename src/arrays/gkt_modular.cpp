@@ -6,7 +6,6 @@
 #include "semiring/kernels.hpp"
 #include "sim/module.hpp"
 #include "sim/record.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sysdp {
 
@@ -65,10 +64,7 @@ struct GktModularArray::Arena {
   // the single-occupancy design — commit throws, mirroring the RTL
   // assertion.  The row and column pending flags live in separate byte
   // arrays, not one bitmask: a cell's row launcher and column launcher are
-  // different cells, and under the parallel engine both may launch in the
-  // same eval phase — a shared byte would make that a racy read-modify-
-  // write that can drop a bit.  Split, every element has exactly one
-  // writer per phase and the engine's phase barrier orders the rest.
+  // different cells, so every element has exactly one writer.
   std::vector<Flit> row_launch, col_launch;
   std::vector<std::uint8_t> row_launch_set, col_launch_set;
 
@@ -454,9 +450,8 @@ std::uint64_t GktModularArray::pe_busy(std::size_t pe) const {
   return arena_ != nullptr ? arena_->meta.at(pe).busy : 0;
 }
 
-GktModularArray::Result GktModularArray::run(sim::ThreadPool* pool,
-                                             sim::Gating gating) {
-  sim::Engine engine(pool, gating);
+GktModularArray::Result GktModularArray::run(sim::Gating gating) {
+  sim::Engine engine(gating);
   return run(engine);
 }
 

@@ -29,10 +29,6 @@
 #include "sim/engine.hpp"
 #include "sim/port.hpp"
 
-namespace sysdp::sim {
-class ThreadPool;
-}  // namespace sysdp::sim
-
 namespace sysdp {
 
 class GktModularArray {
@@ -57,14 +53,12 @@ class GktModularArray {
     }
   };
 
-  /// Simulate to completion.  Cells are register-only modules, so a pooled
-  /// run is bit-identical to serial; with Gating::kSparse (default) idle
-  /// cells sleep and the run is still bit-identical, because a quiescent
-  /// cell's eval is an observational no-op and both reactivating streams
-  /// are covered by wakeup edges.  Throws std::logic_error if two values
-  /// ever contend for one link register.
-  [[nodiscard]] Result run(sim::ThreadPool* pool = nullptr,
-                           sim::Gating gating = sim::Gating::kSparse);
+  /// Simulate to completion.  With Gating::kSparse (default) idle cells
+  /// sleep and the run is still bit-identical to the dense one, because a
+  /// quiescent cell's eval is an observational no-op and both reactivating
+  /// streams are covered by wakeup edges.  Throws std::logic_error if two
+  /// values ever contend for one link register.
+  [[nodiscard]] Result run(sim::Gating gating = sim::Gating::kSparse);
 
   /// Run on a caller-constructed engine, so telemetry observers (VCD,
   /// timelines — sim/observer.hpp) can attach before time starts.  The

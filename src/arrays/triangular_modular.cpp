@@ -5,7 +5,6 @@
 #include "semiring/kernels.hpp"
 #include "sim/module.hpp"
 #include "sim/record.hpp"
-#include "sim/thread_pool.hpp"
 #include "arrays/triangular_array.hpp"
 
 namespace sysdp {
@@ -135,8 +134,7 @@ struct TriangularModularCore::Arena {
     }
   }
 
-  /// Polled between cycles on the main thread (eval must not mutate any
-  /// shared counter — cells fold concurrently under the pooled engine).
+  /// Polled between cycles by run_until.
   [[nodiscard]] bool all_done() const {
     for (const CellMeta& mt : meta) {
       if (!mt.is_done) return false;
@@ -477,9 +475,8 @@ std::uint64_t TriangularModularCore::pe_busy(std::size_t pe) const {
   return arena_ != nullptr ? arena_->meta.at(pe).busy : 0;
 }
 
-TriangularModularCore::Result TriangularModularCore::run(
-    sim::ThreadPool* pool, sim::Gating gating) {
-  sim::Engine engine(pool, gating);
+TriangularModularCore::Result TriangularModularCore::run(sim::Gating gating) {
+  sim::Engine engine(gating);
   return run(engine);
 }
 
@@ -527,27 +524,23 @@ TriangularModularCore::Result TriangularModularCore::run(sim::Engine& engine) {
 }
 
 TriangularModularCore::Result run_bst_modular(const std::vector<Cost>& freq,
-                                              sim::ThreadPool* pool,
                                               sim::Gating gating) {
   const BstRule rule(freq);
-  return TriangularModularArray<BstRule>(rule, rule.num_keys())
-      .run(pool, gating);
+  return TriangularModularArray<BstRule>(rule, rule.num_keys()).run(gating);
 }
 
 TriangularModularCore::Result run_polygon_modular(
-    const std::vector<Cost>& weights, sim::ThreadPool* pool,
-    sim::Gating gating) {
+    const std::vector<Cost>& weights, sim::Gating gating) {
   const PolygonRule rule(weights);
   return TriangularModularArray<PolygonRule>(rule, rule.num_vertices())
-      .run(pool, gating);
+      .run(gating);
 }
 
 TriangularModularCore::Result run_chain_modular(const std::vector<Cost>& dims,
-                                                sim::ThreadPool* pool,
                                                 sim::Gating gating) {
   const ChainRule rule(dims);
   return TriangularModularArray<ChainRule>(rule, rule.num_matrices())
-      .run(pool, gating);
+      .run(gating);
 }
 
 }  // namespace sysdp

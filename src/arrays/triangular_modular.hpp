@@ -24,7 +24,7 @@
 //     gap.  Timing therefore need not match the analytic model
 //     cycle-for-cycle — tests assert cost equality with TriangularArray
 //     (and, for the chain rule, with the GKT arrays) plus bit-identical
-//     results across serial/pooled and dense/gated engines.
+//     results across dense and gated engines.
 //
 // The quiescence contract extends to the waiting slots: a cell sleeps
 // only when its links are empty, its ready queue is drained, AND no
@@ -44,10 +44,6 @@
 #include "semiring/matrix.hpp"
 #include "sim/engine.hpp"
 #include "sim/port.hpp"
-
-namespace sysdp::sim {
-class ThreadPool;
-}  // namespace sysdp::sim
 
 namespace sysdp {
 
@@ -92,11 +88,10 @@ class TriangularModularCore {
     }
   };
 
-  /// Simulate until every cell has completed.  Bit-identical across
-  /// serial/pooled and dense/gated engines; throws std::logic_error if the
-  /// array does not converge within the transport bound.
-  [[nodiscard]] Result run(sim::ThreadPool* pool = nullptr,
-                           sim::Gating gating = sim::Gating::kSparse);
+  /// Simulate until every cell has completed.  Bit-identical across dense
+  /// and gated engines; throws std::logic_error if the array does not
+  /// converge within the transport bound.
+  [[nodiscard]] Result run(sim::Gating gating = sim::Gating::kSparse);
 
   /// Run on a caller-constructed engine, so telemetry observers (VCD,
   /// timelines — sim/observer.hpp) can attach before time starts.  The
@@ -144,9 +139,8 @@ class TriangularModularArray {
   TriangularModularArray(const Rule& rule, std::size_t n)
       : core_(n, compile_base(rule, n), compile_cands(rule, n)) {}
 
-  [[nodiscard]] Result run(sim::ThreadPool* pool = nullptr,
-                           sim::Gating gating = sim::Gating::kSparse) {
-    return core_.run(pool, gating);
+  [[nodiscard]] Result run(sim::Gating gating = sim::Gating::kSparse) {
+    return core_.run(gating);
   }
   [[nodiscard]] Result run(sim::Engine& engine) { return core_.run(engine); }
   void elaborate(sim::Engine& engine) { core_.elaborate(engine); }
@@ -214,13 +208,13 @@ class TriangularModularArray {
 /// Convenience runners mirroring run_bst_array / run_polygon_array /
 /// run_chain_array on the engine-backed model.
 [[nodiscard]] TriangularModularCore::Result run_bst_modular(
-    const std::vector<Cost>& freq, sim::ThreadPool* pool = nullptr,
+    const std::vector<Cost>& freq,
     sim::Gating gating = sim::Gating::kSparse);
 [[nodiscard]] TriangularModularCore::Result run_polygon_modular(
-    const std::vector<Cost>& weights, sim::ThreadPool* pool = nullptr,
+    const std::vector<Cost>& weights,
     sim::Gating gating = sim::Gating::kSparse);
 [[nodiscard]] TriangularModularCore::Result run_chain_modular(
-    const std::vector<Cost>& dims, sim::ThreadPool* pool = nullptr,
+    const std::vector<Cost>& dims,
     sim::Gating gating = sim::Gating::kSparse);
 
 }  // namespace sysdp

@@ -13,7 +13,7 @@ namespace sysdp::compile {
 
 // The branchless lane primitives (sel / lane_sat_add / the weight-class
 // lift) and the SYSDP_LANE_IVDEP / SYSDP_LANE_CLONES codegen macros live
-// in compile/lane_math.hpp, shared with ParallelCompiledEngine.
+// in compile/lane_math.hpp.
 using lanes::lane_sat_add;
 using lanes::lane_sat_add_w;
 using lanes::with_w_class;

@@ -1,8 +1,8 @@
 // Executor for compiled flat-netlist programs.
 //
 // CompiledEngine replays a CompiledNetlist's op tape level by level.  It
-// is the third engine mode next to the serial and pooled interpreters: the
-// same cycle semantics (now() advances one dependency level per step, and
+// is the engine mode next to the dense and sparse interpreters: the same
+// cycle semantics (now() advances one dependency level per step, and
 // a value changes on exactly the cycle it changed in the modular oracle),
 // but the per-cycle work is a tight loop over packed 32-byte ops and one
 // flat value array — no virtual eval/commit dispatch, no module state, no

@@ -1,13 +1,12 @@
-// Branchless lane arithmetic shared by the SIMD-batched executors.
+// Branchless lane arithmetic for the SIMD-batched executor.
 //
-// BatchedCompiledEngine and ParallelCompiledEngine both replay one op tape
-// over B lanes with the slot file laid out lane-major; their hot loops are
-// built from the same primitives: a mask-select (`sel`) the vectoriser
-// cannot jump-thread, a branchless saturating add bit-identical to
-// sysdp::sat_add, and the weight-class lift that moves lane-invariant
-// sentinel compares out of the lane loop.  Extracted here so the two
-// executors share one proven implementation — the lane-exactness suites
-// depend on these being bit-identical to the scalar kernels.
+// BatchedCompiledEngine replays one op tape over B lanes with the slot
+// file laid out lane-major; its hot loops are built from these
+// primitives: a mask-select (`sel`) the vectoriser cannot jump-thread, a
+// branchless saturating add bit-identical to sysdp::sat_add, and the
+// weight-class lift that moves lane-invariant sentinel compares out of the
+// lane loop.  The lane-exactness suites depend on these being
+// bit-identical to the scalar kernels.
 //
 // Also hosts the shared codegen macros: SYSDP_LANE_IVDEP asserts the
 // independence SSA destinations guarantee but the compiler cannot prove

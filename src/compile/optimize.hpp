@@ -48,13 +48,12 @@ namespace sysdp::compile {
 
 struct OptimizeOptions {
   /// 0: pipeline disabled.  1: conservative — DCE, edge-free fusion,
-  /// in-level reordering; the level structure an observer or parallel
-  /// slicer sees keeps its dependence meaning.  2: aggressive — fusion
-  /// additionally absorbs same-kind def→use edges as in-level chains,
-  /// collapsing systolic pipelines (mac→mac accumulator chains, fold
-  /// recurrences) to a handful of wide levels; maximal serial replay
-  /// throughput, but fused levels serialise under the parallel engine's
-  /// chain-respecting slicer and waveform stamps compress.
+  /// in-level reordering; the level structure an observer sees keeps its
+  /// dependence meaning.  2: aggressive — fusion additionally absorbs
+  /// same-kind def→use edges as in-level chains, collapsing systolic
+  /// pipelines (mac→mac accumulator chains, fold recurrences) to a handful
+  /// of wide levels; maximal replay throughput, but waveform stamps
+  /// compress.
   int level = 1;
   /// Upper bound on ops per fused level (see header comment).
   std::uint32_t max_fused_ops = 4096;

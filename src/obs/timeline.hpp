@@ -14,8 +14,8 @@
 // 1–3, arena cell meta for GKT/triangular), taking a baseline at
 // elaboration and recording per-bucket deltas after each cycle.  Because
 // it reads committed monotone counters on cycle boundaries, its output is
-// bit-identical across serial/pooled × dense/sparse engine modes whenever
-// the underlying run is.
+// bit-identical across dense/sparse engine modes whenever the underlying
+// run is.
 #pragma once
 
 #include <cstdint>

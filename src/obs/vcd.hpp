@@ -12,9 +12,9 @@
 // Determinism: probes are collected in registration × declaration order
 // and deduplicated by storage key (first declaration wins), and samples
 // read committed state on cycle boundaries — so the document is
-// byte-identical across serial/pooled × dense/sparse engine modes whenever
-// the run itself is bit-identical (the repo's standing determinism
-// contract), and golden-file testable.
+// byte-identical across dense/sparse engine modes whenever the run itself
+// is bit-identical (the repo's standing determinism contract), and
+// golden-file testable.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,9 @@
 //
 // Every bench sweep (N-sweeps, K-sweeps, design ablations) runs a set of
 // simulations that share nothing — each job builds its own array model,
-// engine and stats — so they are embarrassingly parallel and this is where
-// the big wall-clock win of the parallel backend lives.  BatchRunner keeps
+// engine and stats — so they are embarrassingly parallel.  This is the only
+// place host threads enter the simulator: each job still runs on one
+// thread, and the pool spreads whole jobs across lanes.  BatchRunner keeps
 // the sweep code shaped exactly like the serial loop it replaces: jobs are
 // indexed 0..n-1, results come back in index order, and a pool with zero
 // workers (or a null pool) degenerates to the serial loop, so thread-count
@@ -11,8 +12,8 @@
 //
 // Determinism: jobs must not share mutable state (each sweep point owns
 // its instance); under that contract the result vector is bit-identical to
-// the serial loop regardless of scheduling, which the determinism tests
-// assert for Designs 1-3, the GKT array and the triangular family.
+// the serial loop regardless of scheduling, which the batch tests assert
+// for Designs 1-3, the GKT array and the triangular family.
 #pragma once
 
 #include <algorithm>
@@ -45,11 +46,10 @@ class BatchRunner {
     auto body = [&](std::size_t i) { slots[i].emplace(make(i)); };
     if (pool_ != nullptr) {
       // Dynamic claiming, one job per claim: sweep points differ wildly in
-      // cost (a 96-PE design next to a 4-PE one), so the static per-lane
-      // split used for engine phases serialises slow jobs behind each
-      // other and loses at small grain.  Which lane runs which job is
-      // scheduling-dependent; results stay bit-identical because slots are
-      // addressed by index.
+      // cost (a 96-PE design next to a 4-PE one), so a static per-lane
+      // split would serialise slow jobs behind each other.  Which lane
+      // runs which job is scheduling-dependent; results stay bit-identical
+      // because slots are addressed by index.
       pool_->parallel_for_dynamic(n, body, 1);
     } else {
       for (std::size_t i = 0; i < n; ++i) body(i);

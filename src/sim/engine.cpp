@@ -6,15 +6,10 @@
 #include <utility>
 
 #include "sim/observer.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sysdp::sim {
 
 namespace {
-
-/// Below this many parallel-safe modules a fork-join per phase costs more
-/// than it saves; small arrays silently run serially.
-constexpr std::size_t kMinParallelModules = 8;
 
 constexpr Cycle kQuiescencePeriod = Engine::kQuiescencePeriod;
 
@@ -27,13 +22,7 @@ void Engine::add(Module& m) {
   wake_.emplace_back();
   active_.push_back(1);  // every module evaluates in its first cycle
   is_driver_.push_back(m.combinational() ? 1 : 0);
-  if (m.combinational()) {
-    drivers_.push_back(&m);
-    driver_idx_.push_back(idx);
-  } else {
-    parallel_.push_back(&m);
-    parallel_idx_.push_back(idx);
-  }
+  (m.combinational() ? driver_idx_ : reg_idx_).push_back(idx);
   gated_init_ = false;  // active lists are rebuilt on the next gated step
 }
 
@@ -82,25 +71,9 @@ std::vector<std::pair<const Module*, const Module*>> Engine::wakeup_edges()
   return edges;
 }
 
-void Engine::step_serial() {
+void Engine::step_dense() {
   for (Module* m : modules_) m->eval(now_);
   for (Module* m : modules_) m->commit();
-  active_evals_ += modules_.size();
-}
-
-void Engine::step_parallel() {
-  // Phase 1a: combinational drivers, serially, in registration order —
-  // their outputs must be stable before any listener evaluates.
-  for (Module* m : drivers_) m->eval(now_);
-  // Phase 1b: register-only modules read committed state (plus the driver
-  // outputs fixed above) and stage writes to their own registers only, so
-  // any order — including concurrent — yields bit-identical staging.
-  pool_->parallel_for(parallel_.size(),
-                      [this](std::size_t i) { parallel_[i]->eval(now_); });
-  // Phase 2 (after the implicit barrier): every module latches only its
-  // own registers, so the clock edge parallelises over all modules.
-  pool_->parallel_for(modules_.size(),
-                      [this](std::size_t i) { modules_[i]->commit(); });
   active_evals_ += modules_.size();
 }
 
@@ -110,7 +83,7 @@ void Engine::init_gated() {
   for (const std::uint32_t i : driver_idx_) {
     if (active_[i]) active_drivers_.push_back(i);
   }
-  for (const std::uint32_t i : parallel_idx_) {
+  for (const std::uint32_t i : reg_idx_) {
     if (active_[i]) active_regs_.push_back(i);
   }
   wake_off_.assign(modules_.size() + 1, 0);
@@ -122,29 +95,12 @@ void Engine::init_gated() {
   gated_init_ = true;
 }
 
-void Engine::step_serial_gated() {
+void Engine::step_gated() {
   if (!gated_init_) init_gated();
   for (const std::uint32_t i : active_drivers_) modules_[i]->eval(now_);
   for (const std::uint32_t i : active_regs_) modules_[i]->eval(now_);
   for (const std::uint32_t i : active_drivers_) modules_[i]->commit();
   for (const std::uint32_t i : active_regs_) modules_[i]->commit();
-  active_evals_ += active_drivers_.size() + active_regs_.size();
-  refresh_active();
-}
-
-void Engine::step_parallel_gated() {
-  if (!gated_init_) init_gated();
-  // Same three phases as step_parallel, restricted to the active set.  The
-  // set is frozen for the whole cycle (refresh_active runs after commit),
-  // so the concurrent indexing below races with nothing.
-  for (const std::uint32_t i : active_drivers_) modules_[i]->eval(now_);
-  pool_->parallel_for(active_regs_.size(), [this](std::size_t i) {
-    modules_[active_regs_[i]]->eval(now_);
-  });
-  for (const std::uint32_t i : active_drivers_) modules_[i]->commit();
-  pool_->parallel_for(active_regs_.size(), [this](std::size_t i) {
-    modules_[active_regs_[i]]->commit();
-  });
   active_evals_ += active_drivers_.size() + active_regs_.size();
   refresh_active();
 }
@@ -253,20 +209,10 @@ void Engine::step() {
     }
     for (EngineObserver* obs : observers_) obs->on_elaborated(*this);
   }
-  const bool pooled =
-      pool_ != nullptr && parallel_.size() >= kMinParallelModules;
   if (gating_ == Gating::kSparse && !dense_fallback_) {
-    if (pooled) {
-      step_parallel_gated();
-    } else {
-      step_serial_gated();
-    }
+    step_gated();
   } else {
-    if (pooled) {
-      step_parallel();
-    } else {
-      step_serial();
-    }
+    step_dense();
   }
   ++now_;
   dense_evals_ += modules_.size();

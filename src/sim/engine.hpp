@@ -1,36 +1,27 @@
 // Clocked simulation engine.
 //
-// Runs a set of modules through eval/commit phases.  Two execution modes
-// share one Engine type:
+// Runs a set of modules through eval/commit phases on the calling thread.
+// The paper's parallelism lives inside the simulated array (every PE steps
+// in lock-step each cycle), so one run never spreads across host threads;
+// independent runs parallelise through sim::BatchRunner instead.
 //
-//   * Serial (default): modules are evaluated in registration order
-//     (drivers of combinational buses first); registers make all PE-to-PE
-//     links sequential, so ordering only matters for bus designs.
-//   * Parallel (construct with a ThreadPool): the synchronous two-phase
-//     register semantics make eval order-independent for purely registered
-//     designs, so the eval phase fans all non-combinational modules across
-//     the pool, with a barrier before the commit phase, which is likewise
-//     parallel (each module latches only its own registers).  Modules that
-//     drive same-cycle combinational state (Module::combinational()) are
-//     evaluated serially, in registration order, before the parallel fan-
-//     out, so bus designs stay deterministic and results are bit-identical
-//     to a serial run.
-//
-// Orthogonal to serial/parallel is the *gating* mode:
+// The *gating* mode selects how each cycle sweeps the modules:
 //
 //   * Gating::kDense: every module evaluates and commits every cycle (the
-//     classic cycle-accurate sweep).
+//     classic cycle-accurate sweep), in registration order — drivers of
+//     combinational buses first, so listeners see their outputs.
 //   * Gating::kSparse: the engine keeps an active set.  After each commit
 //     phase it asks every evaluated module Module::quiescent(); a
 //     quiescent module is dropped from the set and is neither evaluated
 //     nor committed again until a wakeup edge (add_wakeup) fires — i.e.
-//     until a declared predecessor ends a cycle non-quiescent.  Because a
-//     quiescent module's eval is an observational no-op by contract, and
-//     every input that can reactivate it is covered by an edge, the gated
-//     run is bit-identical to the dense run (in both serial and pooled
-//     mode) while skipping the virtual-dispatch cost of idle PEs — the
-//     work-efficiency analogue of the paper's processor-utilisation
-//     analysis, where large PE fractions idle during pipeline fill/drain.
+//     until a declared predecessor ends a cycle non-quiescent.  Active
+//     combinational drivers evaluate before every register-only module.
+//     Because a quiescent module's eval is an observational no-op by
+//     contract, and every input that can reactivate it is covered by an
+//     edge, the gated run is bit-identical to the dense run while skipping
+//     the virtual-dispatch cost of idle PEs — the work-efficiency analogue
+//     of the paper's processor-utilisation analysis, where large PE
+//     fractions idle during pipeline fill/drain.
 //
 // The engine never owns modules: array models own their PEs and register
 // them for stepping.
@@ -50,7 +41,6 @@ namespace sysdp::sim {
 
 class EngineObserver;
 class OpRecorder;
-class ThreadPool;
 
 /// Outcome of Engine::run_until: whether the predicate fired and how many
 /// cycles were consumed getting there (0 if it already held at entry).
@@ -65,17 +55,11 @@ enum class Gating : std::uint8_t { kDense, kSparse };
 
 class Engine {
  public:
-  /// Serial dense engine.
+  /// Dense engine.
   Engine() = default;
 
-  /// Serial engine with an explicit gating mode.
+  /// Engine with an explicit gating mode.
   explicit Engine(Gating gating) : gating_(gating) {}
-
-  /// Parallel engine: eval/commit phases fan out across `pool` (nullptr
-  /// falls back to serial).  The pool is borrowed, not owned, so one pool
-  /// can serve many engines (and the batch runner) at once.
-  explicit Engine(ThreadPool* pool, Gating gating = Gating::kDense)
-      : pool_(pool), gating_(gating) {}
 
   /// Register a module.  Order matters for combinational bus visibility:
   /// drivers first, listeners after.
@@ -165,9 +149,6 @@ class Engine {
   [[nodiscard]] std::vector<std::pair<const Module*, const Module*>>
   wakeup_edges() const;
 
-  /// True if this engine fans eval/commit across a thread pool.
-  [[nodiscard]] bool parallel() const noexcept { return pool_ != nullptr; }
-
   [[nodiscard]] Gating gating() const noexcept { return gating_; }
 
   /// Window activity at or above which a sparse engine stops gating: the
@@ -232,10 +213,8 @@ class Engine {
   }
 
  private:
-  void step_serial();
-  void step_parallel();
-  void step_serial_gated();
-  void step_parallel_gated();
+  void step_dense();
+  void step_gated();
   /// Build the persistent active lists from the active_ flags.
   void init_gated();
   /// Post-commit bookkeeping: every active module wakes its declared
@@ -251,10 +230,8 @@ class Engine {
   /// Module -> registration index, so add_wakeup on an n-PE array costs
   /// O(edges) instead of O(edges * n) linear scans.
   std::unordered_map<const Module*, std::uint32_t> module_index_;
-  std::vector<Module*> drivers_;   ///< combinational: serial eval prefix
-  std::vector<Module*> parallel_;  ///< register-only: parallel-safe eval
-  std::vector<std::uint32_t> driver_idx_;    ///< modules_ index per driver
-  std::vector<std::uint32_t> parallel_idx_;  ///< modules_ index per parallel
+  std::vector<std::uint32_t> driver_idx_;  ///< modules_ index per driver
+  std::vector<std::uint32_t> reg_idx_;  ///< modules_ index per register-only
   std::vector<std::vector<std::uint32_t>> wake_;  ///< wakeup successors
   /// CSR view of wake_, rebuilt by init_gated: successors of module i are
   /// wake_edges_[wake_off_[i] .. wake_off_[i+1]) — one contiguous walk per
@@ -275,7 +252,6 @@ class Engine {
   std::function<void(const Engine&)> elaboration_check_;
   std::vector<EngineObserver*> observers_;
   OpRecorder* recorder_ = nullptr;
-  ThreadPool* pool_ = nullptr;
   Gating gating_ = Gating::kDense;
   Cycle now_ = 0;
   std::uint64_t active_evals_ = 0;

@@ -45,13 +45,12 @@ class Module {
   virtual void commit() = 0;
 
   /// True if eval() *produces* state other modules read in the same cycle
-  /// (bus drivers, host input feeds).  The parallel engine evaluates all
-  /// such drivers serially, in registration order, before fanning the
-  /// remaining modules out across threads; modules that only *read*
-  /// same-cycle driver outputs (bus listeners) stay parallel-safe because
-  /// every driver has already spoken by the time they run.  Registered
-  /// state (Register<T>) never needs this flag: reads see committed values
-  /// only.
+  /// (bus drivers, host input feeds).  Gating::kSparse evaluates every
+  /// active driver, in registration order, before any unflagged module, so
+  /// modules that only *read* same-cycle driver outputs (bus listeners)
+  /// see every driver's output whatever their own registration position.
+  /// Registered state (Register<T>) never needs this flag: reads see
+  /// committed values only.
   [[nodiscard]] virtual bool combinational() const noexcept { return false; }
 
   /// Quiescence hook for the activity-gated engine (Gating::kSparse).

@@ -8,7 +8,6 @@
 // processors)" when one iteration does one unit of work.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -21,27 +20,10 @@ class ActivityStats {
  public:
   explicit ActivityStats(std::size_t num_pes) : busy_(num_pes, 0) {}
 
-  // The atomic total_ makes the class non-copyable by default; runs hand
-  // their stats to RunResult by value, so restore copying explicitly.
-  ActivityStats(const ActivityStats& o)
-      : busy_(o.busy_), total_(o.total_.load(std::memory_order_relaxed)) {}
-  ActivityStats& operator=(const ActivityStats& o) {
-    busy_ = o.busy_;
-    total_.store(o.total_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    return *this;
-  }
-
   /// Record that PE `pe` did one unit of useful work this cycle.
-  ///
-  /// Under the parallel engine, PEs eval on different pool workers against
-  /// the same stats object: the per-PE slots are distinct locations (one
-  /// writer each), but total_ is shared, so its increment must be atomic.
-  /// Relaxed ordering suffices — a sum is order-independent, and readers
-  /// only consume it after the engine's end-of-phase barrier.
   void mark_busy(std::size_t pe) {
     ++busy_.at(pe);  // at() first: an out-of-range pe must not bump total_
-    total_.fetch_add(1, std::memory_order_relaxed);
+    ++total_;
   }
 
   [[nodiscard]] std::size_t num_pes() const noexcept { return busy_.size(); }
@@ -51,9 +33,7 @@ class ActivityStats {
   /// Incrementally maintained sum of busy_cycles over all PEs — O(1), so
   /// per-cycle callers (utilisation timelines, benches) don't pay an
   /// O(num_pes) sweep per query.
-  [[nodiscard]] std::uint64_t total_busy() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t total_busy() const noexcept { return total_; }
 
   /// Measured processor utilisation over `elapsed` cycles.
   [[nodiscard]] double utilization(Cycle elapsed) const noexcept {
@@ -64,13 +44,12 @@ class ActivityStats {
 
   void reset() {
     for (auto& b : busy_) b = 0;
-    total_.store(0, std::memory_order_relaxed);
+    total_ = 0;
   }
 
  private:
   std::vector<std::uint64_t> busy_;
-  /// Cached sum of busy_, kept by mark_busy (atomic: see mark_busy).
-  std::atomic<std::uint64_t> total_{0};
+  std::uint64_t total_ = 0;  ///< cached sum of busy_, kept by mark_busy
 };
 
 /// Monotonic wall-clock stopwatch for the throughput counters below.
@@ -92,8 +71,8 @@ class WallTimer {
 
 /// Simulator throughput over one run: how fast the *simulator* chewed
 /// through virtual time, as opposed to ActivityStats, which measures the
-/// *simulated hardware's* utilisation.  This is what the parallel backend
-/// is meant to improve, so benches record it alongside the paper metrics.
+/// *simulated hardware's* utilisation.  Benches record it alongside the
+/// paper metrics.
 struct ThroughputStats {
   Cycle cycles = 0;                ///< virtual cycles simulated
   std::uint64_t module_evals = 0;  ///< module (PE/host) evals performed

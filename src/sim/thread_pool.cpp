@@ -9,8 +9,8 @@ namespace sysdp::sim {
 namespace {
 
 /// Lane of the current thread: 0 for any non-pool thread (including the
-/// parallel_for caller), 1..workers for pool workers.  Thread-local so a
-/// span reported from inside a task lands on the lane that ran it.
+/// parallel_for_dynamic caller), 1..workers for pool workers.  Thread-local
+/// so a span reported from inside a task lands on the lane that ran it.
 thread_local std::size_t tl_lane = 0;
 
 }  // namespace
@@ -58,78 +58,8 @@ void ThreadPool::worker_loop(std::size_t lane) {
   }
 }
 
-/// Shared state of one parallel_for call: a static chunk split plus a
-/// countdown the caller blocks on.  Chunks are contiguous so each lane
-/// touches a disjoint, cache-friendly index range and the work assignment
-/// is deterministic.
-struct ThreadPool::ForJob {
-  const std::function<void(std::size_t)>* body;
-  std::size_t n;
-  std::size_t chunks;
-  const ThreadPool* pool;  ///< for span reporting; nullptr-observer safe
-  std::atomic<std::size_t> remaining;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-
-  void run_chunk(std::size_t c) {
-    const std::size_t lo = n * c / chunks;
-    const std::size_t hi = n * (c + 1) / chunks;
-    const bool timed = pool->observer() != nullptr;
-    const std::uint64_t t0 = timed ? ThreadPool::now_ns() : 0;
-    for (std::size_t i = lo; i < hi; ++i) (*body)(i);
-    if (timed) {
-      pool->note_span(PoolObserver::SpanKind::kChunk, t0,
-                      ThreadPool::now_ns());
-    }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu);
-      done_cv.notify_one();
-    }
-  }
-};
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    const bool timed = observer_ != nullptr;
-    const std::uint64_t t0 = timed ? now_ns() : 0;
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    if (timed) note_span(PoolObserver::SpanKind::kChunk, t0, now_ns());
-    return;
-  }
-  const std::size_t chunks = std::min(n, num_lanes());
-  auto job = std::make_shared<ForJob>();
-  job->body = &body;
-  job->n = n;
-  job->chunks = chunks;
-  job->pool = this;
-  job->remaining.store(chunks, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t c = 1; c < chunks; ++c) {
-      queue_.push([job, c] { job->run_chunk(c); });
-    }
-  }
-  cv_.notify_all();
-  job->run_chunk(0);  // the caller is lane 0
-  // Everything after the caller's own chunk is barrier wait: the time the
-  // fork-join structure costs the critical path, reported as its own span
-  // so work/wait ratios fall straight out of the trace.
-  const bool timed = observer_ != nullptr;
-  const std::uint64_t w0 = timed ? now_ns() : 0;
-  std::unique_lock<std::mutex> lock(job->done_mu);
-  job->done_cv.wait(lock, [&] {
-    return job->remaining.load(std::memory_order_acquire) == 0;
-  });
-  if (timed) {
-    lock.unlock();
-    note_span(PoolObserver::SpanKind::kBarrierWait, w0, now_ns());
-  }
-}
-
 /// Shared state of one parallel_for_dynamic call: a monotone claim counter
-/// lanes race on, plus the same countdown barrier ForJob uses.  A lane's
+/// lanes race on, plus a countdown the caller blocks on.  A lane's
 /// whole participation (all blocks it claimed) is reported as one kChunk
 /// span — the trace shows lane occupancy, not per-block noise.
 struct ThreadPool::DynJob {

@@ -1,20 +1,18 @@
-// Fixed-size worker pool for the parallel simulation backend.
+// Fixed-size worker pool for job-level parallelism.
 //
-// Two usage patterns, both fork-join:
+// One simulation or replay always runs on one thread; the pool spreads
+// *independent* jobs — sweep points, batched replay chunks — across host
+// threads.  Two entry points:
 //
-//   * parallel_for(n, body): split [0, n) into contiguous chunks, one per
-//     lane (workers + the calling thread), run them concurrently and block
-//     until every index is done.  The per-cycle eval/commit phases of
-//     ParallelEngine are built on this; the chunk split is static and
-//     deterministic so a run is reproducible regardless of scheduling.
-//   * submit(fn) -> future: enqueue an independent task.  BatchRunner uses
-//     this to spread whole simulations (sweep points) across the pool,
-//     which is where the embarrassingly-parallel wall-clock win lives.
+//   * parallel_for_dynamic(n, body, grain): lanes (workers + the calling
+//     thread) claim index blocks off a shared counter and the call blocks
+//     until every index is done.  BatchRunner is built on this.
+//   * submit(fn) -> future: enqueue one independent task.
 //
 // The pool never spins: idle workers sleep on a condition variable.  A
-// pool of size 0 is legal and means "no worker threads": parallel_for and
-// submit both degenerate to inline execution on the caller, which keeps
-// thread-count sweeps (including 1) trivial to express.
+// pool of size 0 is legal and means "no worker threads": both entry points
+// degenerate to inline execution on the caller, which keeps thread-count
+// sweeps (including 1) trivial to express.
 #pragma once
 
 #include <condition_variable>
@@ -32,11 +30,11 @@ namespace sysdp::sim {
 /// Host-layer telemetry hook: receives wall-clock spans of pool activity
 /// so chrome-trace exporters can show where BatchSpeedup's time goes.
 ///
-///   * kChunk       — one lane executing its parallel_for chunk
+///   * kChunk       — one lane's whole share of a parallel_for_dynamic
 ///   * kTask        — one submit()ted task executing on a worker
-///   * kBarrierWait — the calling thread blocked on the parallel_for
-///                    barrier after finishing its own chunk (work vs.
-///                    wait, the number that explains fork-join overhead)
+///   * kBarrierWait — the calling thread blocked on the parallel_for_dynamic
+///                    barrier after running out of blocks to claim (work
+///                    vs. wait, the number that explains fork-join overhead)
 ///
 /// on_span is called concurrently from every lane; implementations must be
 /// thread-safe.  Timestamps are steady-clock nanoseconds (same epoch for
@@ -61,11 +59,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Worker threads owned by the pool (the calling thread adds one more
-  /// lane during parallel_for).
+  /// lane during parallel_for_dynamic).
   [[nodiscard]] std::size_t num_workers() const noexcept {
     return workers_.size();
   }
-  /// Concurrent lanes available to parallel_for: workers + caller.
+  /// Concurrent lanes available to parallel_for_dynamic: workers + caller.
   [[nodiscard]] std::size_t num_lanes() const noexcept {
     return workers_.size() + 1;
   }
@@ -75,31 +73,21 @@ class ThreadPool {
     return hw > 1 ? hw - 1 : 0;
   }
 
-  /// Run body(i) for every i in [0, n), blocking until all are done.  The
-  /// range is split into num_lanes() contiguous chunks; the caller executes
-  /// one chunk itself.  body must not recursively call parallel_for on the
-  /// same pool.  Exceptions thrown by body terminate (the simulation
-  /// modules it drives are noexcept in practice; buses throw only on
-  /// design bugs).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// Like parallel_for, but lanes *claim* `grain`-sized index blocks off a
-  /// shared counter instead of receiving one static chunk each.  The static
-  /// split is right for the engine's eval/commit phases (uniform work, one
-  /// cache-friendly range per lane) but wrong for batch sweeps, where jobs
-  /// have wildly different costs and one slow job serialises its whole
-  /// chunk behind it.  Dynamic claiming keeps every lane busy until the
-  /// work runs out, at the cost of one atomic fetch-add per block —
-  /// which is why tiny jobs should be claimed several at a time (grain).
-  /// `grain == 0` picks a heuristic; which indices run on which lane is
-  /// scheduling-dependent, so bodies must not care (BatchRunner's
-  /// index-addressed result slots satisfy this by construction).
+  /// Run body(i) for every i in [0, n), blocking until all are done.
+  /// Lanes *claim* `grain`-sized index blocks off a shared counter, so a
+  /// slow job never serialises the jobs behind it: every lane stays busy
+  /// until the work runs out, at the cost of one atomic fetch-add per
+  /// block — which is why tiny jobs should be claimed several at a time
+  /// (grain).  `grain == 0` picks a heuristic; which indices run on which
+  /// lane is scheduling-dependent, so bodies must not care (BatchRunner's
+  /// index-addressed result slots satisfy this by construction).  body
+  /// must not recursively call parallel_for_dynamic on the same pool.
   void parallel_for_dynamic(std::size_t n,
                             const std::function<void(std::size_t)>& body,
                             std::size_t grain = 0);
 
   /// Attach (or detach, with nullptr) the telemetry observer.  Borrowed,
-  /// not owned.  Not synchronised: set it while no parallel_for or
+  /// not owned.  Not synchronised: set it while no parallel_for_dynamic or
   /// submitted task is in flight, and only from the owning thread.
   void set_observer(PoolObserver* obs) noexcept { observer_ = obs; }
   [[nodiscard]] PoolObserver* observer() const noexcept { return observer_; }
@@ -129,7 +117,6 @@ class ThreadPool {
   }
 
  private:
-  struct ForJob;
   struct DynJob;
 
   template <typename R, typename Fn>

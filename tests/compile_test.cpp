@@ -44,7 +44,7 @@ TEST(CompiledBackend, Design1TapeReplaysBitIdentically) {
     const auto [mats, v] = string_instance(q, m, q * 7700 + m);
 
     Design1Modular oracle_arr(mats, v);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     Design1Modular arr(mats, v);
     const auto low = compile::lower_array(arr);
@@ -112,7 +112,7 @@ TEST(CompiledBackend, Design2TapeReplaysBitIdentically) {
     const auto [mats, v] = string_instance(q, m, q * 8100 + m);
 
     Design2Modular oracle_arr(mats, v);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     Design2Modular arr(mats, v);
     const auto low = compile::lower_array(arr);
@@ -137,7 +137,7 @@ TEST(CompiledBackend, Design3TapeReplaysBitIdentically) {
     const auto nv = traffic_control_instance(n, m, rng);
 
     Design3Modular oracle_arr(nv);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     Design3Modular arr(nv);
     const auto low = compile::lower_array(arr);
@@ -170,7 +170,7 @@ TEST(CompiledBackend, GktTapeReplaysBitIdentically) {
     const auto dims = random_chain_dims(n, rng);
 
     GktModularArray oracle_arr(dims);
-    const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+    const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
     GktModularArray arr(dims);
     const auto low = compile::lower_array(arr);
@@ -201,7 +201,7 @@ TEST(CompiledBackend, TriangularTapesReplayBitIdentically) {
     const auto check = [&](auto make_array, const char* what) {
       SCOPED_TRACE(what);
       auto oracle_arr = make_array();
-      const auto interpreted = oracle_arr.run(nullptr, sim::Gating::kDense);
+      const auto interpreted = oracle_arr.run(sim::Gating::kDense);
       auto arr = make_array();
       const auto low = compile::lower_array(arr);
       EXPECT_EQ(low.net.num_ops(), interpreted.stats.busy_steps);

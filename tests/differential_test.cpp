@@ -26,8 +26,6 @@
 #include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
-#include "compile/parallel_engine.hpp"
-#include "sim/thread_pool.hpp"
 #include "baseline/matrix_chain.hpp"
 #include "baseline/multistage_dp.hpp"
 #include "core/solver.hpp"
@@ -215,18 +213,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SequentialControlDifferential,
 // ------------------------------- compiled backend vs interpreted engine ---
 
 // Every interpreted engine configuration the compiled tape is checked
-// against: serial and pooled, dense and activity-gated.  The tape is
-// lowered once per instance; each configuration's interpreted run must
-// reproduce its outputs exactly.
-struct EngineConfig {
-  sim::Gating gating;
-  std::size_t workers;  // 0 = no pool (serial engine)
-};
-constexpr EngineConfig kEngineConfigs[] = {{sim::Gating::kDense, 0},
-                                           {sim::Gating::kDense, 3},
-                                           {sim::Gating::kSparse, 0},
-                                           {sim::Gating::kSparse, 2},
-                                           {sim::Gating::kSparse, 7}};
+// against: dense and activity-gated.  The tape is lowered once per
+// instance; each configuration's interpreted run must reproduce its
+// outputs exactly.
+constexpr sim::Gating kEngineConfigs[] = {sim::Gating::kDense,
+                                          sim::Gating::kSparse};
 
 std::pair<std::vector<Matrix<Cost>>, std::vector<Cost>> string_instance(
     std::size_t q, std::size_t m, std::uint64_t seed) {
@@ -259,11 +250,10 @@ TEST(CompiledDifferential, Design1AllEngineConfigs) {
   const auto low = lower_checked([&] { return Design1Modular(mats, v); });
   compile::CompiledEngine ce(low.net);
   ce.run_all();
-  for (const auto& cfg : kEngineConfigs) {
-    SCOPED_TRACE("workers=" + std::to_string(cfg.workers));
-    sim::ThreadPool pool(cfg.workers);
+  for (const sim::Gating gating : kEngineConfigs) {
+    SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
     Design1Modular arr(mats, v);
-    const auto res = arr.run(cfg.workers == 0 ? nullptr : &pool, cfg.gating);
+    const auto res = arr.run(gating);
     ASSERT_EQ(ce.cycles(), res.cycles);
     for (std::size_t i = 0; i < res.values.size(); ++i) {
       EXPECT_EQ(ce.output("out", i), res.values[i]) << "out " << i;
@@ -276,11 +266,10 @@ TEST(CompiledDifferential, Design2AllEngineConfigs) {
   const auto low = lower_checked([&] { return Design2Modular(mats, v); });
   compile::CompiledEngine ce(low.net);
   ce.run_all();
-  for (const auto& cfg : kEngineConfigs) {
-    SCOPED_TRACE("workers=" + std::to_string(cfg.workers));
-    sim::ThreadPool pool(cfg.workers);
+  for (const sim::Gating gating : kEngineConfigs) {
+    SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
     Design2Modular arr(mats, v);
-    const auto res = arr.run(cfg.workers == 0 ? nullptr : &pool, cfg.gating);
+    const auto res = arr.run(gating);
     ASSERT_EQ(ce.cycles(), res.cycles);
     for (std::size_t i = 0; i < res.values.size(); ++i) {
       EXPECT_EQ(ce.output("out", i), res.values[i]) << "out " << i;
@@ -295,11 +284,10 @@ TEST(CompiledDifferential, Design3AllEngineConfigs) {
   const auto low = lower_checked([&] { return Design3Modular(nv); });
   compile::CompiledEngine ce(low.net);
   ce.run_all();
-  for (const auto& cfg : kEngineConfigs) {
-    SCOPED_TRACE("workers=" + std::to_string(cfg.workers));
-    sim::ThreadPool pool(cfg.workers);
+  for (const sim::Gating gating : kEngineConfigs) {
+    SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
     Design3Modular arr(nv);
-    const auto res = arr.run(cfg.workers == 0 ? nullptr : &pool, cfg.gating);
+    const auto res = arr.run(gating);
     EXPECT_EQ(ce.output("cost", 0), res.cost);
     if (!res.path.empty()) {
       const std::size_t stages = res.path.size();
@@ -321,11 +309,10 @@ TEST(CompiledDifferential, GktAllEngineConfigs) {
   const auto low = lower_checked([&] { return GktModularArray(dims); });
   compile::CompiledEngine ce(low.net);
   ce.run_all();
-  for (const auto& cfg : kEngineConfigs) {
-    SCOPED_TRACE("workers=" + std::to_string(cfg.workers));
-    sim::ThreadPool pool(cfg.workers);
+  for (const sim::Gating gating : kEngineConfigs) {
+    SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
     GktModularArray arr(dims);
-    const auto res = arr.run(cfg.workers == 0 ? nullptr : &pool, cfg.gating);
+    const auto res = arr.run(gating);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
         EXPECT_EQ(ce.output("cell", i * n + j), res.cost(i, j))
@@ -346,11 +333,10 @@ TEST(CompiledDifferential, TriangularAllEngineConfigs) {
       [&] { return TriangularModularArray<BstRule>(rule, rule.num_keys()); });
   compile::CompiledEngine ce(low.net);
   ce.run_all();
-  for (const auto& cfg : kEngineConfigs) {
-    SCOPED_TRACE("workers=" + std::to_string(cfg.workers));
-    sim::ThreadPool pool(cfg.workers);
+  for (const sim::Gating gating : kEngineConfigs) {
+    SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
     TriangularModularArray<BstRule> arr(rule, rule.num_keys());
-    const auto res = arr.run(cfg.workers == 0 ? nullptr : &pool, cfg.gating);
+    const auto res = arr.run(gating);
     const std::size_t sz = res.cost.rows();
     for (std::size_t i = 0; i < sz; ++i) {
       for (std::size_t j = i; j < sz; ++j) {
@@ -369,12 +355,11 @@ class CompiledFuzzDifferential : public ::testing::TestWithParam<int> {};
 TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   Rng rng(seed * 48271u + 13);
-  std::uniform_int_distribution<std::size_t> workers_dist(0, 7);
-  const std::size_t workers = workers_dist(rng);
+  // This draw once picked a pool size; it stays so that every seed still
+  // generates the instance it always has.
+  std::uniform_int_distribution<std::size_t>(0, 7)(rng);
   const sim::Gating gating =
       (seed % 2) != 0 ? sim::Gating::kSparse : sim::Gating::kDense;
-  sim::ThreadPool pool(workers);
-  sim::ThreadPool* const pool_arg = workers == 0 ? nullptr : &pool;
 
   switch (seed % 5) {
     case 0: {
@@ -387,7 +372,7 @@ TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
       compile::CompiledEngine ce(low.net);
       ce.run_all();
       Design1Modular arr(mats, v);
-      const auto res = arr.run(pool_arg, gating);
+      const auto res = arr.run(gating);
       for (std::size_t i = 0; i < res.values.size(); ++i) {
         EXPECT_EQ(ce.output("out", i), res.values[i]);
       }
@@ -403,7 +388,7 @@ TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
       compile::CompiledEngine ce(low.net);
       ce.run_all();
       Design2Modular arr(mats, v);
-      const auto res = arr.run(pool_arg, gating);
+      const auto res = arr.run(gating);
       for (std::size_t i = 0; i < res.values.size(); ++i) {
         EXPECT_EQ(ce.output("out", i), res.values[i]);
       }
@@ -418,7 +403,7 @@ TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
   compile::CompiledEngine ce(low.net);
   ce.run_all();
       Design3Modular arr(nv);
-      const auto res = arr.run(pool_arg, gating);
+      const auto res = arr.run(gating);
       EXPECT_EQ(ce.output("cost", 0), res.cost);
       break;
     }
@@ -431,7 +416,7 @@ TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
       compile::CompiledEngine ce(low.net);
       ce.run_all();
       GktModularArray arr(dims);
-      const auto res = arr.run(pool_arg, gating);
+      const auto res = arr.run(gating);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
           EXPECT_EQ(ce.output("cell", i * n + j), res.cost(i, j));
@@ -450,7 +435,7 @@ TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
         compile::CompiledEngine ce(low.net);
         ce.run_all();
         auto arr = make_array();
-        const auto res = arr.run(pool_arg, gating);
+        const auto res = arr.run(gating);
         const std::size_t sz = res.cost.rows();
         for (std::size_t i = 0; i < sz; ++i) {
           for (std::size_t j = i; j < sz; ++j) {
@@ -526,35 +511,19 @@ void expect_same_shape(const compile::CompiledNetlist& a,
   }
 }
 
-/// Pooled parallel replay options that slice even the small test tapes'
-/// levels across participants.
-compile::ParallelReplayOptions sliced(std::uint32_t lanes) {
-  return {.lanes = lanes, .min_parallel_width = 2};
-}
-
 /// Run a B-lane replay of `net` with `tables[l]` bound on lane l (an empty
-/// table means the oracle binding) on the batched engine and twice on the
-/// thread-parallel engine — without a pool, and on a 2-worker pool with
-/// sliced levels — and require every lane of each to be bit-identical,
-/// slot for slot, to an independent scalar CompiledEngine replay of the
-/// same binding.
+/// table means the oracle binding) on the batched engine, and require
+/// every lane to be bit-identical, slot for slot, to an independent scalar
+/// CompiledEngine replay of the same binding.
 void expect_lanes_bit_identical(
     const compile::CompiledNetlist& net,
     const std::vector<std::vector<Cost>>& tables) {
   const auto lanes = static_cast<std::uint32_t>(tables.size());
   compile::BatchedCompiledEngine be(net, lanes);
-  sim::ThreadPool pool(2);
-  compile::ParallelCompiledEngine unpooled(net, nullptr, {.lanes = lanes});
-  compile::ParallelCompiledEngine pooled(net, &pool, sliced(lanes));
-  const auto bind_and_run = [&](auto& engine) {
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      if (!tables[l].empty()) engine.bind(l, tables[l]);
-    }
-    engine.run_all();
-  };
-  bind_and_run(be);
-  bind_and_run(unpooled);
-  bind_and_run(pooled);
+  for (std::uint32_t l = 0; l < lanes; ++l) {
+    if (!tables[l].empty()) be.bind(l, tables[l]);
+  }
+  be.run_all();
   EXPECT_EQ(be.fallback_levels(), 0u);
   for (std::uint32_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
@@ -563,16 +532,10 @@ void expect_lanes_bit_identical(
     ce.run_all();
     for (sim::SlotId s = 0; s < net.num_slots; ++s) {
       ASSERT_EQ(be.value(s, l), ce.value(s)) << "batched, slot " << s;
-      ASSERT_EQ(unpooled.value(s, l), ce.value(s))
-          << "parallel without pool, slot " << s;
-      ASSERT_EQ(pooled.value(s, l), ce.value(s))
-          << "parallel on 2 workers, slot " << s;
     }
     if (be.oracle_bound(l)) {
       EXPECT_FALSE(be.verify_outputs(l).found);
     }
-    EXPECT_EQ(unpooled.oracle_bound(l), be.oracle_bound(l));
-    EXPECT_EQ(pooled.oracle_bound(l), be.oracle_bound(l));
   }
 }
 
@@ -750,11 +713,11 @@ TEST(CompiledBatchDifferential, BstLaneExactAcrossWidths) {
   }
 }
 
-// Rebinding between replays on a many-parameter tape, on both lane
-// executors.  With one parameter a lane-major and a lane-planar weight
-// index coincide, so only a tape like this one catches a weight landing on
-// the wrong lane — or a lane left on the stale path after bind_oracle.
-TEST(CompiledBatchDifferential, RebindBetweenReplaysOnBothExecutors) {
+// Rebinding between replays on a many-parameter tape.  With one parameter
+// a lane-major and a lane-planar weight index coincide, so only a tape
+// like this one catches a weight landing on the wrong lane — or a lane
+// left on the stale path after bind_oracle.
+TEST(CompiledBatchDifferential, RebindBetweenReplays) {
   Rng rng(471);
   const std::size_t n = 9;
   GktModularArray arr(random_chain_dims(n, rng));
@@ -769,68 +732,53 @@ TEST(CompiledBatchDifferential, RebindBetweenReplaysOnBothExecutors) {
         low.net, [&] { return GktModularArray(vdims); }));
   }
   const std::vector<Cost>& oracle = low.net.params;
+  compile::BatchedCompiledEngine be(low.net, 4);
 
   // Replay, then check every lane against a scalar replay of `bound[l]`.
-  const auto replay_and_check = [&](auto& engine,
-                                    const std::vector<std::vector<Cost>>&
-                                        bound) {
-    engine.reset();
-    engine.run_all();
-    for (std::uint32_t l = 0; l < bound.size(); ++l) {
-      SCOPED_TRACE("lane " + std::to_string(l));
-      compile::CompiledEngine ce(low.net);
-      ce.bind(bound[l]);
-      ce.run_all();
-      for (sim::SlotId s = 0; s < low.net.num_slots; ++s) {
-        ASSERT_EQ(engine.value(s, l), ce.value(s)) << "slot " << s;
-      }
-      EXPECT_EQ(engine.oracle_bound(l), bound[l] == oracle);
-      if (bound[l] == oracle) {
-        EXPECT_FALSE(engine.verify_outputs(l).found);
-      } else {
-        EXPECT_THROW((void)engine.verify_outputs(l), std::logic_error);
-      }
-    }
-  };
-  const auto drive = [&](auto& engine) {
-    // Bind every lane (one of them to the oracle's own table) and replay.
-    std::vector<std::vector<Cost>> bound = {variants[0], variants[1], oracle,
-                                            variants[2]};
-    for (std::uint32_t l = 0; l < bound.size(); ++l) {
-      engine.bind(l, bound[l]);
-    }
-    {
-      SCOPED_TRACE("all lanes bound");
-      replay_and_check(engine, bound);
-    }
-    // Rebind one lane, restore another to the oracle, replay again.
-    bound[1] = variants[2];
-    engine.bind(1, bound[1]);
-    bound[3] = oracle;
-    engine.bind_oracle(3);
-    {
-      SCOPED_TRACE("lane 1 rebound, lane 3 restored");
-      replay_and_check(engine, bound);
-    }
-    // Restore the rest: the replay returns to the baked immediates.
-    for (const std::uint32_t l : {0u, 1u}) {
-      bound[l] = oracle;
-      engine.bind_oracle(l);
-    }
-    SCOPED_TRACE("every lane restored");
-    replay_and_check(engine, bound);
-  };
-
-  compile::BatchedCompiledEngine be(low.net, 4);
+  const auto replay_and_check =
+      [&](const std::vector<std::vector<Cost>>& bound) {
+        be.reset();
+        be.run_all();
+        for (std::uint32_t l = 0; l < bound.size(); ++l) {
+          SCOPED_TRACE("lane " + std::to_string(l));
+          compile::CompiledEngine ce(low.net);
+          ce.bind(bound[l]);
+          ce.run_all();
+          for (sim::SlotId s = 0; s < low.net.num_slots; ++s) {
+            ASSERT_EQ(be.value(s, l), ce.value(s)) << "slot " << s;
+          }
+          EXPECT_EQ(be.oracle_bound(l), bound[l] == oracle);
+          if (bound[l] == oracle) {
+            EXPECT_FALSE(be.verify_outputs(l).found);
+          } else {
+            EXPECT_THROW((void)be.verify_outputs(l), std::logic_error);
+          }
+        }
+      };
+  // Bind every lane (one of them to the oracle's own table) and replay.
+  std::vector<std::vector<Cost>> bound = {variants[0], variants[1], oracle,
+                                          variants[2]};
+  for (std::uint32_t l = 0; l < bound.size(); ++l) be.bind(l, bound[l]);
   {
-    SCOPED_TRACE("batched");
-    drive(be);
+    SCOPED_TRACE("all lanes bound");
+    replay_and_check(bound);
   }
-  sim::ThreadPool pool(2);
-  compile::ParallelCompiledEngine pe(low.net, &pool, sliced(4));
-  EXPECT_GT(pe.parallel_levels(), 0u);
-  SCOPED_TRACE("parallel on 2 workers");
-  drive(pe);
+  // Rebind one lane, restore another to the oracle, replay again.
+  bound[1] = variants[2];
+  be.bind(1, bound[1]);
+  bound[3] = oracle;
+  be.bind_oracle(3);
+  {
+    SCOPED_TRACE("lane 1 rebound, lane 3 restored");
+    replay_and_check(bound);
+  }
+  // Restore the rest: the replay returns to the baked immediates.
+  for (const std::uint32_t l : {0u, 1u}) {
+    bound[l] = oracle;
+    be.bind_oracle(l);
+  }
+  SCOPED_TRACE("every lane restored");
+  replay_and_check(bound);
 }
 
 // Rebind fuzz: a random same-shape variant is lowered fresh, its weight

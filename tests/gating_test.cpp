@@ -28,12 +28,9 @@
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/module.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sysdp {
 namespace {
-
-const std::size_t kWorkerCounts[] = {0, 1, 2, 3, 7};
 
 template <typename T>
 void expect_same_matrix(const Matrix<T>& a, const Matrix<T>& b) {
@@ -73,16 +70,12 @@ TEST(ActivityGating, Design1DenseVsSparseBitIdentical) {
   for (const auto& [q, m] : shapes) {
     const auto [mats, v] = string_instance(q, m, q * 1000 + m);
     Design1Modular dense_arr(mats, v);
-    const auto dense = dense_arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      sim::ThreadPool pool(workers);
-      Design1Modular sparse_arr(mats, v);
-      const auto sparse = sparse_arr.run(&pool, sim::Gating::kSparse);
-      SCOPED_TRACE("q=" + std::to_string(q) + " m=" + std::to_string(m) +
-                   " workers=" + std::to_string(workers));
-      expect_identical(dense, sparse);
-      EXPECT_LE(sparse.active_evals, sparse.dense_evals);
-    }
+    const auto dense = dense_arr.run(sim::Gating::kDense);
+    Design1Modular sparse_arr(mats, v);
+    const auto sparse = sparse_arr.run(sim::Gating::kSparse);
+    SCOPED_TRACE("q=" + std::to_string(q) + " m=" + std::to_string(m));
+    expect_identical(dense, sparse);
+    EXPECT_LE(sparse.active_evals, sparse.dense_evals);
   }
 }
 
@@ -92,15 +85,11 @@ TEST(ActivityGating, Design2DenseVsSparseBitIdentical) {
   for (const auto& [q, m] : shapes) {
     const auto [mats, v] = string_instance(q, m, q * 2000 + m);
     Design2Modular dense_arr(mats, v);
-    const auto dense = dense_arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      sim::ThreadPool pool(workers);
-      Design2Modular sparse_arr(mats, v);
-      const auto sparse = sparse_arr.run(&pool, sim::Gating::kSparse);
-      SCOPED_TRACE("q=" + std::to_string(q) + " m=" + std::to_string(m) +
-                   " workers=" + std::to_string(workers));
-      expect_identical(dense, sparse);
-    }
+    const auto dense = dense_arr.run(sim::Gating::kDense);
+    Design2Modular sparse_arr(mats, v);
+    const auto sparse = sparse_arr.run(sim::Gating::kSparse);
+    SCOPED_TRACE("q=" + std::to_string(q) + " m=" + std::to_string(m));
+    expect_identical(dense, sparse);
   }
 }
 
@@ -111,17 +100,13 @@ TEST(ActivityGating, Design3DenseVsSparseBitIdentical) {
     Rng rng(n * 31 + m);
     const auto nv = traffic_control_instance(n, m, rng);
     Design3Modular dense_arr(nv);
-    const auto dense = dense_arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      sim::ThreadPool pool(workers);
-      Design3Modular sparse_arr(nv);
-      const auto sparse = sparse_arr.run(&pool, sim::Gating::kSparse);
-      SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m) +
-                   " workers=" + std::to_string(workers));
-      EXPECT_EQ(dense.cost, sparse.cost);
-      EXPECT_EQ(dense.path, sparse.path);
-      expect_identical(dense.stats, sparse.stats);
-    }
+    const auto dense = dense_arr.run(sim::Gating::kDense);
+    Design3Modular sparse_arr(nv);
+    const auto sparse = sparse_arr.run(sim::Gating::kSparse);
+    SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
+    EXPECT_EQ(dense.cost, sparse.cost);
+    EXPECT_EQ(dense.path, sparse.path);
+    expect_identical(dense.stats, sparse.stats);
   }
 }
 
@@ -130,17 +115,13 @@ TEST(ActivityGating, GktModularDenseVsSparseBitIdentical) {
     Rng rng(500 + n);
     const auto dims = random_chain_dims(n, rng);
     GktModularArray arr(dims);
-    const auto dense = arr.run(nullptr, sim::Gating::kDense);
-    for (const std::size_t workers : kWorkerCounts) {
-      sim::ThreadPool pool(workers);
-      const auto sparse = arr.run(&pool, sim::Gating::kSparse);
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " workers=" + std::to_string(workers));
-      expect_same_matrix(dense.cost, sparse.cost);
-      expect_same_matrix(dense.done, sparse.done);
-      expect_identical(dense.stats, sparse.stats);
-      EXPECT_EQ(dense.peak_operand_buffer, sparse.peak_operand_buffer);
-    }
+    const auto dense = arr.run(sim::Gating::kDense);
+    const auto sparse = arr.run(sim::Gating::kSparse);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_same_matrix(dense.cost, sparse.cost);
+    expect_same_matrix(dense.done, sparse.done);
+    expect_identical(dense.stats, sparse.stats);
+    EXPECT_EQ(dense.peak_operand_buffer, sparse.peak_operand_buffer);
   }
 }
 
@@ -148,18 +129,16 @@ TEST(ActivityGating, GktModularDenseVsSparseBitIdentical) {
 
 // The modular cell array must be cycle-exact against the monolithic RTL
 // sweep: same cost table, same per-cell completion cycles, same busy work
-// and the same operand-buffer peak — in every gating/pool combination.
+// and the same operand-buffer peak — in both gating modes.
 TEST(ActivityGating, GktModularMatchesRtlCycleExactly) {
   for (std::size_t n = 1; n <= 20; ++n) {
     Rng rng(900 + n);
     const auto dims = random_chain_dims(n, rng);
     const auto rtl = GktRtlArray(dims).run();
     GktModularArray mod(dims);
-    sim::ThreadPool pool(3);
     const GktModularArray::Result runs[] = {
-        mod.run(nullptr, sim::Gating::kDense),
-        mod.run(nullptr, sim::Gating::kSparse),
-        mod.run(&pool, sim::Gating::kSparse),
+        mod.run(sim::Gating::kDense),
+        mod.run(sim::Gating::kSparse),
     };
     for (const auto& r : runs) {
       SCOPED_TRACE("n=" + std::to_string(n));
@@ -181,7 +160,7 @@ TEST(ActivityGating, GktModularMatchesClosedFormTotals) {
     const auto dims = random_chain_dims(n, rng);
     const auto closed = GktArray(dims).run();
     GktModularArray mod(dims);
-    const auto gated = mod.run(nullptr, sim::Gating::kSparse);
+    const auto gated = mod.run(sim::Gating::kSparse);
     EXPECT_EQ(closed.total(), gated.total()) << "n=" << n;
   }
 }
@@ -205,10 +184,10 @@ TEST(ActivityGating, EngineActivityTracksPaperPuDesign1) {
       const auto g = with_single_source_sink(random_multistage(N - 1, m, rng));
       auto prob = to_string_product(g);
       Design1Modular dense_arr(prob.mats, prob.v);
-      const auto dense = dense_arr.run(nullptr, sim::Gating::kDense);
+      const auto dense = dense_arr.run(sim::Gating::kDense);
       EXPECT_DOUBLE_EQ(dense.engine_activity(), 1.0);
       Design1Modular sparse_arr(prob.mats, prob.v);
-      const auto sparse = sparse_arr.run(nullptr, sim::Gating::kSparse);
+      const auto sparse = sparse_arr.run(sim::Gating::kSparse);
       const double pu_paper = analytic_pu_design12(N, m);
       SCOPED_TRACE("N=" + std::to_string(N) + " m=" + std::to_string(m));
       EXPECT_LE(sparse.engine_activity(), 1.0);
@@ -225,10 +204,10 @@ TEST(ActivityGating, EngineActivityTracksPaperPuDesign2) {
       const auto g = with_single_source_sink(random_multistage(N - 1, m, rng));
       auto prob = to_string_product(g);
       Design2Modular dense_arr(prob.mats, prob.v);
-      const auto dense = dense_arr.run(nullptr, sim::Gating::kDense);
+      const auto dense = dense_arr.run(sim::Gating::kDense);
       EXPECT_DOUBLE_EQ(dense.engine_activity(), 1.0);
       Design2Modular sparse_arr(prob.mats, prob.v);
-      const auto sparse = sparse_arr.run(nullptr, sim::Gating::kSparse);
+      const auto sparse = sparse_arr.run(sim::Gating::kSparse);
       SCOPED_TRACE("N=" + std::to_string(N) + " m=" + std::to_string(m));
       EXPECT_LE(sparse.engine_activity(), 1.0);
       EXPECT_GE(sparse.active_evals, sparse.busy_steps);
@@ -244,7 +223,7 @@ TEST(ActivityGating, GktActivityReflectsWavefrontSparsity) {
   Rng rng(2024);
   const auto dims = random_chain_dims(32, rng);
   GktModularArray mod(dims);
-  const auto r = mod.run(nullptr, sim::Gating::kSparse);
+  const auto r = mod.run(sim::Gating::kSparse);
   EXPECT_GT(r.stats.dense_evals, 0u);
   EXPECT_LT(r.stats.engine_activity(), 0.6);
   EXPECT_GE(r.stats.active_evals, r.stats.busy_steps);
@@ -278,7 +257,7 @@ TEST(ActivityGating, DenseFallbackCrossoverAtThreshold) {
   for (const std::size_t busy : {kModules - 2, kModules - 1}) {
     SCOPED_TRACE("busy=" + std::to_string(busy));
     std::vector<std::unique_ptr<DutyModule>> mods;
-    sim::Engine eng(nullptr, sim::Gating::kSparse);
+    sim::Engine eng(sim::Gating::kSparse);
     for (std::size_t i = 0; i < kModules; ++i) {
       mods.push_back(std::make_unique<DutyModule>("duty" + std::to_string(i),
                                                   i < busy));
@@ -313,10 +292,10 @@ TEST(ActivityGating, DenseFallbackCrossoverAtThreshold) {
 TEST(ActivityGating, DenseFallbackEngagesOnBroadcastArrayOnly) {
   const auto [mats, v] = string_instance(4, 16, 4242);
   Design2Modular dense_arr(mats, v);
-  const auto dense = dense_arr.run(nullptr, sim::Gating::kDense);
+  const auto dense = dense_arr.run(sim::Gating::kDense);
 
   Design2Modular sparse_arr(mats, v);
-  sim::Engine eng(nullptr, sim::Gating::kSparse);
+  sim::Engine eng(sim::Gating::kSparse);
   const auto sparse = sparse_arr.run(eng);
   EXPECT_TRUE(eng.dense_fallback());
   EXPECT_EQ(eng.effective_gating(), sim::Gating::kDense);
@@ -325,7 +304,7 @@ TEST(ActivityGating, DenseFallbackEngagesOnBroadcastArrayOnly) {
   Rng rng(77);
   const auto dims = random_chain_dims(24, rng);
   GktModularArray gkt(dims);
-  sim::Engine wave_eng(nullptr, sim::Gating::kSparse);
+  sim::Engine wave_eng(sim::Gating::kSparse);
   (void)gkt.run(wave_eng);
   EXPECT_FALSE(wave_eng.dense_fallback());
   EXPECT_EQ(wave_eng.effective_gating(), sim::Gating::kSparse);

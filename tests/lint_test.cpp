@@ -135,7 +135,7 @@ TEST(Lint, CombinationalLoopFires) {
 TEST(Lint, NonCombinationalSignalDriverFires) {
   int sig = 0;
   int dummy = 0;
-  // Driver forgot combinational(): the parallel engine would race it.
+  // Driver forgot combinational(): the gated engine would evaluate it late.
   FixtureModule a("a", [&](sim::PortSet& p) { p.drives_signal(&sig, "sig"); });
   FixtureModule b("b", [&](sim::PortSet& p) {
     p.reads_signal(&sig, "sig");

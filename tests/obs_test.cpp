@@ -729,7 +729,7 @@ TEST(ChromeTraceTest, PoolRecorderCapturesHostSpans) {
   obs::PoolTraceRecorder recorder;
   pool.set_observer(&recorder);
   std::atomic<int> hits{0};
-  pool.parallel_for(16, [&hits](std::size_t) { ++hits; });
+  pool.parallel_for_dynamic(16, [&hits](std::size_t) { ++hits; });
   pool.set_observer(nullptr);
   EXPECT_EQ(hits.load(), 16);
 

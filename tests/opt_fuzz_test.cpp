@@ -1,10 +1,9 @@
 // Optimizer fuzzing: random construction-correct SSA tapes go through each
 // optimizer pass alone and the full pipeline at both levels, and every
 // variant must (a) still pass all nine static verifier checks, (b) replay
-// bit-identically to the unoptimized tape — on the serial engine, the
-// SIMD-batched engine at B ∈ {1, 2, 8}, and the thread-parallel engine
-// across a worker sweep — and (c) never grow the tape (op and level counts
-// are monotone non-increasing).  The generator deliberately leaves dead
+// bit-identically to the unoptimized tape — on the serial engine and the
+// SIMD-batched engine at B ∈ {1, 2, 8} — and (c) never grow the tape (op
+// and level counts are monotone non-increasing).  The generator deliberately leaves dead
 // scalars behind, so dead-op elimination always has real work, and every
 // level's first op reads the previous level, so fusion always faces real
 // cross-level edges.
@@ -19,10 +18,8 @@
 #include "compile/compact.hpp"
 #include "compile/engine.hpp"
 #include "compile/optimize.hpp"
-#include "compile/parallel_engine.hpp"
 #include "compile/program.hpp"
 #include "graph/generators.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sysdp {
 namespace {
@@ -32,8 +29,8 @@ using compile::Op;
 using compile::OpKind;
 
 /// Random layered SSA tape, correct by construction — the same scheme as
-/// tape_fuzz_test.cpp but wider and deeper, so fusion, reordering and the
-/// parallel slicer all get levels with substance.  Parameterised with the
+/// tape_fuzz_test.cpp but wider and deeper, so fusion and reordering both
+/// get levels with substance.  Parameterised with the
 /// identity plane, mirroring the recorder's emission.
 CompiledNetlist random_tape(Rng& rng) {
   std::uniform_int_distribution<int> d_consts(3, 6);
@@ -237,14 +234,7 @@ TEST(OptFuzz, FullPipelineIsVerifierCleanBitIdenticalAndMonotone) {
   }
 }
 
-TEST(OptFuzz, OptimizedTapesReplayIdenticallyBatchedAndParallel) {
-  // Pools are shared across seeds; the parallel engine borrows them.
-  sim::ThreadPool pool1(1);
-  sim::ThreadPool pool2(2);
-  sim::ThreadPool pool3(3);
-  sim::ThreadPool pool7(7);
-  sim::ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool3, &pool7};
-
+TEST(OptFuzz, OptimizedTapesReplayIdenticallyBatched) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed * 0x9e3779b97f4a7c15ull + 99);
@@ -268,18 +258,6 @@ TEST(OptFuzz, OptimizedTapesReplayIdenticallyBatchedAndParallel) {
             ASSERT_EQ(be.value(s, lane), ref[s])
                 << "lane " << lane << " slot " << s;
           }
-        }
-      }
-
-      for (sim::ThreadPool* pool : pools) {
-        SCOPED_TRACE("workers=" +
-                     std::to_string(pool ? pool->num_workers() : 0));
-        compile::ParallelReplayOptions popt;
-        popt.min_parallel_width = 4;  // force slicing on small tapes
-        compile::ParallelCompiledEngine pe(m, pool, popt);
-        pe.run_all();
-        for (const sim::SlotId s : slots) {
-          ASSERT_EQ(pe.value(s, 0), ref[s]) << "slot " << s;
         }
       }
     }

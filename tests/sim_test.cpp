@@ -1,8 +1,8 @@
 // Tests for the clocked simulation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -181,21 +181,11 @@ TEST(Trace, RecordsAndRenders) {
   EXPECT_NE(csv.find("1,acc,7"), std::string::npos);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_workers(), 3u);
-  EXPECT_EQ(pool.num_lanes(), 4u);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, ZeroWorkersRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_lanes(), 1u);
   std::vector<int> hits(17, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; });
+  pool.parallel_for_dynamic(hits.size(), [&](std::size_t i) { hits[i] = 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 17);
   EXPECT_EQ(pool.submit([] { return 41 + 1; }).get(), 42);
 }
@@ -207,42 +197,6 @@ TEST(ThreadPool, SubmitRunsTasks) {
     futs.push_back(pool.submit([i] { return i * i; }));
   }
   for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * i);
-}
-
-// 16 stages so the parallel engine actually crosses kMinParallelModules and
-// exercises the threaded eval/commit phases.
-TEST(Engine, ParallelShiftChainMatchesSerial) {
-  constexpr std::size_t kStages = 16;
-  const auto build = [](std::vector<std::unique_ptr<ShiftStage>>& stages,
-                        Engine& eng) {
-    for (std::size_t i = 0; i < kStages; ++i) {
-      const Register<int>* prev =
-          i == 0 ? nullptr : &stages[i - 1]->out_;
-      stages.push_back(
-          std::make_unique<ShiftStage>("s" + std::to_string(i), prev));
-      eng.add(*stages.back());
-    }
-    stages.front()->out_.reset(99);
-  };
-
-  std::vector<std::unique_ptr<ShiftStage>> serial_stages;
-  Engine serial;
-  build(serial_stages, serial);
-  ThreadPool pool(3);
-  std::vector<std::unique_ptr<ShiftStage>> par_stages;
-  Engine parallel(&pool);
-  build(par_stages, parallel);
-  EXPECT_TRUE(parallel.parallel());
-
-  for (std::size_t c = 0; c < kStages + 2; ++c) {
-    serial.step();
-    parallel.step();
-    for (std::size_t i = 0; i < kStages; ++i) {
-      ASSERT_EQ(par_stages[i]->out_.read(), serial_stages[i]->out_.read())
-          << "stage " << i << " cycle " << c;
-    }
-  }
-  EXPECT_EQ(parallel.module_evals(), (kStages + 2) * kStages);
 }
 
 TEST(BatchRunner, ResultsInIndexOrderAndMatchSerial) {
@@ -257,6 +211,50 @@ TEST(BatchRunner, ResultsInIndexOrderAndMatchSerial) {
   EXPECT_EQ(a, b);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], static_cast<int>(i) * 3 + 1);
+  }
+}
+
+// run_chunks is the pool path behind sysdp_tool --batch: ⌈n/w⌉ chunks of
+// [0, n), every one `w` jobs wide except a short tail, returned in chunk
+// order.  Width 0 means width 1.
+TEST(BatchRunner, RunChunksCoversEveryJobOnceInOrder) {
+  struct Chunk {
+    std::size_t first;
+    std::size_t count;
+    bool operator==(const Chunk&) const = default;
+  };
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    ThreadPool pool(workers);
+    BatchRunner runner(&pool);
+    for (const std::size_t n : {0u, 1u, 7u, 8u, 17u}) {
+      std::vector<Chunk> width1;
+      for (const std::size_t width : {1u, 0u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " n=" + std::to_string(n) +
+                     " width=" + std::to_string(width));
+        std::vector<std::atomic<int>> hits(n);
+        const auto chunks = runner.run_chunks(
+            n, width, [&](std::size_t first, std::size_t count) {
+              for (std::size_t i = first; i < first + count; ++i) {
+                hits[i].fetch_add(1);
+              }
+              return Chunk{first, count};
+            });
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(hits[i].load(), 1) << "job " << i;
+        }
+        const std::size_t w = width == 0 ? 1 : width;
+        ASSERT_EQ(chunks.size(), (n + w - 1) / w);
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+          EXPECT_EQ(chunks[c].first, c * w) << "chunk " << c;
+          EXPECT_EQ(chunks[c].count, std::min(w, n - c * w)) << "chunk " << c;
+        }
+        if (width == 1) width1 = chunks;
+        if (width == 0) {
+          EXPECT_EQ(chunks, width1);
+        }
+      }
+    }
   }
 }
 

@@ -1,11 +1,11 @@
-// ThreadPool unit tests: the degenerate zero-worker pool, exception
-// propagation through submit(), and one pool borrowed by several engines
-// at once (the sharing pattern BatchRunner and the bench harness rely on).
+// ThreadPool unit tests: the degenerate zero-worker pool, dynamic index
+// claiming, exception propagation through submit(), and one pool shared
+// by several callers at once, each fanning whole engine runs across it
+// (the sharing pattern BatchRunner and the bench harness rely on).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -13,6 +13,7 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "graph/generators.hpp"
+#include "sim/batch.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace sysdp {
@@ -23,10 +24,11 @@ TEST(ThreadPool, ZeroWorkersRunsInlineAndCoversEveryIndex) {
   EXPECT_EQ(pool.num_workers(), 0u);
   EXPECT_EQ(pool.num_lanes(), 1u);
 
-  // parallel_for must degenerate to a plain loop on the caller: every
-  // index exactly once, in order (inline execution has no other choice).
+  // parallel_for_dynamic must degenerate to a plain loop on the caller:
+  // every index exactly once, in order (inline execution has no other
+  // choice).
   std::vector<std::size_t> order;
-  pool.parallel_for(17, [&](std::size_t i) { order.push_back(i); });
+  pool.parallel_for_dynamic(17, [&](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 17u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 
@@ -39,21 +41,11 @@ TEST(ThreadPool, ZeroWorkersRunsInlineAndCoversEveryIndex) {
   EXPECT_EQ(fut.get(), 42);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  sim::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(101);
-  pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
 TEST(ThreadPool, DynamicParallelForCoversEveryIndexExactlyOnce) {
-  // Dynamic claiming must preserve parallel_for's only contract — each
-  // index runs exactly once — for every grain, including the heuristic
-  // grain 0, a grain of 1 (BatchRunner's choice), a grain that doesn't
-  // divide n, and one larger than n.
+  // Dynamic claiming's one contract — each index runs exactly once — must
+  // hold for every grain, including the heuristic grain 0, a grain of 1
+  // (BatchRunner's choice), a grain that doesn't divide n, and one larger
+  // than n.
   for (const std::size_t workers : {0u, 1u, 3u, 7u}) {
     sim::ThreadPool pool(workers);
     for (const std::size_t grain : {0u, 1u, 7u, 1000u}) {
@@ -117,10 +109,11 @@ TEST(ThreadPool, SubmitPropagatesExceptionsThroughTheFuture) {
 }
 
 TEST(ThreadPool, OnePoolServesSeveralEnginesConcurrently) {
-  // Several engine-backed simulations borrow the same pool from different
-  // caller threads at once.  Each caller's parallel_for has its own join
-  // state, so the runs must neither deadlock nor perturb each other's
-  // results: every concurrent run is bit-identical to its serial twin.
+  // Several callers share one pool from different threads at once, each
+  // fanning whole engine-backed simulations across it as batch jobs.
+  // Each caller's parallel_for_dynamic has its own join state, so the
+  // runs must neither deadlock nor perturb each other's results: every
+  // concurrent run is bit-identical to its serial twin.
   Rng rng(77);
   const auto g = with_single_source_sink(random_multistage(7, 24, rng));
   auto prob = to_string_product(g);
@@ -128,21 +121,28 @@ TEST(ThreadPool, OnePoolServesSeveralEnginesConcurrently) {
   const auto ref = ref_arr.run();
 
   sim::ThreadPool pool(3);
+  sim::BatchRunner runner(&pool);
   constexpr std::size_t kCallers = 4;
-  std::vector<RunResult<Cost>> results(kCallers);
+  constexpr std::size_t kJobs = 3;
+  std::vector<std::vector<RunResult<Cost>>> results(kCallers);
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      Design1Modular arr(prob.mats, prob.v);
-      results[c] = arr.run(&pool);
+      results[c] = runner.run(kJobs, [&](std::size_t) {
+        Design1Modular arr(prob.mats, prob.v);
+        return arr.run();
+      });
     });
   }
   for (auto& t : callers) t.join();
   for (std::size_t c = 0; c < kCallers; ++c) {
-    EXPECT_EQ(results[c].values, ref.values) << "caller " << c;
-    EXPECT_EQ(results[c].cycles, ref.cycles) << "caller " << c;
-    EXPECT_EQ(results[c].busy_steps, ref.busy_steps) << "caller " << c;
+    ASSERT_EQ(results[c].size(), kJobs);
+    for (const auto& r : results[c]) {
+      EXPECT_EQ(r.values, ref.values) << "caller " << c;
+      EXPECT_EQ(r.cycles, ref.cycles) << "caller " << c;
+      EXPECT_EQ(r.busy_steps, ref.busy_steps) << "caller " << c;
+    }
   }
 }
 

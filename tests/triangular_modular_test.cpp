@@ -11,7 +11,6 @@
 #include "arrays/gkt_rtl.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sysdp {
 namespace {
@@ -103,21 +102,17 @@ TEST(TriangularModular, ChainClassicInstance) {
   EXPECT_EQ(run_chain_modular(dims).total(), 15125);
 }
 
-// Bit-identity across serial/pooled x dense/sparse: cost AND completion
-// cycles match exactly (active/dense eval counters are simulator-side and
-// excluded by design).
+// Bit-identity across dense/sparse: cost AND completion cycles match
+// exactly (active/dense eval counters are simulator-side and excluded by
+// design).
 TEST(TriangularModular, BitIdenticalAcrossEngineModes) {
-  sim::ThreadPool pool(3);
   struct Case {
     const char* name;
-    sim::ThreadPool* pool;
     sim::Gating gating;
   };
   const Case cases[] = {
-      {"serial/dense", nullptr, sim::Gating::kDense},
-      {"serial/sparse", nullptr, sim::Gating::kSparse},
-      {"pooled/dense", &pool, sim::Gating::kDense},
-      {"pooled/sparse", &pool, sim::Gating::kSparse},
+      {"dense", sim::Gating::kDense},
+      {"sparse", sim::Gating::kSparse},
   };
   const auto freq = make_costs(9, 42);
   const auto weights = make_costs(9, 43);
@@ -128,10 +123,9 @@ TEST(TriangularModular, BitIdenticalAcrossEngineModes) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     for (const auto* ref : {&ref_bst, &ref_poly, &ref_chain}) {
-      auto got = ref == &ref_bst    ? run_bst_modular(freq, c.pool, c.gating)
-                 : ref == &ref_poly ? run_polygon_modular(weights, c.pool,
-                                                          c.gating)
-                                    : run_chain_modular(dims, c.pool, c.gating);
+      auto got = ref == &ref_bst    ? run_bst_modular(freq, c.gating)
+                 : ref == &ref_poly ? run_polygon_modular(weights, c.gating)
+                                    : run_chain_modular(dims, c.gating);
       ASSERT_EQ(got.cost.rows(), ref->cost.rows());
       for (std::size_t i = 0; i < got.cost.rows(); ++i) {
         for (std::size_t j = i; j < got.cost.cols(); ++j) {
@@ -149,8 +143,8 @@ TEST(TriangularModular, BitIdenticalAcrossEngineModes) {
 // dense run evaluates every cell every cycle.
 TEST(TriangularModular, SparseGatingSkipsIdleCells) {
   const auto freq = make_costs(12, 77);
-  const auto dense = run_bst_modular(freq, nullptr, sim::Gating::kDense);
-  const auto sparse = run_bst_modular(freq, nullptr, sim::Gating::kSparse);
+  const auto dense = run_bst_modular(freq, sim::Gating::kDense);
+  const auto sparse = run_bst_modular(freq, sim::Gating::kSparse);
   EXPECT_EQ(dense.stats.active_evals, dense.stats.dense_evals);
   EXPECT_LT(sparse.stats.active_evals, sparse.stats.dense_evals);
   EXPECT_EQ(dense.total(), sparse.total());
