@@ -15,7 +15,7 @@
 // (src/compile): the design is lowered once, replayed with per-op oracle
 // checking, and the answer is printed only if the replay is bit-identical
 // to the modular run.  --batch=N additionally replays the tape N times
-// through the SIMD-batched executor (chunks of 8 lanes), verifies every
+// on a multi-lane compiled engine (chunks of 8 lanes), verifies every
 // lane against the oracle, and reports the replay throughput — the
 // multi-instance path the benchmarks use, driven from the CLI.
 // --opt=0|1|2 runs the tape optimizer pipeline at lowering time
@@ -37,12 +37,12 @@
 #include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "cli_args.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "compile/profile.hpp"
 #include "obs/replay.hpp"
 #include "sim/batch.hpp"
+#include "sim/stats.hpp"
 #include "core/solver.hpp"
 #include "core/table1.hpp"
 #include "graph/generators.hpp"
@@ -195,7 +195,7 @@ void profiled_replays(const compile::Lowered& low,
 }
 
 /// --batch=N: replay the tape across `n` oracle-bound lanes through the
-/// SIMD-batched executor, in chunks of 8 lanes (BatchRunner::run_chunks,
+/// compiled engine's lanes, in chunks of 8 (BatchRunner::run_chunks,
 /// serial here — the bench drives the pooled version).  Every lane is
 /// verified against the oracle's recorded outputs; any divergence throws.
 /// Returns a human-readable throughput summary for the report.
@@ -206,8 +206,8 @@ std::string batched_replay(const compile::Lowered& low, std::uint64_t n) {
   const auto verified = runner.run_chunks(
       static_cast<std::size_t>(n), kWidth,
       [&](std::size_t, std::size_t count) {
-        compile::BatchedCompiledEngine be(low.net,
-                                          static_cast<std::uint32_t>(count));
+        compile::CompiledEngine be(low.net,
+                                   static_cast<std::uint32_t>(count));
         be.run_all();
         for (std::uint32_t l = 0; l < be.lanes(); ++l) {
           if (be.verify_outputs(l).found) {

@@ -55,15 +55,6 @@ std::string op_site(std::uint64_t i, std::uint64_t level) {
 
 std::string slot_name(sim::SlotId s) { return "slot" + std::to_string(s); }
 
-const char* kind_name(OpKind k) {
-  switch (k) {
-    case OpKind::kMac: return "mac";
-    case OpKind::kFold: return "fold";
-    case OpKind::kRelax: return "relax";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Abstract value domain for the value-range check: per slot, which of the
 // three cost classes (finite, +inf sentinel, -inf sentinel) the replay can
@@ -578,24 +569,11 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           d = std::max(d, opst[def].depth);
         }
         if (ss.def_level == static_cast<std::int64_t>(t)) {
-          // Same-level chain: legal only because the oracle executed the
-          // defining op earlier in this very level (forward scan guarantees
-          // program order); the batch executor additionally needs both ends
-          // to be the same kind, or its kind-major partition reorders them.
+          // Same-level chain: legal because the oracle executed the defining
+          // op earlier in this very level (forward scan guarantees program
+          // order), and the engine replays every level in tape order.
           ++st.in_level_chains;
           min_level = std::max(min_level, t);
-          const Op& dop = net.ops[static_cast<std::size_t>(ss.def_op)];
-          if (dop.kind != op.kind) {
-            emit_sched(site(), slot_name(s),
-                       std::string("same-level read of a value produced by "
-                                   "a different-kind op (") +
-                           kind_name(dop.kind) + " feeding " +
-                           kind_name(op.kind) +
-                           ") — the batched executor's kind-major partition "
-                           "reorders across kinds and must fall back to "
-                           "serial order for this level",
-                       Severity::kWarning);
-          }
         } else {
           min_level =
               std::max(min_level, static_cast<std::uint64_t>(ss.def_level + 1));

@@ -19,16 +19,13 @@
 //                         never written anywhere is dangling.  kRelax
 //                         pair operands must have both halves defined by
 //                         the same definition.
-//   level-schedule      — the race-freedom proof for the batched SIMD
+//   level-schedule      — the race-freedom proof for level-by-level
 //                         replay: every operand's definition lies in a
 //                         strictly earlier dependency level, or earlier
-//                         in the same level within a same-kind in-place
-//                         chain (which the batch executor's stable
-//                         kind-major partition preserves).  Reading a def
-//                         from a later level/op is a schedule violation
-//                         (error); a cross-kind in-level chain demotes
-//                         the level to the batch executor's original-
-//                         order fallback (warning).  Also accounts
+//                         in the same level (an in-level chain, which
+//                         the engine's tape-order runs preserve on every
+//                         lane).  Reading a def from a later level/op is
+//                         a schedule violation (error).  Also accounts
 //                         dependence depth vs. levels: ops scheduled
 //                         later than their dependence-minimal level carry
 //                         *transport slack* — the physical array's data
@@ -68,9 +65,9 @@
 //   bind-plane          — parameter-plane consistency on parameterised
 //                         tapes: every op's parameter index in range, the
 //                         baked immediates equal to the oracle binding
-//                         (the batched engine's oracle-bound fast path
-//                         reads the immediates and must see the same
-//                         weights), and any rebinding table offered for
+//                         (the engine's oracle-bound path reads the
+//                         immediates and must see the same weights), and
+//                         any rebinding table offered for
 //                         verification shaped to the plane.  A
 //                         non-parameterised tape must carry no plane.
 //   provenance          — slot→port provenance consistency: the op→lane
@@ -109,8 +106,8 @@ struct TapeVerifyStats {
   std::uint64_t outputs = 0;
   bool compacted = false;
   bool parameterised = false;
-  /// Same-level same-kind RAW reads (in-place fold chains) — the reads the
-  /// batch executor's stable kind-major partition must preserve.
+  /// Same-level RAW reads (in-place fold chains) — the reads a replay must
+  /// keep in tape order.
   std::uint64_t in_level_chains = 0;
   /// Longest def-use chain through the tape, in ops.  The tape can never
   /// replay in fewer steps than this, whatever the schedule.

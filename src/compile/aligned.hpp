@@ -1,6 +1,6 @@
 // Cache-line-aligned storage for the compiled backend's hot arrays.
 //
-// The batched executor streams over the slot file and the op tape with
+// The engine's lane kernels stream over the slot file and the op tape with
 // lane-contiguous vector loads; starting every array on a 64-byte boundary
 // keeps those loads from straddling lines and makes the SoA stride maths
 // (`slot * lanes + lane`) line up with the hardware the way the layout

@@ -1,7 +1,7 @@
-// Branchless lane arithmetic for the SIMD-batched executor.
+// Branchless lane arithmetic for CompiledEngine's lane kernels.
 //
-// BatchedCompiledEngine replays one op tape over B lanes with the slot
-// file laid out lane-major; its hot loops are built from these
+// At B > 1 lanes CompiledEngine replays one op tape with the slot file
+// laid out lane-major; its lane loops are built from these
 // primitives: a mask-select (`sel`) the vectoriser cannot jump-thread, a
 // branchless saturating add bit-identical to sysdp::sat_add, and the
 // weight-class lift that moves lane-invariant sentinel compares out of the

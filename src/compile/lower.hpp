@@ -50,8 +50,8 @@ struct LowerOptions {
   bool check_busy_steps = true;
   /// Rename slots by live-range reuse after lowering (compile/compact.hpp):
   /// the recorder's SSA slot file scales with the op count, compaction
-  /// shrinks it to the peak live count so replays — above all the B-lane
-  /// batched replay, whose slot traffic is multiplied by the lane count —
+  /// shrinks it to the peak live count so replays — above all a B-lane
+  /// replay, whose slot traffic is multiplied by the lane count —
   /// stay cache-resident.  Off only for tape-structure forensics.
   bool compact = true;
   /// Emit the parameter plane: weight-parameter indices on every op plus

@@ -14,8 +14,8 @@
 //      edge crossing the pair boundary is absent (conservative) or
 //      same-kind (aggressive): the verifier admits same-level reads of a
 //      value produced earlier in the level by a same-kind op (an in-level
-//      chain), and the batched executor's kind-major partition is stable
-//      within one kind, so chain order survives every executor.  Fused
+//      chain), and the engine replays a level in tape order, so chain
+//      order survives at every lane count.  Fused
 //      groups are capped at `max_fused_ops`: compaction's slot reuse is
 //      level-granular, so one unbounded fused level would hold the whole
 //      SSA slot file live and evict the replay's working set — the cap
@@ -26,11 +26,11 @@
 //      reads the identical value).
 //   3. kind-major + locality reordering — inside each (possibly fused)
 //      level, ops regroup kind-major and each single-kind run sorts by
-//      destination slot, so the executors' branch-free kernels stream
-//      long homogeneous, slot-ascending spans.  Levels with in-level
-//      chains keep chain order: a stable partition is applied only when
-//      every in-level edge joins same-kind ops, and a run never sorts
-//      when one of its own ops is a chain endpoint.
+//      destination slot, so the engine cuts the level into at most three
+//      runs and its kernels stream long slot-ascending spans.  Levels
+//      with in-level chains keep chain order: a stable partition is
+//      applied only when every in-level edge joins same-kind ops, and a
+//      run never sorts when one of its own ops is a chain endpoint.
 //
 // Every pass preserves all nine analysis::TapeVerifier checks and
 // bit-identical replay values: op order only changes where SSA proves the

@@ -189,11 +189,11 @@ struct CompiledNetlist {
   std::uint32_t num_slots = 0;
   std::vector<SlotInit> init;
   /// Cycle-major, oracle program order inside a cycle.  Cache-line aligned:
-  /// the batch executor streams the tape with wide loads.
+  /// the lane kernels stream the tape with wide loads.
   AlignedVec<Op> ops;
   /// CSR dependency levels: cycle t executes ops [cycle_off[t],
   /// cycle_off[t+1]).  Size = cycles + 1; most levels are empty in gated
-  /// phases and the executor skips them at one comparison each.
+  /// phases, and the executor skips them at no per-level cost.
   std::vector<std::uint32_t> cycle_off;
   /// Per-op oracle value (parallel to `ops`): the value the modular engine
   /// computed for this op's destination.  Kept for checked replay; the

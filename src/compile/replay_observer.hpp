@@ -1,11 +1,11 @@
-// Level-granular replay hooks for the compiled executors.
+// Level-granular replay hooks for the compiled executor.
 //
 // The compiled backend's analogue of sim::EngineObserver: an observer
-// attached to a CompiledEngine / BatchedCompiledEngine hears the replay at
+// attached to a CompiledEngine, at any lane count, hears the replay at
 // dependency-level granularity — one on_level per level, carrying the op
 // span the level executed and the live slot image.  The contract is
-// pay-for-use: a detached engine pays exactly one `observers_.empty()`
-// branch per executed level (the Release bench gate holds the detached
+// pay-for-use: a detached engine pays one `observers_.empty()` branch
+// per step() or run() call (the Release bench gate holds the detached
 // path to the telemetry layer's 2% tolerance), while an attached engine
 // additionally visits *empty* levels, because provenance bind events
 // (elided register copies) land on levels that execute no ops.
@@ -23,12 +23,11 @@
 namespace sysdp::compile {
 
 /// Activity accounting of one replay — the compiled counterpart of the
-/// interpreted RunResult fields bench_all reports.  For the batched
-/// engine every count is in op-lane executions (ops × lanes), consistent
-/// with its ops_executed accounting.
+/// interpreted RunResult fields bench_all reports.  Every count is in
+/// op-lane executions (ops × lanes), consistent with ops_executed.
 struct ReplayResult {
   sim::Cycle cycles = 0;          ///< levels stepped (now())
-  std::uint32_t lanes = 1;        ///< batch width (1 for CompiledEngine)
+  std::uint32_t lanes = 1;        ///< batch width B
   std::uint64_t ops_executed = 0;
   std::uint64_t levels_executed = 0;  ///< non-empty levels actually run
   std::uint64_t levels_skipped = 0;   ///< empty levels bypassed by run()
@@ -56,8 +55,8 @@ class ReplayObserver {
   virtual ~ReplayObserver() = default;
 
   /// A replay starts: the engine sits at cycle 0 with the initial slot
-  /// image loaded.  `slots` is the lane-major slot file (lanes == 1 for
-  /// the scalar engine), borrowed for the duration of the call.
+  /// image loaded.  `slots` is the lane-major slot file, borrowed for the
+  /// duration of the call.
   virtual void on_replay_begin(const CompiledNetlist& net, const Cost* slots,
                                std::uint32_t lanes) {
     (void)net;

@@ -1,4 +1,4 @@
-// Per-lane weight bindings of the SIMD-batched executors, lane-planar.
+// Per-lane weight bindings of CompiledEngine, lane-planar.
 //
 // On a parameterised tape each lane binds its own table of P =
 // params.size() weights, stored contiguously at [l*P, (l+1)*P): bind(lane)
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "compile/aligned.hpp"
-#include "compile/engine.hpp"  // Divergence
 #include "compile/program.hpp"
 
 namespace sysdp::compile {
@@ -24,10 +23,9 @@ namespace sysdp::compile {
 class WeightPlanes {
  public:
   /// Borrows `net`.  Every lane starts oracle-bound, its plane a copy of
-  /// `net.params`.  `owner` prefixes error messages.
-  WeightPlanes(const CompiledNetlist& net, std::uint32_t lanes,
-               const char* owner)
-      : net_(&net), owner_(owner), oracle_bound_(lanes, 1) {
+  /// `net.params`.
+  WeightPlanes(const CompiledNetlist& net, std::uint32_t lanes)
+      : net_(&net), oracle_bound_(lanes, 1) {
     planes_.reserve(net.params.size() * lanes);
     for (std::uint32_t l = 0; l < lanes; ++l) {
       planes_.insert(planes_.end(), net.params.begin(), net.params.end());
@@ -65,27 +63,6 @@ class WeightPlanes {
     return oracle_bound_[lane] != 0;
   }
 
-  /// Compare lane `lane`'s declared outputs in the lane-major slot file
-  /// `slots` with the oracle's observed values.  Throws std::logic_error
-  /// if the lane is not oracle-bound — the recorded expectations describe
-  /// the oracle binding only.
-  [[nodiscard]] Divergence verify_outputs(const Cost* slots,
-                                          std::uint32_t lane) const {
-    if (!oracle_bound(lane)) {
-      throw std::logic_error(
-          std::string(owner_) + "::verify_outputs: lane " +
-          std::to_string(lane) + " is not oracle-bound; recorded " +
-          "expectations describe the oracle's weight binding only");
-    }
-    for (std::uint64_t i = 0; i < net_->outputs.size(); ++i) {
-      const Output& out = net_->outputs[i];
-      const Cost got =
-          slots[std::size_t{out.slot} * oracle_bound_.size() + lane];
-      if (got != out.expected) return {true, i, got, out.expected, {}, {}};
-    }
-    return {};
-  }
-
   /// The planes (lane l, parameter p at `[l*stride() + p]`) while some lane
   /// is rebound; nullptr while every plane equals the baked immediates, so
   /// replay can take the immediate path and never stream them.
@@ -98,7 +75,7 @@ class WeightPlanes {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument(std::string(owner_) + "::" + what);
+    throw std::invalid_argument("CompiledEngine::" + what);
   }
   void check_lane(std::uint32_t lane, const char* what) const {
     if (lane >= oracle_bound_.size()) {
@@ -113,7 +90,6 @@ class WeightPlanes {
   }
 
   const CompiledNetlist* net_;
-  const char* owner_;
   AlignedVec<Cost> planes_;
   std::vector<std::uint8_t> oracle_bound_;
   std::uint32_t rebound_lanes_ = 0;  ///< lanes not oracle-bound

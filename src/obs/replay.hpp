@@ -1,5 +1,5 @@
 // Compiled-replay telemetry adapters: waveforms, timelines and profiles
-// for CompiledEngine / BatchedCompiledEngine runs.
+// for CompiledEngine runs at any lane count.
 //
 // The interpreted engine's sinks (obs/vcd.hpp, obs/timeline.hpp) observe a
 // sim::Engine; the compiled backend has no modules or ports left to walk —
@@ -42,7 +42,7 @@ namespace sysdp::obs {
 /// VCD writer for compiled replays, driven by provenance bind events.
 /// Only *named* lanes (matched to declared ports at lowering)
 /// are rendered, so every emitted signal also exists in the interpreted
-/// run's VCD; for batched engines, `lane` picks which batch lane's values
+/// run's VCD; for multi-lane engines, `lane` picks which lane's values
 /// to dump.  A second on_replay_begin restarts the document.
 class ReplayVcdSink final : public compile::ReplayObserver {
  public:

@@ -17,7 +17,6 @@
 #include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "compile/program.hpp"
@@ -80,8 +79,7 @@ TEST(CompiledBackend, ReplayIsRepeatableAfterReset) {
 }
 
 TEST(CompiledBackend, StepIsCycleExact) {
-  // Stepping one level at a time traverses the same tape as run_all, and
-  // run_until's contract mirrors sim::Engine::run_until.
+  // Stepping one level at a time traverses the same tape as run_all.
   const auto [mats, v] = string_instance(2, 5, 99);
   Design1Modular arr(mats, v);
   const auto low = compile::lower_array(arr);
@@ -95,13 +93,30 @@ TEST(CompiledBackend, StepIsCycleExact) {
   }
   EXPECT_EQ(ops_seen, low.net.num_ops());
   EXPECT_FALSE(ce.verify_outputs().found);
+}
 
-  compile::CompiledEngine until_engine(low.net);
-  const auto until = until_engine.run_until(
-      [](const compile::CompiledEngine& e) { return e.now() >= e.cycles(); },
-      10000);
-  EXPECT_TRUE(until.satisfied);
-  EXPECT_EQ(until.cycles, ce.cycles());
+TEST(CompiledBackend, DivergentStepKeepsKindSplitEqualToOps) {
+  // A divergence in the middle of a level leaves that level out of every
+  // count, so the per-kind split still sums to ops_executed.
+  const auto [mats, v] = string_instance(3, 6, 41);
+  Design1Modular arr(mats, v);
+  auto low = compile::lower_array(arr);
+  const auto& off = low.net.cycle_off;
+  std::size_t t = 0;
+  for (std::size_t u = 1; u + 1 < off.size(); ++u) {
+    if (off[u + 1] - off[u] > off[t + 1] - off[t]) t = u;
+  }
+  ASSERT_GE(off[t + 1] - off[t], 3u);
+  const std::uint32_t mid = off[t] + (off[t + 1] - off[t]) / 2;
+  low.net.expected[mid] += 1;
+
+  compile::CompiledEngine ce(low.net);
+  const auto div = ce.run_all_checked();
+  ASSERT_TRUE(div.found);
+  EXPECT_EQ(div.index, mid);
+  const compile::ReplayResult res = ce.result();
+  EXPECT_EQ(res.mac_ops + res.fold_ops + res.relax_ops, res.ops_executed);
+  EXPECT_EQ(res.ops_executed, off[t]);
 }
 
 TEST(CompiledBackend, Design2TapeReplaysBitIdentically) {
@@ -263,7 +278,7 @@ TEST(CompiledBackend, MaxPlusTapeExecutes) {
 }
 
 TEST(CompiledBackend, TapeAndSlotFileAreCacheLineAligned) {
-  // The batch executor streams both with wide loads; the allocator must
+  // The lane kernels stream both with wide loads; the allocator must
   // start them on a cache-line boundary.
   const auto [mats, v] = string_instance(3, 6, 77);
   Design1Modular arr(mats, v);
@@ -333,7 +348,7 @@ TEST(CompiledParamPlane, LoweringEmitsOneParameterPerOp) {
   EXPECT_FALSE(plain.net.parameterised);
   EXPECT_EQ(plain.net.num_params(), 0u);
   compile::CompiledEngine ce(plain.net);
-  EXPECT_THROW(ce.bind({1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW(ce.bind(0, {1, 2, 3}), std::invalid_argument);
 }
 
 TEST(CompiledParamPlane, BindValidatesAndTracksOracleBinding) {
@@ -343,28 +358,28 @@ TEST(CompiledParamPlane, BindValidatesAndTracksOracleBinding) {
   opt.parameterise = true;
   const auto low = compile::lower_array(arr, opt);
   compile::CompiledEngine ce(low.net);
-  EXPECT_TRUE(ce.oracle_bound());
-  EXPECT_THROW(ce.bind({}), std::invalid_argument);  // wrong length
+  EXPECT_TRUE(ce.oracle_bound(0));
+  EXPECT_THROW(ce.bind(0, {}), std::invalid_argument);  // wrong length
 
   // Binding the oracle's own table is recognised as the oracle binding.
-  ce.bind(low.net.params);
-  EXPECT_TRUE(ce.oracle_bound());
+  ce.bind(0, low.net.params);
+  EXPECT_TRUE(ce.oracle_bound(0));
   EXPECT_FALSE(ce.run_all_checked().found);
   EXPECT_FALSE(ce.verify_outputs().found);
 
   // A different table: replay works, checked paths refuse.
   auto other = low.net.params;
   other[0] += 1;
-  ce.bind(other);
-  EXPECT_FALSE(ce.oracle_bound());
+  ce.bind(0, other);
+  EXPECT_FALSE(ce.oracle_bound(0));
   ce.reset();
   ce.run_all();
   EXPECT_THROW((void)ce.verify_outputs(), std::logic_error);
   ce.reset();
   EXPECT_THROW((void)ce.run_all_checked(), std::logic_error);
 
-  ce.bind_oracle();
-  EXPECT_TRUE(ce.oracle_bound());
+  ce.bind_oracle(0);
+  EXPECT_TRUE(ce.oracle_bound(0));
   ce.reset();
   EXPECT_FALSE(ce.run_all_checked().found);
   EXPECT_FALSE(ce.verify_outputs().found);
@@ -386,17 +401,17 @@ TEST(CompiledParamPlane, HandBuiltTapeRebindsCorrectly) {
   ce.run_all();
   EXPECT_EQ(ce.value(2), 9);  // min(10, 5 + 4)
 
-  ce.bind({100});
+  ce.bind(0, {100});
   ce.reset();
   ce.run_all();
   EXPECT_EQ(ce.value(2), 10);  // min(10, 100 + 4)
 
-  ce.bind({kInfCost});
+  ce.bind(0, {kInfCost});
   ce.reset();
   ce.run_all();
   EXPECT_EQ(ce.value(2), 10);  // inf is absorbing under rebinding too
 
-  ce.bind_oracle();
+  ce.bind_oracle(0);
   ce.reset();
   ce.run_all();
   EXPECT_EQ(ce.value(2), 9);
@@ -409,28 +424,33 @@ TEST(CompiledBatch, SingleLaneMatchesScalarEngine) {
   opt.parameterise = true;
   const auto low = compile::lower_array(arr, opt);
 
+  // One lane runs the scalar kernel, two lanes the lane kernels: both
+  // lanes must match the one-lane replay slot for slot.
   compile::CompiledEngine ce(low.net);
   ce.run_all();
-  compile::BatchedCompiledEngine be(low.net, 1);
-  EXPECT_EQ(be.lanes(), 1u);
+  compile::CompiledEngine be(low.net, 2);
+  EXPECT_EQ(be.lanes(), 2u);
   EXPECT_EQ(be.fallback_levels(), 0u);
-  EXPECT_GT(be.kind_runs(), 0u);
   be.run_all();
-  EXPECT_EQ(be.ops_executed(), low.net.num_ops());
+  EXPECT_EQ(be.ops_executed(), 2 * low.net.num_ops());
   EXPECT_EQ(be.levels_skipped(), ce.levels_skipped());
-  for (sim::SlotId s = 0; s < low.net.num_slots; ++s) {
-    ASSERT_EQ(be.value(s, 0), ce.value(s)) << "slot " << s;
-  }
-  EXPECT_FALSE(be.verify_outputs(0).found);
-  for (const auto& out : low.net.outputs) {
-    EXPECT_EQ(be.output(out.tag, out.index, 0), out.expected);
+  for (std::uint32_t lane = 0; lane < 2; ++lane) {
+    SCOPED_TRACE("lane " + std::to_string(lane));
+    for (sim::SlotId s = 0; s < low.net.num_slots; ++s) {
+      ASSERT_EQ(be.value(s, lane), ce.value(s)) << "slot " << s;
+    }
+    EXPECT_FALSE(be.verify_outputs(lane).found);
+    for (const auto& out : low.net.outputs) {
+      EXPECT_EQ(be.output(out.tag, out.index, lane), out.expected);
+    }
   }
 
-  // Replays are repeatable, like the scalar engine's.
+  // Replays are repeatable, like the one-lane engine's.
   be.reset();
   EXPECT_EQ(be.now(), 0u);
   be.run_all();
   EXPECT_FALSE(be.verify_outputs(0).found);
+  EXPECT_FALSE(be.verify_outputs(1).found);
 }
 
 TEST(CompiledBatch, PerLaneBindOnHandBuiltTape) {
@@ -444,7 +464,7 @@ TEST(CompiledBatch, PerLaneBindOnHandBuiltTape) {
   net.parameterised = true;
   net.params = {5};
 
-  compile::BatchedCompiledEngine be(net, 3);
+  compile::CompiledEngine be(net, 3);
   be.bind(1, {1});
   be.bind(2, {100});
   EXPECT_TRUE(be.oracle_bound(0));
@@ -474,8 +494,8 @@ TEST(CompiledBatch, ConstructorAndBindValidate) {
   net.cycle_off = {0, 1};
   net.expected = {9};
 
-  EXPECT_THROW(compile::BatchedCompiledEngine(net, 0), std::invalid_argument);
-  compile::BatchedCompiledEngine be(net, 2);
+  EXPECT_THROW(compile::CompiledEngine(net, 0), std::invalid_argument);
+  compile::CompiledEngine be(net, 2);
   // Not parameterised: bind refuses, oracle binding replays fine.
   EXPECT_THROW(be.bind(0, {7}), std::invalid_argument);
   be.run_all();
@@ -484,10 +504,63 @@ TEST(CompiledBatch, ConstructorAndBindValidate) {
 
   net.parameterised = true;
   net.params = {5};
-  compile::BatchedCompiledEngine pe(net, 2);
+  compile::CompiledEngine pe(net, 2);
   EXPECT_THROW(pe.bind(2, {7}), std::invalid_argument);         // bad lane
   EXPECT_THROW(pe.bind(0, {7, 8}), std::invalid_argument);      // bad length
   EXPECT_THROW(pe.bind_oracle(5), std::invalid_argument);       // bad lane
+}
+
+/// One level holding three kinds, each op reading the previous one's
+/// result ((MIN,+); slot 5's initial value is 0):
+///   op0 fold   s5 = min(s0, s1 + s2 + 1)            = min(10, 8) = 8
+///   op1 mac    s6 = min(s0, 1 + s5)                  = min(10, 9) = 9
+///   op2 relax  (s7, s8) = s6 + 2 < s3 ? (s6 + 2, 5) : (s3, s4)   = (11, 5)
+/// A kind-major order (mac, fold, relax) would give s6 = 1 and s7 = 3.
+compile::CompiledNetlist mixed_level_tape() {
+  compile::CompiledNetlist net;
+  net.num_slots = 9;
+  net.init = {{0, 10}, {1, 4}, {2, 3}, {3, 12}, {4, 99}};
+  net.ops = {{5, 0, 1, 2, 1, compile::OpKind::kFold, 0},
+             {6, 0, 5, 0, 1, compile::OpKind::kMac, 0},
+             {7, 3, 6, 5, 2, compile::OpKind::kRelax, 0}};
+  net.cycle_off = {0, 3};
+  net.expected = {8, 9, 11};
+  net.outputs = {{"best", 0, 7, 11}, {"arg", 0, 8, 5}};
+  return net;
+}
+
+TEST(CompiledBatch, MixedKindLevelRunsInTapeOrder) {
+  const auto net = mixed_level_tape();
+  for (const std::uint32_t lanes : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    compile::CompiledEngine ce(net, lanes);
+    EXPECT_EQ(ce.fallback_levels(), 1u);
+    ce.run_all();
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      EXPECT_EQ(ce.value(5, lane), 8);
+      EXPECT_EQ(ce.value(6, lane), 9);
+      EXPECT_EQ(ce.value(7, lane), 11);
+      EXPECT_EQ(ce.value(8, lane), 5);
+      EXPECT_FALSE(ce.verify_outputs(lane).found);
+    }
+    // Checked replay is a one-lane contract.
+    ce.reset();
+    if (lanes == 1) {
+      EXPECT_FALSE(ce.run_all_checked().found);
+    } else {
+      EXPECT_THROW((void)ce.run_all_checked(), std::logic_error);
+    }
+  }
+
+  // A wrong recorded value on the mac is reported at the mac's index.
+  auto seeded = net;
+  seeded.expected[1] = 1234;
+  compile::CompiledEngine ce(seeded);
+  const auto div = ce.run_all_checked();
+  EXPECT_TRUE(div.found);
+  EXPECT_EQ(div.index, 1u);
+  EXPECT_EQ(div.got, 9);
+  EXPECT_EQ(div.expected, 1234);
 }
 
 }  // namespace

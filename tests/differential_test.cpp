@@ -23,7 +23,6 @@
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "baseline/matrix_chain.hpp"
@@ -512,14 +511,14 @@ void expect_same_shape(const compile::CompiledNetlist& a,
 }
 
 /// Run a B-lane replay of `net` with `tables[l]` bound on lane l (an empty
-/// table means the oracle binding) on the batched engine, and require
-/// every lane to be bit-identical, slot for slot, to an independent scalar
-/// CompiledEngine replay of the same binding.
+/// table means the oracle binding), and require every lane to be
+/// bit-identical, slot for slot, to an independent one-lane replay of the
+/// same binding — the scalar kernel, where B >= 2 runs the lane kernels.
 void expect_lanes_bit_identical(
     const compile::CompiledNetlist& net,
     const std::vector<std::vector<Cost>>& tables) {
   const auto lanes = static_cast<std::uint32_t>(tables.size());
-  compile::BatchedCompiledEngine be(net, lanes);
+  compile::CompiledEngine be(net, lanes);
   for (std::uint32_t l = 0; l < lanes; ++l) {
     if (!tables[l].empty()) be.bind(l, tables[l]);
   }
@@ -528,7 +527,7 @@ void expect_lanes_bit_identical(
   for (std::uint32_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
     compile::CompiledEngine ce(net);
-    if (!tables[l].empty()) ce.bind(tables[l]);
+    if (!tables[l].empty()) ce.bind(0, tables[l]);
     ce.run_all();
     for (sim::SlotId s = 0; s < net.num_slots; ++s) {
       ASSERT_EQ(be.value(s, l), ce.value(s)) << "batched, slot " << s;
@@ -613,7 +612,7 @@ TEST(CompiledBatchDifferential, Design2LaneExactAcrossWidths) {
 
 TEST(CompiledBatchDifferential, Design3LaneExactAcrossWidths) {
   // Design 3's instance data enters the tape as interned constants (the
-  // node values), so its lanes replay the oracle binding — the batched
+  // node values), so its lanes replay the oracle binding — the lane
   // kRelax kernel is still exercised against the scalar one lane by lane.
   Rng rng(431);
   const auto nv = traffic_control_instance(8, 8, rng);
@@ -696,7 +695,7 @@ TEST(CompiledBatchDifferential, TriangularLaneExactAcrossWidths) {
 
 TEST(CompiledBatchDifferential, BstLaneExactAcrossWidths) {
   // Oracle binding on every lane (see above): this still drives the
-  // batched kFold kernel against the scalar engine lane for lane.
+  // lane kFold kernel against the scalar one lane for lane.
   Rng rng(461);
   std::vector<Cost> freq(8);
   std::uniform_int_distribution<Cost> dist(1, 20);
@@ -732,7 +731,7 @@ TEST(CompiledBatchDifferential, RebindBetweenReplays) {
         low.net, [&] { return GktModularArray(vdims); }));
   }
   const std::vector<Cost>& oracle = low.net.params;
-  compile::BatchedCompiledEngine be(low.net, 4);
+  compile::CompiledEngine be(low.net, 4);
 
   // Replay, then check every lane against a scalar replay of `bound[l]`.
   const auto replay_and_check =
@@ -742,7 +741,7 @@ TEST(CompiledBatchDifferential, RebindBetweenReplays) {
         for (std::uint32_t l = 0; l < bound.size(); ++l) {
           SCOPED_TRACE("lane " + std::to_string(l));
           compile::CompiledEngine ce(low.net);
-          ce.bind(bound[l]);
+          ce.bind(0, bound[l]);
           ce.run_all();
           for (sim::SlotId s = 0; s < low.net.num_slots; ++s) {
             ASSERT_EQ(be.value(s, l), ce.value(s)) << "slot " << s;
@@ -871,13 +870,13 @@ TEST_P(CompiledRebindFuzz, ReboundTapeMatchesFreshLowering) {
 
   // The rebound base tape must reproduce it slot for slot.
   compile::CompiledEngine rebound(base.net);
-  rebound.bind(vparams);
+  rebound.bind(0, vparams);
   rebound.run_all();
   for (sim::SlotId s = 0; s < base.net.num_slots; ++s) {
     ASSERT_EQ(rebound.value(s), fresh.value(s)) << "slot " << s;
   }
 
-  // And the batched engine agrees with both, lanes interleaving the
+  // And a five-lane engine agrees with both, lanes interleaving the
   // oracle binding and the rebind.
   expect_lanes_bit_identical(base.net, {{}, vparams, {}, vparams, vparams});
 }

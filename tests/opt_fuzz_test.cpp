@@ -1,8 +1,8 @@
 // Optimizer fuzzing: random construction-correct SSA tapes go through each
 // optimizer pass alone and the full pipeline at both levels, and every
 // variant must (a) still pass all nine static verifier checks, (b) replay
-// bit-identically to the unoptimized tape — on the serial engine and the
-// SIMD-batched engine at B ∈ {1, 2, 8} — and (c) never grow the tape (op
+// bit-identically to the unoptimized tape — on a one-lane engine and on
+// engines of B ∈ {1, 2, 8} lanes — and (c) never grow the tape (op
 // and level counts are monotone non-increasing).  The generator deliberately leaves dead
 // scalars behind, so dead-op elimination always has real work, and every
 // level's first op reads the previous level, so fusion always faces real
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/tape_verify.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/compact.hpp"
 #include "compile/engine.hpp"
 #include "compile/optimize.hpp"
@@ -123,7 +122,7 @@ std::vector<sim::SlotId> defined_slots(const CompiledNetlist& net) {
 std::vector<Cost> slot_image(const CompiledNetlist& net,
                              const std::vector<Cost>* weights) {
   compile::CompiledEngine eng(net);
-  if (weights != nullptr) eng.bind(*weights);
+  if (weights != nullptr) eng.bind(0, *weights);
   eng.run_all();
   std::vector<Cost> img(net.num_slots);
   for (sim::SlotId s = 0; s < net.num_slots; ++s) img[s] = eng.value(s);
@@ -251,7 +250,7 @@ TEST(OptFuzz, OptimizedTapesReplayIdenticallyBatched) {
 
       for (const std::uint32_t lanes : {1u, 2u, 8u}) {
         SCOPED_TRACE("B=" + std::to_string(lanes));
-        compile::BatchedCompiledEngine be(m, lanes);
+        compile::CompiledEngine be(m, lanes);
         be.run_all();
         for (std::uint32_t lane = 0; lane < lanes; ++lane) {
           for (const sim::SlotId s : slots) {

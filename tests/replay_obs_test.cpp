@@ -28,7 +28,6 @@
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "analysis/tape_verify.hpp"
-#include "compile/batch_engine.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
 #include "compile/profile.hpp"
@@ -192,7 +191,7 @@ TEST(ReplayVcd, DocumentIsByteIdenticalAcrossBatchWidths) {
 
   for (const std::uint32_t lanes : {1u, 2u, 8u}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    compile::BatchedCompiledEngine batched(low.net, lanes);
+    compile::CompiledEngine batched(low.net, lanes);
     obs::ReplayVcdSink vcd;  // lane 0
     batched.add_observer(&vcd);
     batched.run_all();
@@ -306,7 +305,7 @@ TEST(ReplayProfiler, AccumulatesAcrossResetsAndBatchWidths) {
   ce.reset();
   ce.run_all();
 
-  compile::BatchedCompiledEngine batched(low.net, 4);
+  compile::CompiledEngine batched(low.net, 4);
   batched.add_observer(&prof);
   batched.run_all();
   prof.finish();
@@ -314,7 +313,7 @@ TEST(ReplayProfiler, AccumulatesAcrossResetsAndBatchWidths) {
   ASSERT_EQ(prof.replays().size(), 3u);
   EXPECT_EQ(prof.replays()[0].ops, low.net.num_ops());
   EXPECT_EQ(prof.replays()[1].ops, low.net.num_ops());
-  // The batched engine counts op-lane executions.
+  // A multi-lane engine counts op-lane executions.
   EXPECT_EQ(prof.replays()[2].ops, low.net.num_ops() * 4u);
   EXPECT_EQ(prof.replays()[2].lanes, 4u);
   EXPECT_EQ(prof.total_ops(), low.net.num_ops() * 6u);
@@ -337,7 +336,7 @@ TEST(ProfileJson, TimingFreeDocumentIsDeterministicAcrossConfigurations) {
       ce.add_observer(&prof);
       ce.run_all();
     } else {
-      compile::BatchedCompiledEngine ce(net, lanes);
+      compile::CompiledEngine ce(net, lanes);
       ce.add_observer(&prof);
       ce.run_all();
     }

@@ -109,14 +109,15 @@ TEST(TapeVerify, DefBeforeUseFixtureDanglingSlot) {
 TEST(TapeVerify, LevelScheduleFixtureCrossKindInLevelChain) {
   auto net = small_tape();
   // Pull op 1 into level 0 and make it a fold: it now consumes the mac's
-  // same-level result across kinds, which the batched executor's
-  // kind-major partition would reorder.
+  // same-level result across kinds.  Every level replays in tape order, so
+  // the chain is legal and merely counted.
   net.ops[1] = {3, 0, 2, 1, 3, OpKind::kFold, 1};
   net.cycle_off = {0, 2, 2};
   net.expected = {9, 10};
   net.outputs[0].expected = 10;
   const auto rep = analysis::verify_tape(net, "fixture");
-  expect_exactly(rep, TapeVerifier::kLevelSchedule, Severity::kWarning);
+  EXPECT_EQ(rep.errors(), 0u) << rep.to_text();
+  EXPECT_EQ(rep.warnings(), 0u) << rep.to_text();
   EXPECT_EQ(rep.stats.in_level_chains, 1u);
 }
 
