@@ -560,17 +560,19 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
   // Rebind loop: 16 batches x 8 lanes = 128 instances of the family shape
   // with fresh random weight tables, all through the ONE lowering above —
   // the tape is never re-lowered, only rebound.  Each batch's tables are
-  // drawn before its timed region, which covers bind + reset + run_all
-  // only: drawing 55k-147k weights per lane would otherwise dominate it.
+  // refilled in place before its timed region, which covers bind + reset +
+  // run_all only: drawing 55k-147k weights per lane would otherwise
+  // dominate it.  After the timer, every lane's declared outputs must
+  // equal a one-lane replay of the same table.
   {
     constexpr std::uint32_t kLanes = 8;
     constexpr std::uint32_t kBatches = 16;
     compile::CompiledEngine be(low.net, kLanes);
+    compile::CompiledEngine one(low.net);
     Rng rng(0xb1d5 + s.num_ops);
     std::uniform_int_distribution<Cost> wdist(1, 40);
     std::vector<std::vector<Cost>> tables(
         kLanes, std::vector<Cost>(low.net.num_params()));
-    Cost sink = 0;
     for (std::uint32_t batch = 0; batch < kBatches; ++batch) {
       for (auto& table : tables) {
         for (auto& x : table) x = wdist(rng);
@@ -583,11 +585,21 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
       be.run_all();
       s.rebind_seconds += wt.seconds();
       for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-        sink ^= be.value(low.net.num_slots - 1, lane);
+        one.bind(0, tables[lane]);
+        one.reset();
+        one.run_all();
+        for (const auto& out : low.net.outputs) {
+          if (be.value(out.slot, lane) != one.value(out.slot)) {
+            std::fprintf(stderr,
+                         "bench_all: rebound replay diverges on %s batch %u "
+                         "lane %u\n",
+                         name, batch, lane);
+            std::exit(1);
+          }
+        }
       }
     }
     s.rebound_instances = std::uint64_t{kBatches} * kLanes;
-    benchmark::DoNotOptimize(sink);
   }
   return s;
 }

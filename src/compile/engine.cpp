@@ -18,7 +18,7 @@ using lanes::lane_sat_add_w;
 using lanes::with_w_class;
 
 CompiledEngine::CompiledEngine(const CompiledNetlist& net, std::uint32_t lanes)
-    : net_(&net), lanes_(lanes), weights_(net, lanes) {
+    : net_(&net), lanes_(lanes), weights_(lanes, net.params.data()) {
   if (lanes == 0) throw std::invalid_argument("CompiledEngine: zero lanes");
   slots_.resize(std::size_t{net.num_slots} * lanes, 0);
   // Cut each level into maximal same-kind runs, keeping tape order: an
@@ -76,6 +76,52 @@ void CompiledEngine::add_observer(ReplayObserver* obs) {
   obs->on_replay_begin(*net_, slots_.data(), lanes_);
 }
 
+namespace {
+
+void check_lane(std::uint32_t lane, std::uint32_t lanes, const char* what) {
+  if (lane >= lanes) {
+    throw std::invalid_argument("CompiledEngine::" + std::string(what) +
+                                ": lane " + std::to_string(lane) +
+                                " out of range");
+  }
+}
+
+}  // namespace
+
+void CompiledEngine::bind(std::uint32_t lane,
+                          const std::vector<Cost>& weights) {
+  const std::vector<Cost>& oracle = net_->params;
+  if (!net_->parameterised) {
+    throw std::invalid_argument(
+        "CompiledEngine::bind: tape was lowered without a parameter plane "
+        "(LowerOptions::parameterise)");
+  }
+  check_lane(lane, lanes_, "bind");
+  if (weights.size() != oracle.size()) {
+    throw std::invalid_argument(
+        "CompiledEngine::bind: weight table has " +
+        std::to_string(weights.size()) + " entries, tape has " +
+        std::to_string(oracle.size()) + " parameters");
+  }
+  // The tape's own table by address, an equal copy by a memcmp underneath
+  // that stops at the first difference: either way the lane reads the
+  // oracle's table and stays oracle-bound.
+  const bool is_oracle = &weights == &oracle || weights == oracle;
+  set_weights(lane, is_oracle ? oracle.data() : weights.data());
+}
+
+void CompiledEngine::bind_oracle(std::uint32_t lane) {
+  check_lane(lane, lanes_, "bind_oracle");
+  set_weights(lane, net_->params.data());
+}
+
+void CompiledEngine::set_weights(std::uint32_t lane, const Cost* w) {
+  const Cost* const oracle = net_->params.data();
+  if (weights_[lane] != oracle) --rebound_lanes_;
+  if (w != oracle) ++rebound_lanes_;
+  weights_[lane] = w;
+}
+
 void CompiledEngine::notify_level(sim::Cycle t) {
   const std::uint32_t lo = net_->cycle_off[t];
   const std::uint32_t hi = net_->cycle_off[t + 1];
@@ -98,8 +144,7 @@ constexpr std::uint32_t kClean = ~std::uint32_t{0};
 /// functions (function multiversioning cannot apply to member templates).
 struct RunCtx {
   Cost* slots;
-  const Cost* wtab;  ///< lane-planar: lane l, param p at wtab[l*wstride + p]
-  std::size_t wstride;
+  const Cost* const* wtab;  ///< lane l, param p at wtab[l][p]
   const Op* ops;
   const KindRun* runs;
   std::uint32_t lanes;
@@ -118,9 +163,10 @@ template <typename S, bool kParam, bool kChecked, OpKind kKind>
 inline std::uint32_t scalar_run(const RunCtx& ctx, const Cost* expected,
                                 std::uint32_t lo, std::uint32_t hi) {
   Cost* const s = ctx.slots;
+  const Cost* const wtab = kParam ? ctx.wtab[0] : nullptr;
   for (std::uint32_t i = lo; i < hi; ++i) {
     const Op& op = ctx.ops[i];
-    const Cost w = kParam ? ctx.wtab[op.param] : op.w;
+    const Cost w = kParam ? wtab[op.param] : op.w;
     if constexpr (kKind == OpKind::kMac) {
       s[op.dst] = kern::mac<S>(s[op.a], w, s[op.b]);
     } else if constexpr (kKind == OpKind::kFold) {
@@ -192,8 +238,7 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
   // straight-line vector code with no trip-count or remainder logic.
   const std::uint32_t B = kW != 0 ? kW : ctx.lanes;
   Cost* const slots = ctx.slots;
-  const Cost* const wtab = ctx.wtab;
-  const std::size_t P = ctx.wstride;
+  const Cost* const* const wtab = ctx.wtab;  // lane l's table is wtab[l]
   const Op* const ops = ctx.ops;
   for (std::uint32_t r = rlo; r < rhi; ++r) {
     const KindRun& run = ctx.runs[r];
@@ -205,10 +250,10 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
           const Cost* const __restrict pb = slots + std::size_t{op.b} * B;
           Cost* const __restrict d = slots + std::size_t{op.dst} * B;
           if constexpr (kParam) {
-            const Cost* const __restrict w = wtab + op.param;
+            const std::uint32_t p = op.param;
             SYSDP_LANE_IVDEP
             for (std::uint32_t l = 0; l < B; ++l) {
-              d[l] = S::plus(pa[l], lane_sat_add(w[l * P], pb[l]));
+              d[l] = S::plus(pa[l], lane_sat_add(wtab[l][p], pb[l]));
             }
           } else {
             with_w_class(op.w, [&](auto wc) {
@@ -230,11 +275,11 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
           const Cost* const __restrict pc = slots + std::size_t{op.c} * B;
           Cost* const __restrict d = slots + std::size_t{op.dst} * B;
           if constexpr (kParam) {
-            const Cost* const __restrict w = wtab + op.param;
+            const std::uint32_t p = op.param;
             SYSDP_LANE_IVDEP
             for (std::uint32_t l = 0; l < B; ++l) {
               const Cost cand =
-                  lane_sat_add(lane_sat_add(pb[l], pc[l]), w[l * P]);
+                  lane_sat_add(lane_sat_add(pb[l], pc[l]), wtab[l][p]);
               const Cost prev = pa[l];
               d[l] = S::improves(cand, prev) ? cand : prev;
             }
@@ -264,10 +309,10 @@ inline void exec_runs_impl(const RunCtx& ctx, std::uint32_t rlo,
               slots + (std::size_t{op.dst} + 1) * B;
           const Cost station = static_cast<Cost>(op.c);
           if constexpr (kParam) {
-            const Cost* const __restrict w = wtab + op.param;
+            const std::uint32_t p = op.param;
             SYSDP_LANE_IVDEP
             for (std::uint32_t l = 0; l < B; ++l) {
-              const Cost cand = lane_sat_add(pb[l], w[l * P]);
+              const Cost cand = lane_sat_add(pb[l], wtab[l][p]);
               const Cost prev = pa[l];
               const bool better = S::improves(cand, prev);
               d[l] = better ? cand : prev;
@@ -339,15 +384,15 @@ void exec_runs_lanes(const RunCtx& ctx, std::uint32_t rlo, std::uint32_t rhi,
 std::uint32_t CompiledEngine::exec_runs(std::uint32_t rlo, std::uint32_t rhi,
                                         bool checked) {
   // nullptr while every lane is oracle-bound: the immediates equal the
-  // planes then, and not streaming the planes keeps replay compute-bound.
-  const Cost* const wtab = weights_.tables();
+  // tables then, and not streaming them keeps replay compute-bound.
+  const Cost* const* const wtab =
+      rebound_lanes_ != 0 ? weights_.data() : nullptr;
+  const RunCtx ctx{slots_.data(), wtab, net_->ops.data(), runs_.data(),
+                   lanes_};
   if (lanes_ > 1) {
-    exec_runs_lanes({slots_.data(), wtab, weights_.stride(), net_->ops.data(),
-                     runs_.data(), lanes_},
-                    rlo, rhi, net_->semiring, wtab != nullptr);
+    exec_runs_lanes(ctx, rlo, rhi, net_->semiring, wtab != nullptr);
     return kClean;
   }
-  const RunCtx ctx{slots_.data(), wtab, 0, net_->ops.data(), runs_.data(), 1};
   const Cost* const expected = net_->expected.data();
   return net_->semiring == TapeSemiring::kMinPlus
              ? exec_scalar<MinPlus>(ctx, expected, rlo, rhi, wtab != nullptr,

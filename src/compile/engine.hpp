@@ -27,10 +27,13 @@
 //
 // Lanes bind weight tables independently on parameterised tapes
 // (LowerOptions::parameterise): one lowering of a family shape serves B
-// weight assignments per replay.  Every lane is bit-identical to a
-// one-lane replay of the same binding, which the differential suite proves
-// lane by lane; `step_checked` additionally compares every op result with
-// the oracle's recorded value.
+// weight assignments per replay.  A lane binds its table by reference:
+// replay reads the caller's table in place, once, much as the paper's
+// arrays take costs from the host as they consume them, and nothing stages
+// a copy.  Every lane is bit-identical to a one-lane replay of the same
+// binding, which the differential suite proves lane by lane;
+// `step_checked` additionally compares every op result with the oracle's
+// recorded value.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +44,6 @@
 #include "compile/aligned.hpp"
 #include "compile/program.hpp"
 #include "compile/replay_observer.hpp"
-#include "compile/weight_planes.hpp"
 #include "semiring/cost.hpp"
 #include "sim/module.hpp"
 
@@ -141,23 +143,32 @@ class CompiledEngine {
   /// unchanged.  on_level's slot image is lane-major.
   void add_observer(ReplayObserver* obs);
 
-  /// Install a per-instance weight table on one lane of a parameterised
-  /// tape: op `i` replays with `weights[ops[i].param]` instead of the baked
+  /// Bind a per-instance weight table to one lane of a parameterised tape:
+  /// op `i` replays with `weights[ops[i].param]` instead of the baked
   /// immediate.  The schedule, slots and outputs' *locations* are unchanged
-  /// — only the values flowing through them.  Throws std::invalid_argument
-  /// on a non-parameterised tape, a bad lane, or a wrong-length table.
-  void bind(std::uint32_t lane, const std::vector<Cost>& weights) {
-    weights_.bind(lane, weights);
-  }
+  /// — only the values flowing through them.
+  ///
+  /// Binds by reference, as the engine borrows its netlist: nothing is
+  /// copied, and replay reads the caller's table in place.  `weights` must
+  /// outlive the binding and stay unchanged until the lane is rebound,
+  /// restored with bind_oracle(), or the engine is destroyed: every replay
+  /// in that span reads it.  Refilling a bound table in place and binding
+  /// it again is the intended way to serve a stream of instances.  A table equal to `net.params` (the
+  /// tape's own, recognised by address, or any equal copy) leaves the lane
+  /// oracle-bound.  Throws std::invalid_argument on a non-parameterised
+  /// tape, a bad lane, or a wrong-length table.
+  void bind(std::uint32_t lane, const std::vector<Cost>& weights);
+  /// A temporary would be freed before the replay that reads it.
+  void bind(std::uint32_t lane, const std::vector<Cost>&& weights) = delete;
 
   /// Restore lane `lane` to the oracle's weight binding (the default).
-  void bind_oracle(std::uint32_t lane) { weights_.bind_oracle(lane); }
+  void bind_oracle(std::uint32_t lane);
 
   /// True while lane `lane` replays the oracle's own weight binding — the
   /// only binding the tape's recorded expectations describe.  Checked
   /// replay and verify_outputs() require this.
   [[nodiscard]] bool oracle_bound(std::uint32_t lane) const {
-    return weights_.oracle_bound(lane);
+    return weights_[lane] == net_->params.data();
   }
 
   /// Checked variant of step() on a one-lane engine: every op result is
@@ -206,19 +217,20 @@ class CompiledEngine {
   std::uint64_t account(sim::Cycle from, sim::Cycle to);
   void notify_level(sim::Cycle t);
   void notify_end();
+  /// Point lane `lane` at table `w`, keeping rebound_lanes_ in step.
+  void set_weights(std::uint32_t lane, const Cost* w);
 
   const CompiledNetlist* net_;
   std::uint32_t lanes_;
   /// Lane-major slot file: `slots_[slot*lanes_ + lane]`, 64-byte aligned
   /// so every row starts SIMD-friendly.
   AlignedVec<Cost> slots_;
-  /// Lane-planar weight tables (compile/weight_planes.hpp): lane l's
-  /// table is one contiguous plane, so bind(lane) is a sequential copy,
-  /// not a lane-major scatter dirtying a cache line per parameter.  A
-  /// rebound op pays with B weight reads at stride P instead of one row.
-  /// While every lane is oracle-bound, replay takes the baked-immediate
-  /// path and never streams the planes.
-  WeightPlanes weights_;
+  /// Lane l's weight table, borrowed: `net_->params.data()` while the
+  /// lane is oracle-bound, else the table bind() was given.  A rebound op
+  /// reads its B weights as `weights_[l][op.param]`.  While every lane is
+  /// oracle-bound, replay takes the baked-immediate path and reads none.
+  std::vector<const Cost*> weights_;
+  std::uint32_t rebound_lanes_ = 0;  ///< lanes not oracle-bound
   /// Tape-order runs, level by level.
   std::vector<KindRun> runs_;
   std::vector<LevelMark> marks_;

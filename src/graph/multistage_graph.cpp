@@ -1,6 +1,7 @@
 #include "graph/multistage_graph.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace sysdp {
 
@@ -22,6 +23,24 @@ MultistageGraph::MultistageGraph(const std::vector<std::size_t>& stage_sizes,
 MultistageGraph::MultistageGraph(std::size_t stages, std::size_t width,
                                  Cost fill)
     : MultistageGraph(std::vector<std::size_t>(stages, width), fill) {}
+
+MultistageGraph::MultistageGraph(std::vector<Matrix<Cost>> costs)
+    : costs_(std::move(costs)) {
+  if (costs_.empty()) {
+    throw std::invalid_argument("MultistageGraph: need at least 2 stages");
+  }
+  stage_sizes_.reserve(costs_.size() + 1);
+  stage_sizes_.push_back(costs_.front().rows());
+  for (const Matrix<Cost>& m : costs_) {
+    if (m.rows() != stage_sizes_.back()) {
+      throw std::invalid_argument("MultistageGraph: matrix shapes do not chain");
+    }
+    stage_sizes_.push_back(m.cols());
+  }
+  for (std::size_t s : stage_sizes_) {
+    if (s == 0) throw std::invalid_argument("MultistageGraph: empty stage");
+  }
+}
 
 bool MultistageGraph::uniform_width() const noexcept {
   for (std::size_t s : stage_sizes_) {

@@ -31,6 +31,12 @@ class MultistageGraph {
   /// Uniform graph: `stages` stages of `width` nodes each.
   MultistageGraph(std::size_t stages, std::size_t width, Cost fill = kInfCost);
 
+  /// The graph whose matrix string (eq. 8) is `costs`: costs[k] holds the
+  /// stage k -> k+1 edges, so costs[k].cols() must equal
+  /// costs[k+1].rows().  Throws std::invalid_argument on no matrix, an
+  /// empty stage or shapes that do not chain.
+  explicit MultistageGraph(std::vector<Matrix<Cost>> costs);
+
   [[nodiscard]] std::size_t num_stages() const noexcept {
     return stage_sizes_.size();
   }

@@ -1,10 +1,12 @@
 #include "io/problem_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -72,6 +74,17 @@ Cost next_cost(std::istream& is, const char* context) {
   return v;
 }
 
+/// a * b, failing with the message `what()` builds if the product
+/// overflows size_t.  The message is built only then, so the success path
+/// allocates nothing between the tables the reader fills.
+template <typename What>
+std::size_t checked_product(std::size_t a, std::size_t b, What&& what) {
+  if (b != 0 && a > std::numeric_limits<std::size_t>::max() / b) {
+    fail(what() + " overflows");
+  }
+  return a * b;
+}
+
 std::size_t next_size(std::istream& is, const char* context) {
   const std::string tok = next_token(is, context);
   std::int64_t v = 0;
@@ -97,6 +110,20 @@ void expect_keyword(std::istream& is, const char* keyword) {
   if (tok != keyword) {
     fail("expected '" + std::string(keyword) + "', got '" + tok + "'");
   }
+}
+
+// The readers never size storage by a declared count alone: it grows with
+// the tokens actually read, so a truncated file that declares huge counts
+// fails at its end with memory proportional to its length, and each object
+// is built only once its data has been read.  A vector reserves its
+// declared length only up to kReserveCap entries: a valid file's storage
+// is allocated once and exactly, and a huge count costs at most that much
+// address space, of which only the entries read are ever written.
+constexpr std::size_t kReserveCap = std::size_t{1} << 20;
+
+template <typename T>
+void reserve_declared(std::vector<T>& v, std::size_t declared) {
+  v.reserve(std::min(declared, kReserveCap));
 }
 
 MultistageGraph read_multistage_body(std::istream& is);
@@ -129,17 +156,26 @@ namespace {
 MultistageGraph read_multistage_body(std::istream& is) {
   const std::size_t stages = next_size(is, "stage count");
   if (stages < 2) fail("multistage graph needs >= 2 stages");
-  std::vector<std::size_t> sizes(stages);
-  for (auto& s : sizes) s = next_size(is, "stage size");
-  MultistageGraph g(sizes);
-  for (std::size_t k = 0; k + 1 < stages; ++k) {
-    for (std::size_t i = 0; i < sizes[k]; ++i) {
-      for (std::size_t j = 0; j < sizes[k + 1]; ++j) {
-        g.set_edge(k, i, j, next_cost(is, "edge cost"));
-      }
-    }
+  std::vector<std::size_t> sizes;
+  reserve_declared(sizes, stages);
+  for (std::size_t k = 0; k < stages; ++k) {
+    sizes.push_back(next_size(is, "stage size"));
   }
-  return g;
+  std::vector<Matrix<Cost>> costs;
+  costs.reserve(stages - 1);  // every stage size has been read
+  for (std::size_t k = 0; k + 1 < stages; ++k) {
+    const std::size_t count = checked_product(sizes[k], sizes[k + 1], [k] {
+      return "edge count of stage " + std::to_string(k) + " -> " +
+             std::to_string(k + 1);
+    });
+    std::vector<Cost> edges;
+    reserve_declared(edges, count);
+    for (std::size_t e = 0; e < count; ++e) {
+      edges.push_back(next_cost(is, "edge cost"));
+    }
+    costs.emplace_back(sizes[k], sizes[k + 1], std::move(edges));
+  }
+  return MultistageGraph(std::move(costs));
 }
 }  // namespace
 
@@ -160,10 +196,12 @@ namespace {
 std::vector<Cost> read_chain_body(std::istream& is) {
   const std::size_t n = next_size(is, "matrix count");
   if (n == 0) fail("chain needs >= 1 matrix");
-  std::vector<Cost> dims(n + 1);
-  for (auto& d : dims) {
-    d = next_cost(is, "chain dimension");
+  std::vector<Cost> dims;
+  reserve_declared(dims, n + 1);
+  for (std::size_t i = 0; i <= n; ++i) {
+    const Cost d = next_cost(is, "chain dimension");
     if (d <= 0 || is_inf(d)) fail("chain dimensions must be positive");
+    dims.push_back(d);
   }
   return dims;
 }
@@ -195,23 +233,34 @@ namespace {
 NonserialObjective read_objective_body(std::istream& is) {
   const std::size_t nvars = next_size(is, "variable count");
   if (nvars == 0) fail("objective needs >= 1 variable");
-  std::vector<std::size_t> domains(nvars);
-  for (auto& d : domains) d = next_size(is, "domain size");
+  std::vector<std::size_t> domains;
+  reserve_declared(domains, nvars);
+  for (std::size_t v = 0; v < nvars; ++v) {
+    domains.push_back(next_size(is, "domain size"));
+  }
   NonserialObjective obj(domains);
   const std::size_t nterms = next_size(is, "term count");
   for (std::size_t t = 0; t < nterms; ++t) {
     const std::string kw = next_token(is, "term keyword");
     if (kw != "term") fail("expected 'term', got '" + kw + "'");
     const std::size_t arity = next_size(is, "term arity");
-    TermScope scope(arity);
+    TermScope scope;
+    reserve_declared(scope, arity);
     std::size_t table_size = 1;
-    for (auto& v : scope) {
-      v = next_size(is, "term variable");
+    for (std::size_t i = 0; i < arity; ++i) {
+      const std::size_t v = next_size(is, "term variable");
       if (v >= nvars) fail("term variable out of range");
-      table_size *= domains[v];
+      table_size = checked_product(table_size, domains[v], [t, arity] {
+        return "table size of term " + std::to_string(t) + " (" +
+               std::to_string(arity) + " variables)";
+      });
+      scope.push_back(v);
     }
-    std::vector<Cost> table(table_size);
-    for (auto& c : table) c = next_cost(is, "term table entry");
+    std::vector<Cost> table;
+    reserve_declared(table, table_size);
+    for (std::size_t i = 0; i < table_size; ++i) {
+      table.push_back(next_cost(is, "term table entry"));
+    }
     obj.add_term(std::move(scope), std::move(table));
   }
   return obj;

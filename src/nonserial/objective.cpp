@@ -1,6 +1,7 @@
 #include "nonserial/objective.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace sysdp {
@@ -34,6 +35,9 @@ void NonserialObjective::add_term(TermScope scope, std::vector<Cost> table) {
   std::size_t expect = 1;
   for (std::size_t v : scope) {
     if (v >= domains_.size()) throw std::out_of_range("add_term: variable");
+    if (expect > std::numeric_limits<std::size_t>::max() / domains_[v]) {
+      throw std::invalid_argument("add_term: table size overflows");
+    }
     expect *= domains_[v];
   }
   if (table.size() != expect) {

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace sysdp {
@@ -22,6 +23,16 @@ class Matrix {
   /// rows x cols matrix with every element set to `fill`.
   Matrix(std::size_t rows, std::size_t cols, T fill = T{})
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+  /// rows x cols matrix over `data`, row-major.  Throws
+  /// std::invalid_argument unless `data` holds exactly rows x cols entries.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<T> data)
+      : rows_(rows), cols_(cols), data_(std::move(data)) {
+    const bool fits = cols_ == 0 ? data_.empty()
+                                 : data_.size() % cols_ == 0 &&
+                                       data_.size() / cols_ == rows_;
+    if (!fits) throw std::invalid_argument("Matrix: data is not rows x cols");
+  }
 
   /// Brace construction from rows; all rows must have equal length.
   Matrix(std::initializer_list<std::initializer_list<T>> rows) {

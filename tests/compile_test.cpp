@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arrays/design1_modular.hpp"
@@ -348,8 +349,23 @@ TEST(CompiledParamPlane, LoweringEmitsOneParameterPerOp) {
   EXPECT_FALSE(plain.net.parameterised);
   EXPECT_EQ(plain.net.num_params(), 0u);
   compile::CompiledEngine ce(plain.net);
-  EXPECT_THROW(ce.bind(0, {1, 2, 3}), std::invalid_argument);
+  const std::vector<Cost> table = {1, 2, 3};
+  EXPECT_THROW(ce.bind(0, table), std::invalid_argument);
 }
+
+// bind() borrows its table, so only an lvalue binds: a temporary would be
+// freed before the replay that reads it.
+template <typename T>
+concept BindsTable = requires(compile::CompiledEngine& e, T&& t) {
+  e.bind(0, std::forward<T>(t));
+};
+template <typename Engine>
+concept BindsBracedList = requires(Engine& e) { e.bind(0, {Cost{1}}); };
+static_assert(BindsTable<std::vector<Cost>&>);
+static_assert(BindsTable<const std::vector<Cost>&>);
+static_assert(!BindsTable<std::vector<Cost>>);
+static_assert(!BindsTable<const std::vector<Cost>>);
+static_assert(!BindsBracedList<compile::CompiledEngine>);
 
 TEST(CompiledParamPlane, BindValidatesAndTracksOracleBinding) {
   const auto [mats, v] = string_instance(2, 5, 66);
@@ -359,7 +375,8 @@ TEST(CompiledParamPlane, BindValidatesAndTracksOracleBinding) {
   const auto low = compile::lower_array(arr, opt);
   compile::CompiledEngine ce(low.net);
   EXPECT_TRUE(ce.oracle_bound(0));
-  EXPECT_THROW(ce.bind(0, {}), std::invalid_argument);  // wrong length
+  const std::vector<Cost> empty;
+  EXPECT_THROW(ce.bind(0, empty), std::invalid_argument);  // wrong length
 
   // Binding the oracle's own table is recognised as the oracle binding.
   ce.bind(0, low.net.params);
@@ -378,6 +395,21 @@ TEST(CompiledParamPlane, BindValidatesAndTracksOracleBinding) {
   ce.reset();
   EXPECT_THROW((void)ce.run_all_checked(), std::logic_error);
 
+  // Binding the tape's own table (by address) and an equal copy (by value)
+  // both restore the oracle binding from a rebound lane.
+  ce.bind(0, low.net.params);
+  EXPECT_TRUE(ce.oracle_bound(0));
+  ce.reset();
+  EXPECT_FALSE(ce.run_all_checked().found);
+  EXPECT_FALSE(ce.verify_outputs().found);
+  ce.bind(0, other);
+  const auto copy = low.net.params;
+  ce.bind(0, copy);
+  EXPECT_TRUE(ce.oracle_bound(0));
+  ce.reset();
+  EXPECT_FALSE(ce.run_all_checked().found);
+
+  ce.bind(0, other);
   ce.bind_oracle(0);
   EXPECT_TRUE(ce.oracle_bound(0));
   ce.reset();
@@ -401,12 +433,14 @@ TEST(CompiledParamPlane, HandBuiltTapeRebindsCorrectly) {
   ce.run_all();
   EXPECT_EQ(ce.value(2), 9);  // min(10, 5 + 4)
 
-  ce.bind(0, {100});
+  const std::vector<Cost> heavy = {100};
+  ce.bind(0, heavy);
   ce.reset();
   ce.run_all();
   EXPECT_EQ(ce.value(2), 10);  // min(10, 100 + 4)
 
-  ce.bind(0, {kInfCost});
+  const std::vector<Cost> inf = {kInfCost};
+  ce.bind(0, inf);
   ce.reset();
   ce.run_all();
   EXPECT_EQ(ce.value(2), 10);  // inf is absorbing under rebinding too
@@ -465,8 +499,10 @@ TEST(CompiledBatch, PerLaneBindOnHandBuiltTape) {
   net.params = {5};
 
   compile::CompiledEngine be(net, 3);
-  be.bind(1, {1});
-  be.bind(2, {100});
+  std::vector<Cost> light = {1};
+  const std::vector<Cost> heavy = {100};
+  be.bind(1, light);
+  be.bind(2, heavy);
   EXPECT_TRUE(be.oracle_bound(0));
   EXPECT_FALSE(be.oracle_bound(1));
   EXPECT_FALSE(be.oracle_bound(2));
@@ -477,6 +513,17 @@ TEST(CompiledBatch, PerLaneBindOnHandBuiltTape) {
   EXPECT_FALSE(be.verify_outputs(0).found);
   EXPECT_THROW((void)be.verify_outputs(1), std::logic_error);
   EXPECT_EQ(be.output("out", 0, 1), 5);
+
+  // A bound table refilled in place and bound again (how a stream of
+  // instances is served): the next replay reads the new weights on that
+  // lane only.
+  light[0] = 2;
+  be.bind(1, light);
+  be.reset();
+  be.run_all();
+  EXPECT_EQ(be.value(2, 0), 9);   // min(10, 5 + 4)
+  EXPECT_EQ(be.value(2, 1), 6);   // min(10, 2 + 4)
+  EXPECT_EQ(be.value(2, 2), 10);  // min(10, 100 + 4)
 
   // Rebinding a lane to the oracle table restores checked verification.
   be.bind_oracle(1);
@@ -497,7 +544,9 @@ TEST(CompiledBatch, ConstructorAndBindValidate) {
   EXPECT_THROW(compile::CompiledEngine(net, 0), std::invalid_argument);
   compile::CompiledEngine be(net, 2);
   // Not parameterised: bind refuses, oracle binding replays fine.
-  EXPECT_THROW(be.bind(0, {7}), std::invalid_argument);
+  const std::vector<Cost> one = {7};
+  const std::vector<Cost> two = {7, 8};
+  EXPECT_THROW(be.bind(0, one), std::invalid_argument);
   be.run_all();
   EXPECT_EQ(be.value(2, 0), 9);
   EXPECT_EQ(be.value(2, 1), 9);
@@ -505,9 +554,9 @@ TEST(CompiledBatch, ConstructorAndBindValidate) {
   net.parameterised = true;
   net.params = {5};
   compile::CompiledEngine pe(net, 2);
-  EXPECT_THROW(pe.bind(2, {7}), std::invalid_argument);         // bad lane
-  EXPECT_THROW(pe.bind(0, {7, 8}), std::invalid_argument);      // bad length
-  EXPECT_THROW(pe.bind_oracle(5), std::invalid_argument);       // bad lane
+  EXPECT_THROW(pe.bind(2, one), std::invalid_argument);    // bad lane
+  EXPECT_THROW(pe.bind(0, two), std::invalid_argument);    // bad length
+  EXPECT_THROW(pe.bind_oracle(5), std::invalid_argument);  // bad lane
 }
 
 /// One level holding three kinds, each op reading the previous one's

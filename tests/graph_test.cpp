@@ -27,6 +27,13 @@ TEST(MultistageGraph, PerStageSizes) {
   EXPECT_EQ(g.costs(0).rows(), 1u);
   EXPECT_EQ(g.costs(0).cols(), 3u);
   EXPECT_EQ(g.costs(2).cols(), 1u);
+
+  // The same shape from its matrix string.
+  const MultistageGraph h(std::vector<Matrix<Cost>>{
+      Matrix<Cost>(1, 3, Cost{5}), Matrix<Cost>(3, 3, kInfCost),
+      Matrix<Cost>(3, 1, Cost{0})});
+  EXPECT_EQ(h.stage_sizes(), g.stage_sizes());
+  EXPECT_EQ(h.edge(0, 0, 2), 5);
 }
 
 TEST(MultistageGraph, RejectsDegenerate) {
@@ -34,6 +41,13 @@ TEST(MultistageGraph, RejectsDegenerate) {
                std::invalid_argument);
   EXPECT_THROW(MultistageGraph(std::vector<std::size_t>{3, 0, 3}),
                std::invalid_argument);
+  EXPECT_THROW(MultistageGraph(std::vector<Matrix<Cost>>{}),
+               std::invalid_argument);
+  EXPECT_THROW(MultistageGraph(std::vector<Matrix<Cost>>{
+                   Matrix<Cost>(1, 3), Matrix<Cost>(2, 1)}),
+               std::invalid_argument);  // 3 columns feed 2 rows
+  EXPECT_THROW(MultistageGraph(std::vector<Matrix<Cost>>{Matrix<Cost>(1, 0)}),
+               std::invalid_argument);  // empty stage
 }
 
 TEST(MultistageGraph, PathCost) {

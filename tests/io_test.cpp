@@ -133,6 +133,17 @@ TEST(ProblemIo, MalformedInputsThrowWithContext) {
   expect_fail("chain 1 3 99999999999999999999",
               "chain dimension literal '99999999999999999999' lies in the "
               "infinity sentinel band");
+  // A declared size is never allocated up front: storage grows with the
+  // tokens read, so a count past max_size() runs out of input instead, and
+  // a table size that overflows is refused before any entry is read.
+  expect_fail("chain 2000000000000000000",
+              "unexpected end of input reading chain dimension");
+  expect_fail("multistage 2000000000000000000",
+              "unexpected end of input reading stage size");
+  expect_fail("objective 2 4294967296 4294967296 1 term 2 0 1",
+              "table size of term 0 (2 variables) overflows");
+  expect_fail("multistage 2 4294967296 4294967296 0",
+              "edge count of stage 0 -> 1 overflows");
   std::stringstream largest("multistage 2 1 1 2305843009213693950");
   EXPECT_EQ(read_multistage(largest).edge(0, 0, 0), kInfCost - 1);
 }

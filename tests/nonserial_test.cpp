@@ -40,6 +40,11 @@ TEST(Objective, Validation) {
                std::out_of_range);
   EXPECT_THROW((void)obj.evaluate({0}), std::invalid_argument);
   EXPECT_THROW((void)obj.evaluate({2, 0}), std::out_of_range);
+  // 2^32 * 2^32 wraps to 0 in size_t: an empty table must not pass for it.
+  const std::size_t huge = std::size_t{1} << 32;
+  NonserialObjective wide({huge, huge});
+  EXPECT_THROW(wide.add_term({0, 1}, {}), std::invalid_argument);
+  EXPECT_TRUE(wide.terms().empty());
 }
 
 TEST(Objective, SerialDetection) {

@@ -130,6 +130,17 @@ TEST(MatrixT, ConstructAndIndex) {
   EXPECT_EQ(m(1, 2), 7);
   m(1, 2) = 9;
   EXPECT_EQ(m(1, 2), 9);
+
+  // Over given row-major data, which must hold exactly rows x cols entries
+  // (2^32 x 2^32 wraps to 0 in size_t and must not pass for empty data).
+  const Matrix<int> d(2, 2, std::vector<int>{1, 2, 3, 4});
+  EXPECT_EQ(d(1, 0), 3);
+  EXPECT_EQ(Matrix<int>(3, 0, std::vector<int>{}).rows(), 3u);
+  EXPECT_THROW(Matrix<int>(2, 2, std::vector<int>{1, 2, 3}),
+               std::invalid_argument);
+  const std::size_t huge = std::size_t{1} << 32;
+  EXPECT_THROW(Matrix<int>(huge, huge, std::vector<int>{}),
+               std::invalid_argument);
 }
 
 TEST(MatrixT, InitializerList) {
