@@ -48,10 +48,10 @@ struct CellMeta {
 
 /// Per-array arena holding every cell's state in contiguous per-cell
 /// lanes: the packed link registers and fold metadata above, the operand
-/// staging buffers (lane id*n + k), the arena-backed ready queues
-/// (capacity j-i per cell, prefix-offset addressed), and the completion-
-/// launch bypass slots that a finishing neighbour stages and the owner's
-/// commit merges.  Cell modules are thin lane views.
+/// staging buffers and the ready queues (j-i lanes per cell, one per split
+/// k in [i, j), at q_base[id] + (k - i)), and the completion-launch bypass
+/// slots that a finishing neighbour stages and the owner's commit merges.
+/// Cell modules are thin lane views.
 struct GktModularArray::Arena {
   std::size_t n;
   std::vector<std::uint32_t> id_of;  ///< (i*n + j) -> cell id, i <= j
@@ -68,13 +68,14 @@ struct GktModularArray::Arena {
   std::vector<Flit> row_launch, col_launch;
   std::vector<std::uint8_t> row_launch_set, col_launch_set;
 
-  // Operand staging, lane id*n + k, presence in parallel byte arrays.
+  // Per-split lanes: cell id owns lanes q_base[id] + (k - i) for its
+  // splits k in [i, j).  Operand staging holds m_{i,k} (row) and
+  // m_{k+1,j} (column), presence in parallel byte arrays.  The ready-
+  // candidate FIFO q_store holds split indices k; entries below the
+  // eval-entry watermark were ready before the current cycle — exactly
+  // the RTL's `at <= c-1` eligibility.
   std::vector<Cost> row_op_val, col_op_val;
   std::vector<std::uint8_t> row_op_set, col_op_set;
-
-  // Ready-candidate FIFOs: cell id owns q_store[q_base[id] + t] for
-  // t < j-i.  Entries below the eval-entry watermark were ready before the
-  // current cycle — exactly the RTL's `at <= c-1` eligibility.
   std::vector<std::uint32_t> q_store, q_base;
 
   /// Tape recorder mirroring the fold datapath, or null when not lowering.
@@ -101,10 +102,6 @@ struct GktModularArray::Arena {
     col_launch.resize(cells);
     row_launch_set.assign(cells, 0);
     col_launch_set.assign(cells, 0);
-    row_op_val.assign(cells * n, 0);
-    col_op_val.assign(cells * n, 0);
-    row_op_set.assign(cells * n, 0);
-    col_op_set.assign(cells * n, 0);
     q_base.assign(cells + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i; j < n; ++j) {
@@ -114,7 +111,12 @@ struct GktModularArray::Arena {
       meta[id(i, i)].is_done = 1;  // leaves complete at cycle 0
     }
     for (std::size_t c = 0; c < cells; ++c) q_base[c + 1] += q_base[c];
-    q_store.assign(q_base[cells], 0);
+    const std::size_t lanes = q_base[cells];
+    row_op_val.assign(lanes, 0);
+    col_op_val.assign(lanes, 0);
+    row_op_set.assign(lanes, 0);
+    col_op_set.assign(lanes, 0);
+    q_store.assign(lanes, 0);
   }
 
   [[nodiscard]] std::uint32_t id(std::size_t i, std::size_t j) const {
@@ -175,7 +177,8 @@ class GktModularArray::Cell : public sim::Module {
     }
     LinkPair& lk = a.link[id];
     CellMeta& mt = a.meta[id];
-    const std::size_t base = static_cast<std::size_t>(id) * a.n;
+    // Split k's lanes sit at base + k, i.e. q_base[id] + (k - i).
+    const std::size_t base = a.q_base[id] - i_;
     std::uint32_t* const q = a.q_store.data() + a.q_base[id];
     const std::uint32_t len0 = mt.q_len;  // candidates ready before cycle c
 

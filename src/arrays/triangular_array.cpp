@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "semiring/kernels.hpp"
-
 namespace sysdp {
 
 BstRule::BstRule(std::vector<Cost> freq) : freq_(std::move(freq)) {
@@ -15,28 +13,6 @@ BstRule::BstRule(std::vector<Cost> freq) : freq_(std::move(freq)) {
   for (std::size_t i = 0; i < freq_.size(); ++i) {
     prefix_[i + 1] = prefix_[i] + freq_[i];
   }
-}
-
-Cost BstRule::candidate(std::size_t i, std::size_t j, std::size_t t,
-                        Cost left, Cost right) const {
-  const std::size_t r = i + t;
-  const Cost l = r > i ? left : 0;   // empty left subtree
-  const Cost rr = r < j ? right : 0; // empty right subtree
-  const Cost weight = prefix_[j + 1] - prefix_[i];
-  return kern::interval_candidate(l, rr, weight);
-}
-
-std::pair<std::size_t, std::size_t> BstRule::left_interval(
-    std::size_t i, std::size_t j, std::size_t t) const {
-  (void)j;
-  const std::size_t r = i + t;
-  return r > i ? std::pair{i, r - 1} : std::pair{i, i};
-}
-
-std::pair<std::size_t, std::size_t> BstRule::right_interval(
-    std::size_t i, std::size_t j, std::size_t t) const {
-  const std::size_t r = i + t;
-  return r < j ? std::pair{r + 1, j} : std::pair{j, j};
 }
 
 TriangularArray<BstRule>::Result run_bst_array(const std::vector<Cost>& freq) {
@@ -55,28 +31,6 @@ PolygonRule::PolygonRule(std::vector<Cost> weights)
   }
 }
 
-Cost PolygonRule::candidate(std::size_t i, std::size_t j, std::size_t t,
-                            Cost left, Cost right) const {
-  const std::size_t k = i + 1 + t;  // apex strictly between i and j
-  return kern::interval_candidate(left, right,
-                                  weights_[i] * weights_[k] * weights_[j]);
-}
-
-std::pair<std::size_t, std::size_t> PolygonRule::left_interval(
-    std::size_t i, std::size_t j, std::size_t t) const {
-  (void)j;
-  const std::size_t k = i + 1 + t;
-  // The sub-polygon i..k; a bare edge (k == i + 1) contributes 0 and is
-  // represented by the adjacent diagonal cell.
-  return k > i + 1 ? std::pair{i, k} : std::pair{i, i};
-}
-
-std::pair<std::size_t, std::size_t> PolygonRule::right_interval(
-    std::size_t i, std::size_t j, std::size_t t) const {
-  const std::size_t k = i + 1 + t;
-  return j > k + 1 ? std::pair{k, j} : std::pair{j, j};
-}
-
 TriangularArray<PolygonRule>::Result run_polygon_array(
     const std::vector<Cost>& weights) {
   PolygonRule rule(weights);
@@ -91,24 +45,6 @@ ChainRule::ChainRule(std::vector<Cost> dims) : dims_(std::move(dims)) {
   for (Cost d : dims_) {
     if (d <= 0) throw std::invalid_argument("ChainRule: dims must be > 0");
   }
-}
-
-Cost ChainRule::candidate(std::size_t i, std::size_t j, std::size_t t,
-                          Cost left, Cost right) const {
-  const std::size_t k = i + t;
-  return kern::interval_candidate(left, right,
-                                  dims_[i] * dims_[k + 1] * dims_[j + 1]);
-}
-
-std::pair<std::size_t, std::size_t> ChainRule::left_interval(
-    std::size_t i, std::size_t j, std::size_t t) const {
-  (void)j;
-  return {i, i + t};
-}
-
-std::pair<std::size_t, std::size_t> ChainRule::right_interval(
-    std::size_t i, std::size_t j, std::size_t t) const {
-  return {i + t + 1, j};
 }
 
 TriangularArray<ChainRule>::Result run_chain_array(

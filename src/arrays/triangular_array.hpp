@@ -39,7 +39,15 @@ template <typename Rule>
 class TriangularArray {
  public:
   explicit TriangularArray(Rule rule, std::size_t n)
-      : rule_(std::move(rule)), n_(n) {}
+      : rule_(std::move(rule)), n_(n) {
+    // A rule may offer a cell more than n candidates, so run()'s
+    // workspace width comes from the rule, not from n.
+    for (std::size_t d = 1; d < n_; ++d) {
+      for (std::size_t i = 0; i + d < n_; ++i) {
+        widest_ = std::max(widest_, rule_.splits(i, i + d));
+      }
+    }
+  }
 
   struct Result {
     Matrix<Cost> cost;
@@ -68,8 +76,8 @@ class TriangularArray {
     // Per-cell scratch (operand arrival times, arrival-sorted visit order)
     // hoisted out of the sweep: one workspace sized for the widest split
     // range, reused by every cell.
-    std::vector<sim::Cycle> arrivals(n);
-    std::vector<std::size_t> order(n);
+    std::vector<sim::Cycle> arrivals(widest_);
+    std::vector<std::size_t> order(widest_);
     for (std::size_t d = 1; d < n; ++d) {
       for (std::size_t i = 0; i + d < n; ++i) {
         const std::size_t j = i + d;
@@ -131,6 +139,7 @@ class TriangularArray {
  private:
   Rule rule_;
   std::size_t n_;
+  std::size_t widest_ = 0;  ///< most candidates any cell has
 };
 
 /// Rule for the optimal binary search tree: candidate t roots the interval
@@ -146,11 +155,22 @@ class BstRule {
     return j - i + 1;  // every key in [i, j] can be the root
   }
   [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-                               Cost left, Cost right) const;
+                               Cost left, Cost right) const {
+    const std::size_t r = i + t;
+    const Cost l = r > i ? left : 0;    // empty left subtree
+    const Cost rr = r < j ? right : 0;  // empty right subtree
+    return kern::interval_candidate(l, rr, prefix_[j + 1] - prefix_[i]);
+  }
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
-      std::size_t i, std::size_t j, std::size_t t) const;
+      std::size_t i, std::size_t /*j*/, std::size_t t) const {
+    const std::size_t r = i + t;
+    return r > i ? std::pair{i, r - 1} : std::pair{i, i};
+  }
   [[nodiscard]] std::pair<std::size_t, std::size_t> right_interval(
-      std::size_t i, std::size_t j, std::size_t t) const;
+      std::size_t i, std::size_t j, std::size_t t) const {
+    const std::size_t r = i + t;
+    return r < j ? std::pair{r + 1, j} : std::pair{j, j};
+  }
 
   [[nodiscard]] std::size_t num_keys() const noexcept { return freq_.size(); }
 
@@ -180,11 +200,23 @@ class PolygonRule {
     return j - i - 1 > 0 && j > i ? j - i - 1 : 0;
   }
   [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-                               Cost left, Cost right) const;
+                               Cost left, Cost right) const {
+    const std::size_t k = i + 1 + t;  // apex strictly between i and j
+    return kern::interval_candidate(left, right,
+                                    weights_[i] * weights_[k] * weights_[j]);
+  }
+  /// The sub-polygon i..k; a bare edge (k == i + 1) contributes 0 and is
+  /// represented by the adjacent diagonal cell.
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
-      std::size_t i, std::size_t j, std::size_t t) const;
+      std::size_t i, std::size_t /*j*/, std::size_t t) const {
+    const std::size_t k = i + 1 + t;
+    return k > i + 1 ? std::pair{i, k} : std::pair{i, i};
+  }
   [[nodiscard]] std::pair<std::size_t, std::size_t> right_interval(
-      std::size_t i, std::size_t j, std::size_t t) const;
+      std::size_t i, std::size_t j, std::size_t t) const {
+    const std::size_t k = i + 1 + t;
+    return j > k + 1 ? std::pair{k, j} : std::pair{j, j};
+  }
 
   [[nodiscard]] std::size_t num_vertices() const noexcept {
     return weights_.size();
@@ -212,11 +244,18 @@ class ChainRule {
     return j - i;
   }
   [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-                               Cost left, Cost right) const;
+                               Cost left, Cost right) const {
+    return kern::interval_candidate(
+        left, right, dims_[i] * dims_[i + t + 1] * dims_[j + 1]);
+  }
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
-      std::size_t i, std::size_t j, std::size_t t) const;
+      std::size_t i, std::size_t /*j*/, std::size_t t) const {
+    return {i, i + t};
+  }
   [[nodiscard]] std::pair<std::size_t, std::size_t> right_interval(
-      std::size_t i, std::size_t j, std::size_t t) const;
+      std::size_t i, std::size_t j, std::size_t t) const {
+    return {i + t + 1, j};
+  }
 
   [[nodiscard]] std::size_t num_matrices() const noexcept {
     return dims_.size() - 1;

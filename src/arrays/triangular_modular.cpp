@@ -1,5 +1,6 @@
 #include "arrays/triangular_modular.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "semiring/kernels.hpp"
@@ -38,16 +39,26 @@ struct CellMeta {
   std::uint8_t fired = 0;  ///< launch already sent (diagonals at cycle 0)
 };
 
+/// Arena id of cell (i, j), i <= j: diagonal-major, so diagonal d = j - i
+/// starts after the d*n - d(d-1)/2 cells of the diagonals below it.
+[[nodiscard]] std::uint32_t cell_id(std::size_t n, std::size_t i,
+                                    std::size_t j) {
+  const std::size_t d = j - i;
+  return static_cast<std::uint32_t>(d * n - d * (d - 1) / 2 + i);
+}
+
 }  // namespace
 
-/// Per-array arena: the packed link registers, fold metadata, the patient
-/// completion-launch slots, and the flattened per-candidate tables
-/// (origins, clamp flags, local costs, arrived operand values, ready
-/// FIFO), prefix-offset addressed per cell.  Cell modules are thin lane
-/// views, registered diagonal-major like GktModularArray.
+/// Per-run arena: the packed link registers, fold metadata, the patient
+/// completion-launch slots, and each candidate's arrived operands and
+/// ready FIFO lane (candidate k of a cell sits at lane k, the FIFO of
+/// cell c at lanes [first[c], first[c+1])).  The compiled tables and the
+/// origin index stay in the core, shared read-only by every run.  Cell
+/// modules are thin lane views, registered diagonal-major like
+/// GktModularArray.
 struct TriangularModularCore::Arena {
+  const TriangularModularCore& core;
   std::size_t n;
-  std::vector<std::uint32_t> id_of;  ///< (i*n + j) -> cell id, i <= j
 
   std::vector<LinkPair> link;
   std::vector<CellMeta> meta;
@@ -60,99 +71,56 @@ struct TriangularModularCore::Arena {
   std::vector<Flit> row_launch, col_launch;
   std::vector<std::uint8_t> row_launch_set, col_launch_set;
 
-  // Per-candidate tables, lane cand_base[id] + t for t < cands.
-  std::vector<std::uint32_t> cand_base;
-  std::vector<std::uint32_t> row_origin, col_origin;
-  std::vector<std::uint8_t> use_left, use_right;
-  std::vector<Cost> local, left_val, right_val;
-  std::vector<std::uint8_t> left_set, right_set;
+  // Per-candidate operand state: the arrived values, which of them have
+  // arrived (bit 0 left, bit 1 right), and the ready FIFO.
+  std::vector<Cost> left_val, right_val;
+  std::vector<std::uint8_t> arrived;
   std::vector<std::uint32_t> q_store;
+
+  /// Cells not yet complete; run_until polls it between cycles.
+  std::size_t unfinished = 0;
 
   /// Tape recorder mirroring the fold datapath, or null when not lowering.
   /// As in GktModularArray, fold operands resolve against origin-cell best
   /// lanes; diagonal origins auto-initialise to their base value.
   sim::OpRecorder* rec = nullptr;
 
-  Arena(std::size_t n_in, const std::vector<Cost>& base,
-        const std::vector<std::vector<Candidate>>& cands)
-      : n(n_in) {
+  explicit Arena(const TriangularModularCore& c) : core(c), n(c.n_) {
     const std::size_t cells = n * (n + 1) / 2;
-    id_of.assign(n * n, 0);
-    std::uint32_t next = 0;
-    for (std::size_t d = 0; d < n; ++d) {
-      for (std::size_t i = 0; i + d < n; ++i) id_of[i * n + (i + d)] = next++;
-    }
     link.resize(cells);
     meta.resize(cells);
     row_launch.resize(cells);
     col_launch.resize(cells);
     row_launch_set.assign(cells, 0);
     col_launch_set.assign(cells, 0);
-
-    cand_base.assign(cells + 1, 0);
+    const std::vector<std::uint32_t>& first = core.tab_.first;
     for (std::size_t i = 0; i < n; ++i) {
-      meta[id(i, i)].best = base[i];
-      meta[id(i, i)].is_done = 1;  // diagonals complete at cycle 0
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const auto& list = cands[i * n + j];
-        cand_base[id(i, j) + 1] = static_cast<std::uint32_t>(list.size());
-        meta[id(i, j)].remaining = static_cast<std::uint32_t>(list.size());
-        if (list.empty()) {
-          // Trivially solved (e.g. a polygon edge): value 0 at cycle 0.
-          // Such a cell still forwards traffic but never launches — the
-          // constructor has verified nothing consumes it.
-          meta[id(i, j)].best = 0;
-          meta[id(i, j)].is_done = 1;
-          meta[id(i, j)].fired = 1;
-        }
+      meta[i].best = core.tab_.base[i];  // diagonals are ids 0..n-1
+      meta[i].is_done = 1;               // and complete at cycle 0
+    }
+    for (std::size_t id = n; id < cells; ++id) {
+      CellMeta& mt = meta[id];
+      mt.remaining = first[id + 1] - first[id];
+      if (mt.remaining == 0) {
+        // Trivially solved (e.g. a polygon edge): value 0 at cycle 0.
+        // Such a cell still forwards traffic but never launches — the
+        // constructor has verified nothing consumes it.
+        mt.best = 0;
+        mt.is_done = 1;
+        mt.fired = 1;
+      } else {
+        ++unfinished;
       }
     }
-    for (std::size_t c = 0; c < cells; ++c) cand_base[c + 1] += cand_base[c];
-    const std::size_t total = cand_base[cells];
-    row_origin.assign(total, 0);
-    col_origin.assign(total, 0);
-    use_left.assign(total, 0);
-    use_right.assign(total, 0);
-    local.assign(total, 0);
-    left_val.assign(total, 0);
-    right_val.assign(total, 0);
-    left_set.assign(total, 0);
-    right_set.assign(total, 0);
-    q_store.assign(total, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const auto& list = cands[i * n + j];
-        const std::uint32_t b0 = cand_base[id(i, j)];
-        for (std::size_t t = 0; t < list.size(); ++t) {
-          row_origin[b0 + t] = list[t].row_origin;
-          col_origin[b0 + t] = list[t].col_origin;
-          use_left[b0 + t] = list[t].use_left;
-          use_right[b0 + t] = list[t].use_right;
-          local[b0 + t] = list[t].local;
-        }
-      }
-    }
-  }
-
-  /// Polled between cycles by run_until.
-  [[nodiscard]] bool all_done() const {
-    for (const CellMeta& mt : meta) {
-      if (!mt.is_done) return false;
-    }
-    return true;
+    const std::size_t total = first[cells];
+    left_val.resize(total);
+    right_val.resize(total);
+    arrived.resize(total);
+    q_store.resize(total);
   }
 
   [[nodiscard]] std::uint32_t id(std::size_t i, std::size_t j) const {
-    return id_of[i * n + j];
-  }
-
-  /// Whether cell (i, j) ever launches a completion: diagonals always do,
-  /// off-diagonal cells only when they have candidates (trivially-solved
-  /// cells forward traffic but produce nothing).
-  [[nodiscard]] bool launches(std::size_t i, std::size_t j) const {
-    if (i == j) return true;
-    const std::uint32_t c = id(i, j);
-    return cand_base[c + 1] - cand_base[c] > 0;
+    return cell_id(n, i, j);
   }
 
   /// A completed cell (a, b) launches rightward on row a and upward on
@@ -181,17 +149,22 @@ struct TriangularModularCore::Arena {
 
 /// One cell (i, j).  Diagonal cells launch their base value at cycle 0 and
 /// retire; off-diagonal cells observe the streams passing their position,
-/// match flits against their candidates' origin tables, fold up to two
-/// ready candidates per cycle, and forward both streams one hop.
+/// hand each flit to the candidates its origin feeds, fold up to two ready
+/// candidates per cycle, and forward both streams one hop.
 class TriangularModularCore::Cell : public sim::Module {
  public:
-  Cell(std::size_t i, std::size_t j, Arena& a)
+  /// `heads` is the offset of the cell's origin heads (see the core's
+  /// origin index).
+  Cell(std::size_t i, std::size_t j, std::size_t heads, Arena& a)
       : Module("t" + std::to_string(i) + "_" + std::to_string(j)),
         i_(i),
         j_(j),
         id_(a.id(i, j)),
         left_(i == j ? 0 : a.id(i, j - 1)),
         below_(i == j ? 0 : a.id(i + 1, j)),
+        first_(a.core.tab_.first[id_]),
+        row_head_(a.core.row_head_.data() + heads),
+        col_head_(a.core.col_head_.data() + heads),
         a_(a) {}
 
   void eval(sim::Cycle c) override {
@@ -206,30 +179,29 @@ class TriangularModularCore::Cell : public sim::Module {
     }
     LinkPair& lk = a.link[id];
     CellMeta& mt = a.meta[id];
-    const std::uint32_t b0 = a.cand_base[id];
-    const std::uint32_t kcnt = a.cand_base[id + 1] - b0;
-    std::uint32_t* const q = a.q_store.data() + b0;
+    const Tables& tab = a.core.tab_;
+    std::uint32_t* const q = a.q_store.data() + first_;
     const std::uint32_t len0 = mt.q_len;  // candidates ready before cycle c
 
-    // ---- observe: match passing flits against the origin tables --------
+    // ---- observe: hand passing flits to the candidates they feed -------
+    // A flit visits only its origin's chain, in ascending t, so the ready
+    // FIFO fills in the same order a scan of every candidate would.
     if (lk.row_has && lk.row_cur.a == i_) {
       const Flit& f = lk.row_cur;  // left operand from (i, f.b)
-      for (std::uint32_t t = 0; t < kcnt; ++t) {
-        if (a.row_origin[b0 + t] == f.b && !a.left_set[b0 + t]) {
-          a.left_val[b0 + t] = f.val;
-          a.left_set[b0 + t] = 1;
-          if (a.right_set[b0 + t]) q[mt.q_len++] = t;
-        }
+      const std::uint32_t* const next = a.core.next_row_.data();
+      for (std::uint32_t k = row_head_[f.b - i_]; k != kNoCandidate;
+           k = next[k]) {
+        a.left_val[k] = f.val;
+        if ((a.arrived[k] |= 1) == 3) q[mt.q_len++] = k;
       }
     }
     if (lk.col_has && lk.col_cur.b == j_) {
       const Flit& f = lk.col_cur;  // right operand from (f.a, j)
-      for (std::uint32_t t = 0; t < kcnt; ++t) {
-        if (a.col_origin[b0 + t] == f.a && !a.right_set[b0 + t]) {
-          a.right_val[b0 + t] = f.val;
-          a.right_set[b0 + t] = 1;
-          if (a.left_set[b0 + t]) q[mt.q_len++] = t;
-        }
+      const std::uint32_t* const next = a.core.next_col_.data();
+      for (std::uint32_t k = col_head_[f.a - i_ - 1]; k != kNoCandidate;
+           k = next[k]) {
+        a.right_val[k] = f.val;
+        if ((a.arrived[k] |= 2) == 3) q[mt.q_len++] = k;
       }
     }
 
@@ -237,25 +209,25 @@ class TriangularModularCore::Cell : public sim::Module {
     if (!mt.is_done && mt.q_head < len0) {
       std::uint32_t taken = 0;
       while (mt.q_head < len0 && taken < 2) {
-        const std::uint32_t t = q[mt.q_head];
-        const Cost l = a.use_left[b0 + t] ? a.left_val[b0 + t] : 0;
-        const Cost r = a.use_right[b0 + t] ? a.right_val[b0 + t] : 0;
-        const Cost cand = kern::interval_candidate(l, r, a.local[b0 + t]);
+        const std::uint32_t k = q[mt.q_head];
+        const bool use_left = (tab.use[k] & 1) != 0;
+        const bool use_right = (tab.use[k] & 2) != 0;
+        const Cost l = use_left ? a.left_val[k] : 0;
+        const Cost r = use_right ? a.right_val[k] : 0;
+        const Cost cand = kern::interval_candidate(l, r, tab.local[k]);
         if (sim::OpRecorder* const rec = a.rec; rec != nullptr) {
-          // A clamped operand (use_* == 0) is the rule's structural zero,
-          // not a transported value; otherwise read the origin's lane.
+          // A clamped operand is the rule's structural zero, not a
+          // transported value; otherwise read the origin's lane.
           const sim::SlotId sl =
-              a.use_left[b0 + t]
-                  ? rec->lane(&a.meta[a.id(i_, a.row_origin[b0 + t])].best,
-                              l)
-                  : rec->constant(0);
+              use_left ? rec->lane(&a.meta[a.id(i_, tab.row_origin[k])].best,
+                                   l)
+                       : rec->constant(0);
           const sim::SlotId sr =
-              a.use_right[b0 + t]
-                  ? rec->lane(&a.meta[a.id(a.col_origin[b0 + t], j_)].best,
-                              r)
+              use_right
+                  ? rec->lane(&a.meta[a.id(tab.col_origin[k], j_)].best, r)
                   : rec->constant(0);
           rec->bind_now(&mt.best, rec->fold(rec->lane(&mt.best, mt.best),
-                                            sl, sr, a.local[b0 + t]));
+                                            sl, sr, tab.local[k]));
         }
         if (cand < mt.best) mt.best = cand;
         ++mt.busy;
@@ -266,6 +238,7 @@ class TriangularModularCore::Cell : public sim::Module {
       if (mt.remaining == 0) {
         mt.is_done = 1;
         mt.done_at = c;
+        --a.unfinished;
         a.launch(i_, j_, mt.best);
       }
     }
@@ -354,10 +327,10 @@ class TriangularModularCore::Cell : public sim::Module {
       // that neighbour never launches (a trivially-solved cell) the slot
       // stays architecturally empty and declaring the read would be a
       // dangling port.
-      if (a.launches(i_, j_ - 1)) {
+      if (a.core.launches(i_, j_ - 1)) {
         ports.reads_register(&a.row_launch[id_], slot("row_launch", i_, j_));
       }
-      if (a.launches(i_ + 1, j_)) {
+      if (a.core.launches(i_ + 1, j_)) {
         ports.reads_register(&a.col_launch[id_], slot("col_launch", i_, j_));
       }
       if (j_ > i_ + 1) {  // upstreams are real cells, not diagonals
@@ -367,7 +340,7 @@ class TriangularModularCore::Cell : public sim::Module {
       }
     }
     // Completion launch targets (trivially-solved cells never launch).
-    if (a.launches(i_, j_)) {
+    if (a.core.launches(i_, j_)) {
       if (j_ + 1 < a.n) {
         const std::uint32_t t = a.id(i_, j_ + 1);
         const Flit* const f = &a.row_launch[t];
@@ -396,47 +369,80 @@ class TriangularModularCore::Cell : public sim::Module {
  private:
   std::size_t i_, j_;
   std::uint32_t id_, left_, below_;
+  std::uint32_t first_;  ///< the cell's first candidate and FIFO lane
+  const std::uint32_t* row_head_;
+  const std::uint32_t* col_head_;
   Arena& a_;
 };
 
-TriangularModularCore::TriangularModularCore(
-    std::size_t n, std::vector<Cost> base,
-    std::vector<std::vector<Candidate>> cands)
-    : n_(n), base_(std::move(base)), cands_(std::move(cands)) {
+TriangularModularCore::TriangularModularCore(std::size_t n, Tables tables)
+    : n_(n), tab_(std::move(tables)) {
   if (n_ == 0) throw std::invalid_argument("TriangularModularCore: empty");
-  if (base_.size() != n_ || cands_.size() != n_ * n_) {
+  const std::size_t cells = n_ * (n_ + 1) / 2;
+  if (tab_.base.size() != n_ || tab_.first.size() != cells + 1 ||
+      tab_.first[n_] != 0 ||
+      !std::is_sorted(tab_.first.begin(), tab_.first.end())) {
     throw std::invalid_argument("TriangularModularCore: bad table shape");
   }
-  // Every origin must name a cell that actually launches: a diagonal, or
-  // an off-diagonal cell with at least one candidate.
-  const auto launches = [&](std::size_t i, std::size_t j) {
-    return i == j || !cands_[i * n_ + j].empty();
-  };
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      for (const Candidate& c : cands_[i * n_ + j]) {
-        if (c.row_origin < i || c.row_origin >= j ||
-            !launches(i, c.row_origin) || c.col_origin <= i ||
-            c.col_origin > j || !launches(c.col_origin, j)) {
+  const std::size_t total = tab_.first[cells];
+  if (tab_.row_origin.size() != total || tab_.col_origin.size() != total ||
+      tab_.use.size() != total || tab_.local.size() != total) {
+    throw std::invalid_argument("TriangularModularCore: bad table shape");
+  }
+  // Every origin must name a cell that actually launches (a diagonal, or
+  // an off-diagonal cell with at least one candidate).  Each cell's
+  // candidates are threaded onto their origins' chains back to front, so
+  // every chain runs in ascending t.
+  std::size_t heads = 0;
+  for (std::size_t d = 1; d < n_; ++d) heads += d * (n_ - d);
+  row_head_.assign(heads, kNoCandidate);
+  col_head_.assign(heads, kNoCandidate);
+  next_row_.resize(total);
+  next_col_.resize(total);
+  std::uint32_t* row_head = row_head_.data();
+  std::uint32_t* col_head = col_head_.data();
+  std::uint32_t id = static_cast<std::uint32_t>(n_);
+  for (std::size_t d = 1; d < n_; ++d) {
+    for (std::size_t i = 0; i + d < n_; ++i, ++id) {
+      const std::size_t j = i + d;
+      for (std::uint32_t k = tab_.first[id + 1]; k-- > tab_.first[id];) {
+        const std::size_t b = tab_.row_origin[k];
+        const std::size_t a = tab_.col_origin[k];
+        if (b < i || b >= j || !launches(i, b) || a <= i || a > j ||
+            !launches(a, j)) {
           throw std::invalid_argument(
               "TriangularModularCore: candidate origin is not a launching "
               "cell");
         }
+        next_row_[k] = row_head[b - i];
+        row_head[b - i] = k;
+        next_col_[k] = col_head[a - i - 1];
+        col_head[a - i - 1] = k;
       }
+      row_head += d;
+      col_head += d;
     }
   }
+}
+
+bool TriangularModularCore::launches(std::size_t i, std::size_t j) const {
+  if (i == j) return true;
+  const std::uint32_t c = cell_id(n_, i, j);
+  return tab_.first[c + 1] > tab_.first[c];
 }
 
 TriangularModularCore::~TriangularModularCore() = default;
 
 void TriangularModularCore::elaborate(sim::Engine& engine) {
-  arena_ = std::make_unique<Arena>(n_, base_, cands_);
+  arena_ = std::make_unique<Arena>(*this);
   arena_->rec = engine.recorder();
   cells_.clear();
-  // Registered in arena-id (diagonal-major) order, like GktModularArray.
+  // Registered in arena-id (diagonal-major) order, like GktModularArray,
+  // which is also the order of the origin heads (j - i per cell).
+  std::size_t heads = 0;
   for (std::size_t d = 0; d < n_; ++d) {
-    for (std::size_t i = 0; i + d < n_; ++i) {
-      cells_.push_back(std::make_unique<Cell>(i, i + d, *arena_));
+    for (std::size_t i = 0; i + d < n_; ++i, heads += d) {
+      cells_.push_back(std::make_unique<Cell>(i, i + d, heads, *arena_));
       engine.add(*cells_.back());
     }
   }
@@ -493,8 +499,8 @@ TriangularModularCore::Result TriangularModularCore::run(sim::Engine& engine) {
   // most for the finite stream ahead of it — 8n + 32 covers the family
   // with generous slack.
   const sim::Cycle limit = 8 * static_cast<sim::Cycle>(n) + 32;
-  const auto until = engine.run_until([this] { return arena_->all_done(); },
-                                      limit);
+  const auto until = engine.run_until(
+      [this] { return arena_->unfinished == 0; }, limit);
   if (!until.satisfied) {
     throw std::logic_error("TriangularModularCore: did not converge");
   }

@@ -11,11 +11,12 @@
 //
 //   * Origin-matched operands.  A rule's candidate t at cell (i, j) names
 //     a left sub-interval on row i and a right sub-interval on column j.
-//     The wrapper compiles these into per-candidate origin tables; a
-//     passing flit is matched against the tables (one origin may feed
-//     several candidates — the BST rule maps the adjacent diagonal cell
-//     to two slots, as both the empty-left and empty-right trees clamp to
-//     it).
+//     The wrapper compiles these once into flat per-candidate tables in
+//     arena order, and the core indexes them by origin: a passing flit
+//     from (i, b) or (a, j) visits exactly the candidates it feeds (one
+//     origin may feed several — the BST rule maps the adjacent diagonal
+//     cell to two slots, as both the empty-left and empty-right trees
+//     clamp to it).
 //   * Patient launch slots.  GKT's single-occupancy theorem (at most one
 //     value per link register per cycle) is proved for the chain
 //     recurrence only; richer rules can collide a completion launch with
@@ -48,30 +49,34 @@
 namespace sysdp {
 
 /// Non-template machinery: arena, cell modules, transport, gating.  The
-/// rule is pre-compiled into per-candidate specs by TriangularModularArray.
+/// rule is pre-compiled into flat candidate tables by
+/// TriangularModularArray.
 class TriangularModularCore {
  public:
-  /// One candidate of one cell, rule-agnostic.  `row_origin` is the column
-  /// b of the left operand's producer cell (i, b) on the consumer's row;
-  /// `col_origin` is the row a of the right operand's producer (a, j) on
-  /// the consumer's column.  An operand clamped away by the rule (e.g. an
-  /// empty BST subtree) still gates arrival but contributes zero cost:
-  /// use_left / use_right record that.
-  struct Candidate {
-    std::uint32_t row_origin = 0;
-    std::uint32_t col_origin = 0;
-    std::uint8_t use_left = 1;
-    std::uint8_t use_right = 1;
-    Cost local = 0;
+  /// A rule compiled for an n-key array.  Cells are in arena order
+  /// (diagonal-major: the n diagonal cells, then (0, 1), (1, 2), ...,
+  /// then (0, 2), ...), and cell c owns candidates [first[c], first[c+1])
+  /// in the rule's t order; the per-candidate vectors are parallel.
+  /// For candidate t of cell (i, j), `row_origin` is the column b of the
+  /// left operand's producer (i, b) on the consumer's row and
+  /// `col_origin` the row a of the right operand's producer (a, j) on its
+  /// column.  An operand clamped away by the rule (e.g. an empty BST
+  /// subtree) still gates arrival but contributes zero cost: bit 0 of
+  /// `use` is set when the left operand counts, bit 1 for the right.
+  /// A cell with no candidates is trivially solved (value 0 at cycle 0,
+  /// e.g. a polygon edge).
+  struct Tables {
+    std::vector<Cost> base;           ///< diagonal cell (i, i)'s value
+    std::vector<std::uint32_t> first; ///< n(n+1)/2 + 1 prefix offsets
+    std::vector<std::uint32_t> row_origin, col_origin;
+    std::vector<std::uint8_t> use;
+    std::vector<Cost> local;
   };
 
-  /// `base[i]` is diagonal cell (i, i)'s value; `cands[i * n + j]` the
-  /// candidate list of off-diagonal cell (i, j) (empty = trivially solved,
-  /// value 0 at cycle 0, e.g. a polygon edge).  Throws invalid_argument
-  /// if an origin names a cell that never launches (neither diagonal nor
-  /// a candidate-bearing cell).
-  TriangularModularCore(std::size_t n, std::vector<Cost> base,
-                        std::vector<std::vector<Candidate>> cands);
+  /// Validates `tables` and builds the origin index.  Throws
+  /// invalid_argument on a bad shape, or if an origin names a cell that
+  /// never launches (neither diagonal nor a candidate-bearing cell).
+  TriangularModularCore(std::size_t n, Tables tables);
   ~TriangularModularCore();
 
   TriangularModularCore(const TriangularModularCore&) = delete;
@@ -121,23 +126,37 @@ class TriangularModularCore {
   class Cell;
   struct Arena;
 
+  static constexpr std::uint32_t kNoCandidate = 0xffffffffu;
+
+  /// Whether cell (i, j) ever launches a completion: diagonals always do,
+  /// off-diagonal cells only when they have candidates.
+  [[nodiscard]] bool launches(std::size_t i, std::size_t j) const;
+
   std::size_t n_;
-  std::vector<Cost> base_;
-  std::vector<std::vector<Candidate>> cands_;
+  Tables tab_;
+  // Origin index, built once with the tables.  Cell (i, j) owns j - i
+  // heads per stream, after those of the cells before it in arena order:
+  // row head b - i for origin (i, b), b in [i, j), and column head
+  // a - i - 1 for origin (a, j), a in (i, j].  A head holds the first
+  // candidate (an index into the per-candidate tables) that the origin
+  // feeds; next_row_ / next_col_ chain the others in ascending t, and
+  // kNoCandidate ends a chain.
+  std::vector<std::uint32_t> row_head_, col_head_;
+  std::vector<std::uint32_t> next_row_, next_col_;
   std::unique_ptr<Arena> arena_;
   std::vector<std::unique_ptr<Cell>> cells_;
 };
 
 /// The generic triangular array on the simulation engine: compiles `Rule`
-/// (same policy concept as TriangularArray) into origin tables and runs
-/// the shared core.
+/// (same policy concept as TriangularArray) into flat candidate tables
+/// and runs the shared core.
 template <typename Rule>
 class TriangularModularArray {
  public:
   using Result = TriangularModularCore::Result;
 
   TriangularModularArray(const Rule& rule, std::size_t n)
-      : core_(n, compile_base(rule, n), compile_cands(rule, n)) {}
+      : core_(n, compile(rule, n)) {}
 
   [[nodiscard]] Result run(sim::Gating gating = sim::Gating::kSparse) {
     return core_.run(gating);
@@ -156,25 +175,30 @@ class TriangularModularArray {
   }
 
  private:
-  static std::vector<Cost> compile_base(const Rule& rule, std::size_t n) {
-    std::vector<Cost> base(n);
-    for (std::size_t i = 0; i < n; ++i) base[i] = rule.base(i);
-    return base;
-  }
-
-  /// Evaluate the rule's interval geometry once per candidate.  The local
-  /// cost is recovered by probing candidate() with zero operands — every
-  /// interval rule's candidate is (use_left ? left : 0) + (use_right ?
-  /// right : 0) + local, so the zero probe isolates `local`.
-  static std::vector<std::vector<TriangularModularCore::Candidate>>
-  compile_cands(const Rule& rule, std::size_t n) {
-    std::vector<std::vector<TriangularModularCore::Candidate>> cands(n * n);
+  /// Evaluate the rule's interval geometry once per candidate, cells in
+  /// arena order.  The local cost is recovered by probing candidate() with
+  /// zero operands — every interval rule's candidate is (use_left ? left :
+  /// 0) + (use_right ? right : 0) + local, so the zero probe isolates
+  /// `local`.
+  static TriangularModularCore::Tables compile(const Rule& rule,
+                                               std::size_t n) {
+    TriangularModularCore::Tables tab;
+    tab.base.resize(n);
+    for (std::size_t i = 0; i < n; ++i) tab.base[i] = rule.base(i);
+    std::size_t total = 0;
+    for (std::size_t d = 1; d < n; ++d) {
+      for (std::size_t i = 0; i + d < n; ++i) total += rule.splits(i, i + d);
+    }
+    tab.first.reserve(n * (n + 1) / 2 + 1);
+    tab.first.assign(n + 1, 0);  // diagonal cells have no candidates
+    tab.row_origin.reserve(total);
+    tab.col_origin.reserve(total);
+    tab.use.reserve(total);
+    tab.local.reserve(total);
     for (std::size_t d = 1; d < n; ++d) {
       for (std::size_t i = 0; i + d < n; ++i) {
         const std::size_t j = i + d;
         const std::size_t k = rule.splits(i, j);
-        auto& list = cands[i * n + j];
-        list.reserve(k);
         for (std::size_t t = 0; t < k; ++t) {
           const auto [li, lj] = rule.left_interval(i, j, t);
           const auto [ri, rj] = rule.right_interval(i, j, t);
@@ -183,23 +207,22 @@ class TriangularModularArray {
                 "TriangularModularArray: rule's sub-intervals must lie on "
                 "the consumer's row and column");
           }
-          TriangularModularCore::Candidate c;
-          c.row_origin = static_cast<std::uint32_t>(lj);
-          c.col_origin = static_cast<std::uint32_t>(ri);
           // Clamp detection: feed a sentinel through a zero probe.  If the
           // rule ignores an operand (empty sub-tree), a sentinel in that
           // slot does not move the result.
           const Cost local = rule.candidate(i, j, t, 0, 0);
-          const Cost probe_l = rule.candidate(i, j, t, 1, 0);
-          const Cost probe_r = rule.candidate(i, j, t, 0, 1);
-          c.use_left = probe_l != local ? 1 : 0;
-          c.use_right = probe_r != local ? 1 : 0;
-          c.local = local;
-          list.push_back(c);
+          const bool use_left = rule.candidate(i, j, t, 1, 0) != local;
+          const bool use_right = rule.candidate(i, j, t, 0, 1) != local;
+          tab.row_origin.push_back(static_cast<std::uint32_t>(lj));
+          tab.col_origin.push_back(static_cast<std::uint32_t>(ri));
+          tab.use.push_back(static_cast<std::uint8_t>(
+              (use_left ? 1 : 0) | (use_right ? 2 : 0)));
+          tab.local.push_back(local);
         }
+        tab.first.push_back(static_cast<std::uint32_t>(tab.local.size()));
       }
     }
-    return cands;
+    return tab;
   }
 
   TriangularModularCore core_;

@@ -122,7 +122,12 @@ void append_schedule_trace(ChromeTraceWriter& writer,
                            const std::vector<ScheduleSpan>& spans,
                            std::uint64_t k, std::uint32_t pid) {
   writer.process_name(pid, "dnc scheduler (K=" + std::to_string(k) + ")");
-  for (std::uint64_t a = 0; a < k; ++a) {
+  // Arrays are batch positions 0, 1, ..., so the ones that ran a product
+  // are those below the widest batch: at most min(K, spans), and a huge K
+  // costs nothing.
+  std::uint64_t width = 0;
+  for (const ScheduleSpan& s : spans) width = std::max(width, s.array + 1);
+  for (std::uint64_t a = 0; a < width; ++a) {
     writer.thread_name(pid, static_cast<std::uint32_t>(a),
                        "array " + std::to_string(a));
   }

@@ -113,9 +113,10 @@ class PoolTraceRecorder final : public sim::PoolObserver {
   std::vector<Span> spans_;
 };
 
-/// DnC scheduler spans: one viewer thread per array, one 1-T_1-wide span
-/// per executed product (T_1 rendered as kT1Microseconds).  Names the
-/// process "dnc scheduler (K=k)".
+/// DnC scheduler spans: one viewer thread per array that ran a product
+/// (at most min(K, spans) of them, so the trace does not grow with K), one
+/// 1-T_1-wide span per executed product (T_1 rendered as kT1Microseconds).
+/// Names the process "dnc scheduler (K=k)".
 void append_schedule_trace(ChromeTraceWriter& writer,
                            const std::vector<ScheduleSpan>& spans,
                            std::uint64_t k, std::uint32_t pid = 1);

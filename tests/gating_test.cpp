@@ -129,9 +129,14 @@ TEST(ActivityGating, GktModularDenseVsSparseBitIdentical) {
 
 // The modular cell array must be cycle-exact against the monolithic RTL
 // sweep: same cost table, same per-cell completion cycles, same busy work
-// and the same operand-buffer peak — in both gating modes.
+// and the same operand-buffer peak — in both gating modes.  Every n up to
+// 20, plus the sweep benchmark's 48 and 96, where a cell stages up to 95
+// operands per stream and the peak is taken over 4,656 cells.
 TEST(ActivityGating, GktModularMatchesRtlCycleExactly) {
-  for (std::size_t n = 1; n <= 20; ++n) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 20; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), {48, 96});
+  for (const std::size_t n : sizes) {
     Rng rng(900 + n);
     const auto dims = random_chain_dims(n, rng);
     const auto rtl = GktRtlArray(dims).run();

@@ -3,6 +3,8 @@
 // every rule in the interval-DP family, agree with the chain-specialised
 // GKT arrays on chain inputs, and be bit-identical across engine modes.
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "arrays/gkt_rtl.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
+#include "semiring/kernels.hpp"
 
 namespace sysdp {
 namespace {
@@ -180,6 +183,167 @@ struct BadRule {
 TEST(TriangularModular, RejectsOffAxisRule) {
   EXPECT_THROW((TriangularModularArray<BadRule>(BadRule{}, 3)),
                std::invalid_argument);
+}
+
+// Dense vs sparse bit-identity of one rule's run, field by field.
+void expect_same_run(const TriangularModularCore::Result& dense,
+                     const TriangularModularCore::Result& sparse) {
+  ASSERT_EQ(dense.cost.rows(), sparse.cost.rows());
+  for (std::size_t i = 0; i < dense.cost.rows(); ++i) {
+    for (std::size_t j = i; j < dense.cost.cols(); ++j) {
+      ASSERT_EQ(dense.cost(i, j), sparse.cost(i, j))
+          << "cell (" << i << ", " << j << ")";
+      ASSERT_EQ(dense.done(i, j), sparse.done(i, j))
+          << "cell (" << i << ", " << j << ")";
+    }
+  }
+  EXPECT_EQ(dense.stats.busy_steps, sparse.stats.busy_steps);
+  EXPECT_EQ(dense.stats.cycles, sparse.stats.cycles);
+}
+
+// The whole family at the sizes the sweep benchmark runs (n 32-96), where
+// one cell sees up to 95 flits per stream: costs equal the analytic
+// model's, and the gated run is the dense run bit for bit.
+TEST(TriangularModular, FamilyMatchesAnalyticAtBenchmarkSizes) {
+  for (const std::size_t n : {32u, 64u, 96u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const auto freq = make_costs(n, 17 * n + 1);
+    const auto bst = run_bst_modular(freq, sim::Gating::kSparse);
+    expect_costs_match(bst, run_bst_array(freq));
+    expect_same_run(run_bst_modular(freq, sim::Gating::kDense), bst);
+
+    const auto weights = make_costs(n, 19 * n + 2);
+    const auto poly = run_polygon_modular(weights, sim::Gating::kSparse);
+    expect_costs_match(poly, run_polygon_array(weights));
+    expect_same_run(run_polygon_modular(weights, sim::Gating::kDense), poly);
+
+    const auto dims = make_costs(n + 1, 23 * n + 3);
+    const auto chain = run_chain_modular(dims, sim::Gating::kSparse);
+    expect_costs_match(chain, run_chain_array(dims));
+    expect_same_run(run_chain_modular(dims, sim::Gating::kDense), chain);
+  }
+}
+
+// The simulated machine at n = 64 and 96, pinned to recorded counts: how
+// a cell finds the candidates a flit feeds, where it stages operands and
+// how the run detects completion is bookkeeping, and must not move a
+// cycle, a fold or an eval.  Inputs come from make_costs, so the pins do
+// not depend on the standard library's distributions.
+TEST(TriangularModular, SimulatedCountsPinnedAtBenchmarkSizes) {
+  struct Pin {
+    std::size_t n;
+    std::uint64_t cycles, busy_steps, active_evals, dense_evals;
+  };
+  const Pin gkt_pins[] = {
+      {64, 126, 43680, 51775, 264160},
+      {96, 190, 147440, 165727, 889296},
+  };
+  for (const Pin& p : gkt_pins) {
+    SCOPED_TRACE("gkt n = " + std::to_string(p.n));
+    const auto r = GktModularArray(make_costs(p.n + 1, 29 * p.n + 7)).run();
+    EXPECT_EQ(r.stats.cycles, p.cycles);
+    EXPECT_EQ(r.stats.busy_steps, p.busy_steps);
+    EXPECT_EQ(r.stats.active_evals, p.active_evals);
+    EXPECT_EQ(r.stats.dense_evals, p.dense_evals);
+  }
+  const Pin bst_pins[] = {
+      {64, 127, 45696, 51775, 264160},
+      {96, 191, 152000, 165727, 889296},
+  };
+  for (const Pin& p : bst_pins) {
+    SCOPED_TRACE("bst n = " + std::to_string(p.n));
+    const auto r = run_bst_modular(make_costs(p.n, 31 * p.n + 11));
+    EXPECT_EQ(r.stats.cycles, p.cycles);
+    EXPECT_EQ(r.stats.busy_steps, p.busy_steps);
+    EXPECT_EQ(r.stats.active_evals, p.active_evals);
+    EXPECT_EQ(r.stats.dense_evals, p.dense_evals);
+  }
+}
+
+// Chain splits plus two candidates per cell that the diagonal (i, i) on
+// the cell's row also feeds, so that one origin feeds three candidates of
+// one cell (t = 0, t = j-i and t = j-i+1).  Candidate j-i clamps that
+// operand away (use_left == 0), yet its arrival still gates the candidate.
+struct TripleFeedRule {
+  std::vector<Cost> dims;  // n + 1 chain dimensions
+
+  [[nodiscard]] Cost base(std::size_t) const { return 0; }
+  [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
+    return j - i + 2;
+  }
+  [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
+                               Cost left, Cost right) const {
+    if (t < j - i) {
+      return kern::interval_candidate(left, right,
+                                      dims[i] * dims[i + t + 1] * dims[j + 1]);
+    }
+    if (t == j - i) {
+      return kern::interval_candidate(0, right, dims[i] + dims[j + 1] + 7);
+    }
+    return kern::interval_candidate(left, right, dims[i] * dims[j + 1] + 3);
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
+      std::size_t i, std::size_t j, std::size_t t) const {
+    return t < j - i ? std::pair{i, i + t} : std::pair{i, i};
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> right_interval(
+      std::size_t i, std::size_t j, std::size_t t) const {
+    if (t < j - i) return {i + t + 1, j};
+    return t == j - i ? std::pair{j, j} : std::pair{i + 1, j};
+  }
+};
+
+TEST(TriangularModular, OneOriginFeedingThreeCandidatesMatchesAnalytic) {
+  for (const std::size_t n : {1u, 2u, 3u, 6u, 11u, 24u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const TripleFeedRule rule{make_costs(n + 1, 37 * n + 5)};
+    const auto ref = TriangularArray<TripleFeedRule>(rule, n).run();
+    TriangularModularArray<TripleFeedRule> arr(rule, n);
+    const auto sparse = arr.run(sim::Gating::kSparse);
+    expect_costs_match(sparse, ref);
+    expect_same_run(arr.run(sim::Gating::kDense), sparse);
+    // Every candidate folds exactly once: sum over cells of (j-i+2).
+    EXPECT_EQ(sparse.stats.busy_steps, ref.stats.busy_steps);
+  }
+}
+
+// Cell (0, 1) has no candidates, so it never launches; cell (0, 2) names
+// it as its left origin.  That operand would never arrive, and the
+// constructor must say so rather than let the run hang to its bound.
+struct SilentOriginRule {
+  [[nodiscard]] Cost base(std::size_t) const { return 1; }
+  [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
+    return i == 0 && j == 1 ? 0 : 1;
+  }
+  [[nodiscard]] Cost candidate(std::size_t, std::size_t, std::size_t, Cost l,
+                               Cost r) const {
+    return l + r;
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
+      std::size_t i, std::size_t j, std::size_t) const {
+    return {i, j - 1};
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> right_interval(
+      std::size_t, std::size_t j, std::size_t) const {
+    return {j, j};
+  }
+};
+
+TEST(TriangularModular, RejectsNonLaunchingOrigin) {
+  try {
+    TriangularModularArray<SilentOriginRule> arr(SilentOriginRule{}, 3);
+    FAIL() << "a candidate fed by a silent cell was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "candidate origin is not a launching cell"),
+              std::string::npos)
+        << e.what();
+  }
+  // The same rule on two keys never consults (0, 1) as an origin.
+  EXPECT_EQ(TriangularModularArray<SilentOriginRule>(SilentOriginRule{}, 2)
+                .run()
+                .total(),
+            0);
 }
 
 }  // namespace
