@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "semiring/kernels.hpp"
+#include "arrays/cell_block.hpp"
 #include "sim/module.hpp"
 #include "sim/record.hpp"
 
@@ -49,12 +49,12 @@ struct CellMeta {
 /// Per-array arena holding every cell's state in contiguous per-cell
 /// lanes: the packed link registers and fold metadata above, the operand
 /// staging buffers and the ready queues (j-i lanes per cell, one per split
-/// k in [i, j), at q_base[id] + (k - i)), and the completion-launch bypass
-/// slots that a finishing neighbour stages and the owner's commit merges.
-/// Cell modules are thin lane views.
+/// k in [i, j), at q_base[id] + (k - i)), the completion-launch bypass
+/// slots that a finishing neighbour stages and the owner's commit merges,
+/// and the cell modules themselves, thin lane views.  A destroyed array
+/// parks its arena in a SparePool for the next one.
 struct GktModularArray::Arena {
-  std::size_t n;
-  std::vector<std::uint32_t> id_of;  ///< (i*n + j) -> cell id, i <= j
+  std::size_t n = 0;
 
   std::vector<LinkPair> link;
   std::vector<CellMeta> meta;
@@ -69,13 +69,16 @@ struct GktModularArray::Arena {
   std::vector<std::uint8_t> row_launch_set, col_launch_set;
 
   // Per-split lanes: cell id owns lanes q_base[id] + (k - i) for its
-  // splits k in [i, j).  Operand staging holds m_{i,k} (row) and
-  // m_{k+1,j} (column), presence in parallel byte arrays.  The ready-
-  // candidate FIFO q_store holds split indices k; entries below the
-  // eval-entry watermark were ready before the current cycle — exactly
-  // the RTL's `at <= c-1` eligibility.
-  std::vector<Cost> row_op_val, col_op_val;
-  std::vector<std::uint8_t> row_op_set, col_op_set;
+  // splits k in [i, j).  Operand staging sums m_{i,k} (row) and m_{k+1,j}
+  // (column) into one lane as they arrive, which is the candidate's
+  // sat_add(left, right) once both have; op_set marks the arrived ones
+  // (bit 0 row, bit 1 column).  The ready-candidate FIFO q_store holds
+  // split indices k; entries below the eval-entry watermark were ready
+  // before the current cycle — exactly the RTL's `at <= c-1` eligibility.
+  // A sum or FIFO lane is written before it is read, so only op_set
+  // starts cleared.
+  std::vector<Cost> op_sum;
+  std::vector<std::uint8_t> op_set;
   std::vector<std::uint32_t> q_store, q_base;
 
   /// Tape recorder mirroring the fold datapath, or null when not lowering.
@@ -84,43 +87,65 @@ struct GktModularArray::Arena {
   /// so fold operands resolve directly against origin lanes.
   sim::OpRecorder* rec = nullptr;
 
-  explicit Arena(std::size_t n_in) : n(n_in) {
-    const std::size_t cells = n * (n + 1) / 2;
-    id_of.assign(n * n, 0);
-    // Diagonal-major cell ids: the completion wavefront sweeps outward one
-    // diagonal at a time, so at any cycle the cells carrying traffic are a
-    // band of consecutive diagonals — with this numbering the gated
-    // engine's (sorted) active set walks nearly contiguous arena lanes,
-    // and a cell's two upstreams sit adjacent in the previous diagonal.
-    std::uint32_t next = 0;
+  CellBlock<Cell> cells;  ///< arena (diagonal-major) order
+
+  /// Lay out and clear every lane for an n-matrix chain, reusing the
+  /// buffers' capacity.
+  void reset(std::size_t n_in) {
+    n = n_in;
+    const std::size_t num_cells = n * (n + 1) / 2;
+    link.assign(num_cells, LinkPair{});
+    meta.assign(num_cells, CellMeta{});
+    row_launch.assign(num_cells, Flit{});
+    col_launch.assign(num_cells, Flit{});
+    row_launch_set.assign(num_cells, 0);
+    col_launch_set.assign(num_cells, 0);
+    // Cell (i, j) owns j - i lanes, after those of the cells before it in
+    // arena order.
+    q_base.resize(num_cells + 1);
+    q_base[0] = 0;
+    std::size_t id = 0;
     for (std::size_t d = 0; d < n; ++d) {
-      for (std::size_t i = 0; i + d < n; ++i) id_of[i * n + (i + d)] = next++;
-    }
-    link.resize(cells);
-    meta.resize(cells);
-    row_launch.resize(cells);
-    col_launch.resize(cells);
-    row_launch_set.assign(cells, 0);
-    col_launch_set.assign(cells, 0);
-    q_base.assign(cells + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        q_base[id(i, j) + 1] = static_cast<std::uint32_t>(j - i);
-        meta[id(i, j)].remaining = static_cast<std::uint32_t>(j - i);
+      for (std::size_t i = 0; i + d < n; ++i, ++id) {
+        q_base[id + 1] = q_base[id] + static_cast<std::uint32_t>(d);
+        meta[id].remaining = static_cast<std::uint32_t>(d);
       }
-      meta[id(i, i)].is_done = 1;  // leaves complete at cycle 0
     }
-    for (std::size_t c = 0; c < cells; ++c) q_base[c + 1] += q_base[c];
-    const std::size_t lanes = q_base[cells];
-    row_op_val.assign(lanes, 0);
-    col_op_val.assign(lanes, 0);
-    row_op_set.assign(lanes, 0);
-    col_op_set.assign(lanes, 0);
-    q_store.assign(lanes, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      meta[i].is_done = 1;  // leaves (ids 0..n-1) complete at cycle 0
+    }
+    const std::size_t lanes = q_base[num_cells];
+    if (op_sum.size() < lanes) {
+      op_sum.resize(lanes);
+      q_store.resize(lanes);
+    }
+    op_set.assign(lanes, 0);
   }
 
+  /// SparePool hooks: drop the cells and per-cell state, keep capacity.
+  void retire() {
+    cells.clear();
+    meta.clear();
+    rec = nullptr;
+  }
+  [[nodiscard]] std::size_t footprint() const;
+
+  /// Stage operand `bit` (1 row, 2 column) of split lane `l`; true once
+  /// both have arrived.  The first operand is stored as is: sat_add(0, v)
+  /// is v, so the lane needs no clearing.
+  bool stage(std::size_t l, std::uint8_t bit, Cost v) {
+    op_sum[l] = op_set[l] != 0 ? sat_add(op_sum[l], v) : v;
+    return (op_set[l] |= bit) == 3;
+  }
+
+  /// Diagonal-major cell ids (cell_id): the completion wavefront sweeps
+  /// outward one diagonal at a time, so at any cycle the cells carrying
+  /// traffic are a band of consecutive diagonals — with this numbering
+  /// the gated engine's (sorted) active set walks nearly contiguous arena
+  /// lanes, and a cell's two upstreams sit adjacent in the previous
+  /// diagonal.
   [[nodiscard]] std::uint32_t id(std::size_t i, std::size_t j) const {
-    return id_of[i * n + j];
+    return cell_id(n, i, j);
   }
 
   /// A completed m_{a,b} launches rightward on row a and upward on column
@@ -156,8 +181,7 @@ struct GktModularArray::Arena {
 class GktModularArray::Cell : public sim::Module {
  public:
   Cell(std::size_t i, std::size_t j, Arena& a, const std::vector<Cost>& dims)
-      : Module("c" + std::to_string(i) + "_" + std::to_string(j)),
-        i_(i),
+      : i_(i),
         j_(j),
         id_(a.id(i, j)),
         left_(i == j ? 0 : a.id(i, j - 1)),
@@ -187,13 +211,11 @@ class GktModularArray::Cell : public sim::Module {
       const Flit& f = lk.row_cur;
       if (f.a == i_) {
         const std::size_t k = f.b;  // m_{i,k}
-        if (k >= i_ && k < j_ && !a.row_op_set[base + k]) {
-          a.row_op_val[base + k] = f.val;
-          a.row_op_set[base + k] = 1;
-          ++mt.staged;
-          if (a.col_op_set[base + k]) {
+        if (k >= i_ && k < j_ && (a.op_set[base + k] & 1) == 0) {
+          if (a.stage(base + k, 1, f.val)) {
             q[mt.q_len++] = static_cast<std::uint32_t>(k);
           }
+          ++mt.staged;
         }
       }
     }
@@ -201,13 +223,11 @@ class GktModularArray::Cell : public sim::Module {
       const Flit& f = lk.col_cur;
       if (f.b == j_) {
         const std::size_t fa = f.a;  // m_{a,j}, pairs with k = a-1
-        if (fa > i_ && fa <= j_ && !a.col_op_set[base + fa - 1]) {
-          a.col_op_val[base + fa - 1] = f.val;
-          a.col_op_set[base + fa - 1] = 1;
-          ++mt.staged;
-          if (a.row_op_set[base + fa - 1]) {
+        if (fa > i_ && fa <= j_ && (a.op_set[base + fa - 1] & 2) == 0) {
+          if (a.stage(base + fa - 1, 2, f.val)) {
             q[mt.q_len++] = static_cast<std::uint32_t>(fa - 1);
           }
+          ++mt.staged;
         }
       }
     }
@@ -219,19 +239,24 @@ class GktModularArray::Cell : public sim::Module {
       while (mt.q_head < len0 && taken < 2) {
         const std::size_t k = q[mt.q_head];
         const Cost w = dims_[i_] * dims_[k + 1] * dims_[j_ + 1];
-        const Cost cand = kern::interval_candidate(
-            a.row_op_val[base + k], a.col_op_val[base + k], w);
+        const Cost cand = sat_add(a.op_sum[base + k], w);
         if (sim::OpRecorder* const rec = a.rec; rec != nullptr) {
           // Diagonal-leaf origins launched the literal 0; every other
-          // operand is the origin cell's (final) best lane.
+          // operand is the origin cell's (final) best lane, the value its
+          // flit carried.
+          const Cost* const lv = &a.meta[a.id(i_, k)].best;
+          const Cost* const rv = &a.meta[a.id(k + 1, j_)].best;
+          // The flits must have delivered what the narrated lanes hold.
+          if (a.op_sum[base + k] !=
+              sat_add(k == i_ ? 0 : *lv, k + 1 == j_ ? 0 : *rv)) {
+            throw std::logic_error(
+                "GktModularArray: delivered operands differ from their "
+                "origins' results");
+          }
           const sim::SlotId l =
-              (k == i_) ? rec->constant(0)
-                        : rec->lane(&a.meta[a.id(i_, k)].best,
-                                    a.row_op_val[base + k]);
+              (k == i_) ? rec->constant(0) : rec->lane(lv, *lv);
           const sim::SlotId r =
-              (k + 1 == j_) ? rec->constant(0)
-                            : rec->lane(&a.meta[a.id(k + 1, j_)].best,
-                                        a.col_op_val[base + k]);
+              (k + 1 == j_) ? rec->constant(0) : rec->lane(rv, *rv);
           rec->bind_now(&mt.best,
                         rec->fold(rec->lane(&mt.best, mt.best), l, r, w));
         }
@@ -317,6 +342,10 @@ class GktModularArray::Cell : public sim::Module {
     return i_ == j_ ? sim::SleepMode::kRetire : sim::SleepMode::kWakeable;
   }
 
+  [[nodiscard]] std::string format_name() const override {
+    return "c" + std::to_string(i_) + "_" + std::to_string(j_);
+  }
+
   /// Keys name the link registers (per-cell row/col streams) and the
   /// completion-launch slots.  A diagonal leaf never writes its own link
   /// registers, so downstream cells do not declare reads of leaf links
@@ -399,20 +428,31 @@ GktModularArray::GktModularArray(std::vector<Cost> dims)
   }
 }
 
-GktModularArray::~GktModularArray() = default;
+std::size_t GktModularArray::Arena::footprint() const {
+  return buffer_bytes(link) + buffer_bytes(meta) + buffer_bytes(row_launch) +
+         buffer_bytes(col_launch) + buffer_bytes(row_launch_set) +
+         buffer_bytes(col_launch_set) + buffer_bytes(op_sum) +
+         buffer_bytes(op_set) + buffer_bytes(q_store) +
+         buffer_bytes(q_base) + cells.capacity() * sizeof(Cell);
+}
+
+GktModularArray::~GktModularArray() {
+  SparePool<Arena>::give(std::move(arena_));
+}
 
 void GktModularArray::elaborate(sim::Engine& engine) {
   const std::size_t n = num_matrices();
-  arena_ = std::make_unique<Arena>(n);
-  arena_->rec = engine.recorder();
-  cells_.clear();
+  if (arena_ == nullptr) arena_ = SparePool<Arena>::take();
+  Arena& a = *arena_;
+  a.reset(n);
+  a.rec = engine.recorder();
   // Registered in arena-id (diagonal-major) order so the engine's module
   // index equals the arena lane and the sorted active set walks the arena
-  // sequentially.
+  // and the cell block sequentially.
+  a.cells.reset(num_pes());
   for (std::size_t d = 0; d < n; ++d) {
     for (std::size_t i = 0; i + d < n; ++i) {
-      cells_.push_back(std::make_unique<Cell>(i, i + d, *arena_, dims_));
-      engine.add(*cells_.back());
+      engine.add(a.cells.emplace_back(i, i + d, a, dims_));
     }
   }
   // Wakeup edges follow the register dataflow: a cell can only be
@@ -420,15 +460,14 @@ void GktModularArray::elaborate(sim::Engine& engine) {
   // its column stream (from (i+1, j)) — completion launches travel the
   // same arcs, and a launching cell is provably active the cycle before
   // (it holds the not-yet-folded candidates that complete it), so the
-  // receiver is always awake to latch the launch.  Declared source-major
-  // so each cell's edge 0 / edge 1 match its wake_mask() bits.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const std::uint32_t id = arena_->id(i, j);
-      if (j + 1 < n) engine.add_wakeup(*cells_[id], *cells_[arena_->id(i, j + 1)]);
-      if (i > 0 && i - 1 <= j && i <= j) {
-        engine.add_wakeup(*cells_[id], *cells_[arena_->id(i - 1, j)]);
-      }
+  // receiver is always awake to latch the launch.  Each cell declares its
+  // row edge to (i, j+1), then its column edge to (i-1, j).
+  std::size_t id = 0;
+  for (std::size_t d = 0; d < n; ++d) {
+    for (std::size_t i = 0; i + d < n; ++i, ++id) {
+      const std::size_t j = i + d;
+      if (j + 1 < n) engine.add_wakeup(a.cells[id], a.cells[a.id(i, j + 1)]);
+      if (i > 0) engine.add_wakeup(a.cells[id], a.cells[a.id(i - 1, j)]);
     }
   }
 }

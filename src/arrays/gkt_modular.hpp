@@ -94,8 +94,7 @@ class GktModularArray {
   struct Arena;
 
   std::vector<Cost> dims_;
-  std::unique_ptr<Arena> arena_;
-  std::vector<std::unique_ptr<Cell>> cells_;
+  std::unique_ptr<Arena> arena_;  ///< lanes and cells, once elaborated
 };
 
 }  // namespace sysdp

@@ -13,14 +13,21 @@
 //   struct Rule {
 //     Cost base(std::size_t i) const;                    // diagonal cells
 //     std::size_t splits(std::size_t i, std::size_t j) const;
-//     // candidate `t` (0-based) for interval [i, j]; left/right are the
-//     // completed sub-interval values the operand streams deliver.
-//     Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-//                    Cost left, Cost right) const;
+//     // terms of candidate `t` (0-based) for interval [i, j], in one call.
+//     IntervalTerms terms(std::size_t i, std::size_t j, std::size_t t) const;
 //     // sub-intervals consumed by candidate t.
 //     std::pair<std::size_t, std::size_t> left_interval(i, j, t) const;
 //     std::pair<std::size_t, std::size_t> right_interval(i, j, t) const;
 //   };
+//
+// Every member of the class prices a candidate the same way: the completed
+// sub-interval values the operand streams deliver, each counted or
+// clamped away (an empty BST subtree still names an adjacent cell, whose
+// value must not count), plus a local cost.  A rule therefore states its
+// candidates as data — IntervalTerms — and the arrays apply the one
+// formula, IntervalTerms::candidate: the analytic model at every fold, the
+// engine-backed model from tables it fills with one terms() call per
+// candidate.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +41,24 @@
 #include "semiring/matrix.hpp"
 
 namespace sysdp {
+
+/// Candidate t of interval [i, j] as data: its local cost, and whether
+/// the left and right sub-interval values count (false: the rule clamps
+/// that operand to the structural zero, though its arrival still gates
+/// the candidate).
+struct IntervalTerms {
+  Cost local = 0;
+  bool use_left = true;
+  bool use_right = true;
+
+  /// The candidate's cost: (use_left ? left : 0) + (use_right ? right : 0)
+  /// + local, with saturating adds.
+  [[nodiscard]] constexpr Cost candidate(Cost left,
+                                         Cost right) const noexcept {
+    return kern::interval_candidate(use_left ? left : 0,
+                                    use_right ? right : 0, local);
+  }
+};
 
 template <typename Rule>
 class TriangularArray {
@@ -119,8 +144,8 @@ class TriangularArray {
             const std::size_t t = order[idx];
             const auto [li, lj] = rule_.left_interval(i, j, t);
             const auto [ri, rj] = rule_.right_interval(i, j, t);
-            const Cost cand = rule_.candidate(i, j, t, out.cost(li, lj),
-                                              out.cost(ri, rj));
+            const Cost cand = rule_.terms(i, j, t).candidate(
+                out.cost(li, lj), out.cost(ri, rj));
             ++out.stats.busy_steps;
             kern::fold_min(cand, t, best, best_t);
             ++idx;
@@ -154,12 +179,12 @@ class BstRule {
   [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
     return j - i + 1;  // every key in [i, j] can be the root
   }
-  [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-                               Cost left, Cost right) const {
+  /// Rooted at key r = i + t; an empty left (r == i) or right (r == j)
+  /// subtree contributes nothing.
+  [[nodiscard]] IntervalTerms terms(std::size_t i, std::size_t j,
+                                    std::size_t t) const {
     const std::size_t r = i + t;
-    const Cost l = r > i ? left : 0;    // empty left subtree
-    const Cost rr = r < j ? right : 0;  // empty right subtree
-    return kern::interval_candidate(l, rr, prefix_[j + 1] - prefix_[i]);
+    return {prefix_[j + 1] - prefix_[i], r > i, r < j};
   }
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
       std::size_t i, std::size_t /*j*/, std::size_t t) const {
@@ -199,11 +224,10 @@ class PolygonRule {
   [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
     return j - i - 1 > 0 && j > i ? j - i - 1 : 0;
   }
-  [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-                               Cost left, Cost right) const {
+  [[nodiscard]] IntervalTerms terms(std::size_t i, std::size_t j,
+                                    std::size_t t) const {
     const std::size_t k = i + 1 + t;  // apex strictly between i and j
-    return kern::interval_candidate(left, right,
-                                    weights_[i] * weights_[k] * weights_[j]);
+    return {weights_[i] * weights_[k] * weights_[j], true, true};
   }
   /// The sub-polygon i..k; a bare edge (k == i + 1) contributes 0 and is
   /// represented by the adjacent diagonal cell.
@@ -243,10 +267,9 @@ class ChainRule {
   [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
     return j - i;
   }
-  [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-                               Cost left, Cost right) const {
-    return kern::interval_candidate(
-        left, right, dims_[i] * dims_[i + t + 1] * dims_[j + 1]);
+  [[nodiscard]] IntervalTerms terms(std::size_t i, std::size_t j,
+                                    std::size_t t) const {
+    return {dims_[i] * dims_[i + t + 1] * dims_[j + 1], true, true};
   }
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
       std::size_t i, std::size_t /*j*/, std::size_t t) const {

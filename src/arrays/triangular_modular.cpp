@@ -1,9 +1,8 @@
 #include "arrays/triangular_modular.hpp"
 
-#include <algorithm>
 #include <string>
 
-#include "semiring/kernels.hpp"
+#include "arrays/cell_block.hpp"
 #include "sim/module.hpp"
 #include "sim/record.hpp"
 #include "arrays/triangular_array.hpp"
@@ -39,26 +38,30 @@ struct CellMeta {
   std::uint8_t fired = 0;  ///< launch already sent (diagonals at cycle 0)
 };
 
-/// Arena id of cell (i, j), i <= j: diagonal-major, so diagonal d = j - i
-/// starts after the d*n - d(d-1)/2 cells of the diagonals below it.
-[[nodiscard]] std::uint32_t cell_id(std::size_t n, std::size_t i,
-                                    std::size_t j) {
-  const std::size_t d = j - i;
-  return static_cast<std::uint32_t>(d * n - d * (d - 1) / 2 + i);
-}
+/// Ends an origin chain (see Arena's origin index).
+constexpr std::uint32_t kNoCandidate = 0xffffffffu;
 
 }  // namespace
 
-/// Per-run arena: the packed link registers, fold metadata, the patient
-/// completion-launch slots, and each candidate's arrived operands and
-/// ready FIFO lane (candidate k of a cell sits at lane k, the FIFO of
-/// cell c at lanes [first[c], first[c+1])).  The compiled tables and the
-/// origin index stay in the core, shared read-only by every run.  Cell
-/// modules are thin lane views, registered diagonal-major like
-/// GktModularArray.
+/// Per-array arena, parked in a SparePool when the array dies: the
+/// compiled tables and their origin index (built once per array, read-only
+/// across runs), and each run's packed link registers, fold metadata, the
+/// patient completion-launch slots, and each candidate's arrived operands
+/// and ready FIFO lane (candidate k of a cell sits at lane k, the FIFO of
+/// cell c at lanes [first[c], first[c+1])).  Cell modules are thin lane
+/// views, registered diagonal-major like GktModularArray.
 struct TriangularModularCore::Arena {
-  const TriangularModularCore& core;
-  std::size_t n;
+  std::size_t n = 0;
+
+  Tables tab;
+  // Origin index.  Cell (i, j) owns j - i heads per stream, after those of
+  // the cells before it in arena order: row head b - i for origin (i, b),
+  // b in [i, j), and column head a - i - 1 for origin (a, j), a in (i, j].
+  // A head holds the first candidate (an index into the per-candidate
+  // tables) that the origin feeds; next_row / next_col chain the others
+  // in ascending t, and kNoCandidate ends a chain.
+  std::vector<std::uint32_t> row_head, col_head;
+  std::vector<std::uint32_t> next_row, next_col;
 
   std::vector<LinkPair> link;
   std::vector<CellMeta> meta;
@@ -71,9 +74,11 @@ struct TriangularModularCore::Arena {
   std::vector<Flit> row_launch, col_launch;
   std::vector<std::uint8_t> row_launch_set, col_launch_set;
 
-  // Per-candidate operand state: the arrived values, which of them have
-  // arrived (bit 0 left, bit 1 right), and the ready FIFO.
-  std::vector<Cost> left_val, right_val;
+  // Per-candidate operand state: the sum of the counted operands that
+  // have arrived (a clamped one adds nothing), which of them have arrived
+  // (bit 0 left, bit 1 right), and the ready FIFO.  A sum or FIFO lane is
+  // written before it is read, so only `arrived` starts cleared.
+  std::vector<Cost> op_sum;
   std::vector<std::uint8_t> arrived;
   std::vector<std::uint32_t> q_store;
 
@@ -85,26 +90,31 @@ struct TriangularModularCore::Arena {
   /// lanes; diagonal origins auto-initialise to their base value.
   sim::OpRecorder* rec = nullptr;
 
-  explicit Arena(const TriangularModularCore& c) : core(c), n(c.n_) {
-    const std::size_t cells = n * (n + 1) / 2;
-    link.resize(cells);
-    meta.resize(cells);
-    row_launch.resize(cells);
-    col_launch.resize(cells);
-    row_launch_set.assign(cells, 0);
-    col_launch_set.assign(cells, 0);
-    const std::vector<std::uint32_t>& first = core.tab_.first;
+  CellBlock<Cell> cells;  ///< arena (diagonal-major) order
+
+  /// Lay out and clear the per-run state for the compiled tables, reusing
+  /// the buffers' capacity.
+  void reset_run() {
+    const std::size_t num_cells = n * (n + 1) / 2;
+    link.assign(num_cells, LinkPair{});
+    meta.assign(num_cells, CellMeta{});
+    row_launch.assign(num_cells, Flit{});
+    col_launch.assign(num_cells, Flit{});
+    row_launch_set.assign(num_cells, 0);
+    col_launch_set.assign(num_cells, 0);
+    const std::vector<std::uint32_t>& first = tab.first;
     for (std::size_t i = 0; i < n; ++i) {
-      meta[i].best = core.tab_.base[i];  // diagonals are ids 0..n-1
-      meta[i].is_done = 1;               // and complete at cycle 0
+      meta[i].best = tab.base[i];  // diagonals are ids 0..n-1
+      meta[i].is_done = 1;         // and complete at cycle 0
     }
-    for (std::size_t id = n; id < cells; ++id) {
+    unfinished = 0;
+    for (std::size_t id = n; id < num_cells; ++id) {
       CellMeta& mt = meta[id];
       mt.remaining = first[id + 1] - first[id];
       if (mt.remaining == 0) {
         // Trivially solved (e.g. a polygon edge): value 0 at cycle 0.
-        // Such a cell still forwards traffic but never launches — the
-        // constructor has verified nothing consumes it.
+        // Such a cell still forwards traffic but never launches — index()
+        // has verified nothing consumes it.
         mt.best = 0;
         mt.is_done = 1;
         mt.fired = 1;
@@ -112,11 +122,38 @@ struct TriangularModularCore::Arena {
         ++unfinished;
       }
     }
-    const std::size_t total = first[cells];
-    left_val.resize(total);
-    right_val.resize(total);
-    arrived.resize(total);
-    q_store.resize(total);
+    const std::size_t total = first[num_cells];
+    if (op_sum.size() < total) {
+      op_sum.resize(total);
+      q_store.resize(total);
+    }
+    arrived.assign(total, 0);
+  }
+
+  /// Stage operand `bit` (1 left, 2 right) of candidate k, counting `v`
+  /// only if the rule uses it; true once both have arrived.  The first
+  /// operand is stored as is: sat_add(0, v) is v, so the lane needs no
+  /// clearing.
+  bool stage(std::uint32_t k, std::uint8_t bit, Cost v) {
+    const Cost counted = (tab.use[k] & bit) != 0 ? v : 0;
+    op_sum[k] = arrived[k] != 0 ? sat_add(op_sum[k], counted) : counted;
+    return (arrived[k] |= bit) == 3;
+  }
+
+  /// SparePool hooks: drop the cells and per-run state, keep capacity.
+  void retire() {
+    cells.clear();
+    meta.clear();
+    rec = nullptr;
+  }
+  [[nodiscard]] std::size_t footprint() const;
+
+  /// Whether cell (i, j) ever launches a completion: diagonals always do,
+  /// off-diagonal cells only when they have candidates.
+  [[nodiscard]] bool launches(std::size_t i, std::size_t j) const {
+    if (i == j) return true;
+    const std::uint32_t c = cell_id(n, i, j);
+    return tab.first[c + 1] > tab.first[c];
   }
 
   [[nodiscard]] std::uint32_t id(std::size_t i, std::size_t j) const {
@@ -156,15 +193,14 @@ class TriangularModularCore::Cell : public sim::Module {
   /// `heads` is the offset of the cell's origin heads (see the core's
   /// origin index).
   Cell(std::size_t i, std::size_t j, std::size_t heads, Arena& a)
-      : Module("t" + std::to_string(i) + "_" + std::to_string(j)),
-        i_(i),
+      : i_(i),
         j_(j),
         id_(a.id(i, j)),
         left_(i == j ? 0 : a.id(i, j - 1)),
         below_(i == j ? 0 : a.id(i + 1, j)),
-        first_(a.core.tab_.first[id_]),
-        row_head_(a.core.row_head_.data() + heads),
-        col_head_(a.core.col_head_.data() + heads),
+        first_(a.tab.first[id_]),
+        row_head_(a.row_head.data() + heads),
+        col_head_(a.col_head.data() + heads),
         a_(a) {}
 
   void eval(sim::Cycle c) override {
@@ -179,7 +215,7 @@ class TriangularModularCore::Cell : public sim::Module {
     }
     LinkPair& lk = a.link[id];
     CellMeta& mt = a.meta[id];
-    const Tables& tab = a.core.tab_;
+    const Tables& tab = a.tab;
     std::uint32_t* const q = a.q_store.data() + first_;
     const std::uint32_t len0 = mt.q_len;  // candidates ready before cycle c
 
@@ -188,20 +224,18 @@ class TriangularModularCore::Cell : public sim::Module {
     // FIFO fills in the same order a scan of every candidate would.
     if (lk.row_has && lk.row_cur.a == i_) {
       const Flit& f = lk.row_cur;  // left operand from (i, f.b)
-      const std::uint32_t* const next = a.core.next_row_.data();
+      const std::uint32_t* const next = a.next_row.data();
       for (std::uint32_t k = row_head_[f.b - i_]; k != kNoCandidate;
            k = next[k]) {
-        a.left_val[k] = f.val;
-        if ((a.arrived[k] |= 1) == 3) q[mt.q_len++] = k;
+        if (a.stage(k, 1, f.val)) q[mt.q_len++] = k;
       }
     }
     if (lk.col_has && lk.col_cur.b == j_) {
       const Flit& f = lk.col_cur;  // right operand from (f.a, j)
-      const std::uint32_t* const next = a.core.next_col_.data();
+      const std::uint32_t* const next = a.next_col.data();
       for (std::uint32_t k = col_head_[f.a - i_ - 1]; k != kNoCandidate;
            k = next[k]) {
-        a.right_val[k] = f.val;
-        if ((a.arrived[k] |= 2) == 3) q[mt.q_len++] = k;
+        if (a.stage(k, 2, f.val)) q[mt.q_len++] = k;
       }
     }
 
@@ -210,22 +244,23 @@ class TriangularModularCore::Cell : public sim::Module {
       std::uint32_t taken = 0;
       while (mt.q_head < len0 && taken < 2) {
         const std::uint32_t k = q[mt.q_head];
-        const bool use_left = (tab.use[k] & 1) != 0;
-        const bool use_right = (tab.use[k] & 2) != 0;
-        const Cost l = use_left ? a.left_val[k] : 0;
-        const Cost r = use_right ? a.right_val[k] : 0;
-        const Cost cand = kern::interval_candidate(l, r, tab.local[k]);
+        const Cost cand = sat_add(a.op_sum[k], tab.local[k]);
         if (sim::OpRecorder* const rec = a.rec; rec != nullptr) {
           // A clamped operand is the rule's structural zero, not a
-          // transported value; otherwise read the origin's lane.
-          const sim::SlotId sl =
-              use_left ? rec->lane(&a.meta[a.id(i_, tab.row_origin[k])].best,
-                                   l)
-                       : rec->constant(0);
-          const sim::SlotId sr =
-              use_right
-                  ? rec->lane(&a.meta[a.id(tab.col_origin[k], j_)].best, r)
-                  : rec->constant(0);
+          // transported value; otherwise read the origin's lane, whose
+          // final best is the value its flit carried.
+          const Cost* const lv = &a.meta[a.id(i_, tab.row_origin[k])].best;
+          const Cost* const rv = &a.meta[a.id(tab.col_origin[k], j_)].best;
+          const bool use_l = (tab.use[k] & 1) != 0;
+          const bool use_r = (tab.use[k] & 2) != 0;
+          // The flits must have delivered what the narrated lanes hold.
+          if (a.op_sum[k] != sat_add(use_l ? *lv : 0, use_r ? *rv : 0)) {
+            throw std::logic_error(
+                "TriangularModularCore: delivered operands differ from "
+                "their origins' results");
+          }
+          const sim::SlotId sl = use_l ? rec->lane(lv, *lv) : rec->constant(0);
+          const sim::SlotId sr = use_r ? rec->lane(rv, *rv) : rec->constant(0);
           rec->bind_now(&mt.best, rec->fold(rec->lane(&mt.best, mt.best),
                                             sl, sr, tab.local[k]));
         }
@@ -295,6 +330,10 @@ class TriangularModularCore::Cell : public sim::Module {
     return i_ == j_ ? sim::SleepMode::kRetire : sim::SleepMode::kWakeable;
   }
 
+  [[nodiscard]] std::string format_name() const override {
+    return "t" + std::to_string(i_) + "_" + std::to_string(j_);
+  }
+
   /// Same key model as GktModularArray: link registers and launch slots,
   /// with the leaf tie-off convention (a diagonal never writes its own
   /// links, so downstream cells do not declare reads of diagonal links).
@@ -327,10 +366,10 @@ class TriangularModularCore::Cell : public sim::Module {
       // that neighbour never launches (a trivially-solved cell) the slot
       // stays architecturally empty and declaring the read would be a
       // dangling port.
-      if (a.core.launches(i_, j_ - 1)) {
+      if (a.launches(i_, j_ - 1)) {
         ports.reads_register(&a.row_launch[id_], slot("row_launch", i_, j_));
       }
-      if (a.core.launches(i_ + 1, j_)) {
+      if (a.launches(i_ + 1, j_)) {
         ports.reads_register(&a.col_launch[id_], slot("col_launch", i_, j_));
       }
       if (j_ > i_ + 1) {  // upstreams are real cells, not diagonals
@@ -340,7 +379,7 @@ class TriangularModularCore::Cell : public sim::Module {
       }
     }
     // Completion launch targets (trivially-solved cells never launch).
-    if (a.core.launches(i_, j_)) {
+    if (a.launches(i_, j_)) {
       if (j_ + 1 < a.n) {
         const std::uint32_t t = a.id(i_, j_ + 1);
         const Flit* const f = &a.row_launch[t];
@@ -375,49 +414,70 @@ class TriangularModularCore::Cell : public sim::Module {
   Arena& a_;
 };
 
-TriangularModularCore::TriangularModularCore(std::size_t n, Tables tables)
-    : n_(n), tab_(std::move(tables)) {
+TriangularModularCore::TriangularModularCore(std::size_t n) : n_(n) {
   if (n_ == 0) throw std::invalid_argument("TriangularModularCore: empty");
-  const std::size_t cells = n_ * (n_ + 1) / 2;
-  if (tab_.base.size() != n_ || tab_.first.size() != cells + 1 ||
-      tab_.first[n_] != 0 ||
-      !std::is_sorted(tab_.first.begin(), tab_.first.end())) {
-    throw std::invalid_argument("TriangularModularCore: bad table shape");
-  }
-  const std::size_t total = tab_.first[cells];
-  if (tab_.row_origin.size() != total || tab_.col_origin.size() != total ||
-      tab_.use.size() != total || tab_.local.size() != total) {
-    throw std::invalid_argument("TriangularModularCore: bad table shape");
-  }
+  arena_ = SparePool<Arena>::take();
+  arena_->n = n_;
+}
+
+TriangularModularCore::~TriangularModularCore() {
+  SparePool<Arena>::give(std::move(arena_));
+}
+
+std::size_t TriangularModularCore::Arena::footprint() const {
+  return buffer_bytes(tab.base) + buffer_bytes(tab.first) +
+         buffer_bytes(tab.row_origin) + buffer_bytes(tab.col_origin) +
+         buffer_bytes(tab.use) + buffer_bytes(tab.local) +
+         buffer_bytes(row_head) + buffer_bytes(col_head) +
+         buffer_bytes(next_row) + buffer_bytes(next_col) +
+         buffer_bytes(link) + buffer_bytes(meta) + buffer_bytes(row_launch) +
+         buffer_bytes(col_launch) + buffer_bytes(row_launch_set) +
+         buffer_bytes(col_launch_set) + buffer_bytes(op_sum) +
+         buffer_bytes(arrived) +
+         buffer_bytes(q_store) + cells.capacity() * sizeof(Cell);
+}
+
+TriangularModularCore::Tables& TriangularModularCore::tables() {
+  return arena_->tab;
+}
+
+bool TriangularModularCore::elaborated() const {
+  return !arena_->meta.empty();
+}
+
+void TriangularModularCore::index() {
   // Every origin must name a cell that actually launches (a diagonal, or
   // an off-diagonal cell with at least one candidate).  Each cell's
   // candidates are threaded onto their origins' chains back to front, so
   // every chain runs in ascending t.
+  Arena& a = *arena_;
+  const Tables& tab = a.tab;
   std::size_t heads = 0;
   for (std::size_t d = 1; d < n_; ++d) heads += d * (n_ - d);
-  row_head_.assign(heads, kNoCandidate);
-  col_head_.assign(heads, kNoCandidate);
-  next_row_.resize(total);
-  next_col_.resize(total);
-  std::uint32_t* row_head = row_head_.data();
-  std::uint32_t* col_head = col_head_.data();
+  const std::size_t total = tab.first[num_pes()];
+  a.row_head.assign(heads, kNoCandidate);
+  a.col_head.assign(heads, kNoCandidate);
+  a.next_row.resize(total);
+  a.next_col.resize(total);
+  std::uint32_t* row_head = a.row_head.data();
+  std::uint32_t* col_head = a.col_head.data();
   std::uint32_t id = static_cast<std::uint32_t>(n_);
   for (std::size_t d = 1; d < n_; ++d) {
     for (std::size_t i = 0; i + d < n_; ++i, ++id) {
       const std::size_t j = i + d;
-      for (std::uint32_t k = tab_.first[id + 1]; k-- > tab_.first[id];) {
-        const std::size_t b = tab_.row_origin[k];
-        const std::size_t a = tab_.col_origin[k];
-        if (b < i || b >= j || !launches(i, b) || a <= i || a > j ||
-            !launches(a, j)) {
+      for (std::uint32_t k = tab.first[id + 1]; k-- > tab.first[id];) {
+        const std::size_t b = tab.row_origin[k];
+        const std::size_t o = tab.col_origin[k];
+        if (b < i || b >= j || o <= i || o > j || !a.launches(i, b) ||
+            !a.launches(o, j)) {
           throw std::invalid_argument(
               "TriangularModularCore: candidate origin is not a launching "
               "cell");
         }
-        next_row_[k] = row_head[b - i];
+        a.next_row[k] = row_head[b - i];
         row_head[b - i] = k;
-        next_col_[k] = col_head[a - i - 1];
-        col_head[a - i - 1] = k;
+        a.next_col[k] = col_head[o - i - 1];
+        col_head[o - i - 1] = k;
       }
       row_head += d;
       col_head += d;
@@ -425,44 +485,36 @@ TriangularModularCore::TriangularModularCore(std::size_t n, Tables tables)
   }
 }
 
-bool TriangularModularCore::launches(std::size_t i, std::size_t j) const {
-  if (i == j) return true;
-  const std::uint32_t c = cell_id(n_, i, j);
-  return tab_.first[c + 1] > tab_.first[c];
-}
-
-TriangularModularCore::~TriangularModularCore() = default;
-
 void TriangularModularCore::elaborate(sim::Engine& engine) {
-  arena_ = std::make_unique<Arena>(*this);
-  arena_->rec = engine.recorder();
-  cells_.clear();
+  Arena& a = *arena_;
+  a.reset_run();
+  a.rec = engine.recorder();
   // Registered in arena-id (diagonal-major) order, like GktModularArray,
   // which is also the order of the origin heads (j - i per cell).
+  a.cells.reset(num_pes());
   std::size_t heads = 0;
   for (std::size_t d = 0; d < n_; ++d) {
     for (std::size_t i = 0; i + d < n_; ++i, heads += d) {
-      cells_.push_back(std::make_unique<Cell>(i, i + d, heads, *arena_));
-      engine.add(*cells_.back());
+      engine.add(a.cells.emplace_back(i, i + d, heads, a));
     }
   }
   // Wakeup edges follow the two transport streams, the only arcs a flit
-  // (through-shift or patient launch) can arrive on.
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i; j < n_; ++j) {
-      const std::uint32_t id = arena_->id(i, j);
+  // (through-shift or patient launch) can arrive on: each cell declares
+  // its row edge to (i, j+1), then its column edge to (i-1, j).
+  std::size_t id = 0;
+  for (std::size_t d = 0; d < n_; ++d) {
+    for (std::size_t i = 0; i + d < n_; ++i, ++id) {
+      const std::size_t j = i + d;
       if (j + 1 < n_) {
-        engine.add_wakeup(*cells_[id], *cells_[arena_->id(i, j + 1)]);
+        engine.add_wakeup(a.cells[id], a.cells[a.id(i, j + 1)]);
       }
-      if (i > 0) {
-        engine.add_wakeup(*cells_[id], *cells_[arena_->id(i - 1, j)]);
-      }
+      if (i > 0) engine.add_wakeup(a.cells[id], a.cells[a.id(i - 1, j)]);
     }
   }
 }
 
 void TriangularModularCore::describe_environment(sim::PortSet& ports) const {
-  if (arena_ == nullptr) return;
+  if (!elaborated()) return;
   const std::size_t n = arena_->n;
   // Boundary tie-offs: the last column's row streams and the top row's
   // column streams shift off the edge of the triangle by design.
@@ -478,7 +530,7 @@ void TriangularModularCore::describe_environment(sim::PortSet& ports) const {
 }
 
 std::uint64_t TriangularModularCore::pe_busy(std::size_t pe) const {
-  return arena_ != nullptr ? arena_->meta.at(pe).busy : 0;
+  return elaborated() ? arena_->meta.at(pe).busy : 0;
 }
 
 TriangularModularCore::Result TriangularModularCore::run(sim::Gating gating) {

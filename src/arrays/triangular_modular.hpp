@@ -73,10 +73,6 @@ class TriangularModularCore {
     std::vector<Cost> local;
   };
 
-  /// Validates `tables` and builds the origin index.  Throws
-  /// invalid_argument on a bad shape, or if an origin names a cell that
-  /// never launches (neither diagonal nor a candidate-bearing cell).
-  TriangularModularCore(std::size_t n, Tables tables);
   ~TriangularModularCore();
 
   TriangularModularCore(const TriangularModularCore&) = delete;
@@ -123,28 +119,26 @@ class TriangularModularCore {
   [[nodiscard]] std::uint64_t pe_busy(std::size_t pe) const;
 
  private:
+  template <typename Rule>
+  friend class TriangularModularArray;
   class Cell;
   struct Arena;
 
-  static constexpr std::uint32_t kNoCandidate = 0xffffffffu;
-
-  /// Whether cell (i, j) ever launches a completion: diagonals always do,
-  /// off-diagonal cells only when they have candidates.
-  [[nodiscard]] bool launches(std::size_t i, std::size_t j) const;
+  /// Takes a parked arena (SparePool) for an n-key array; throws
+  /// invalid_argument if n is 0.  TriangularModularArray fills tables()
+  /// and then calls index().
+  explicit TriangularModularCore(std::size_t n);
+  [[nodiscard]] Tables& tables();
+  /// Validates the filled tables and builds the origin index.  Throws
+  /// invalid_argument if an origin names a cell that never launches
+  /// (neither diagonal nor a candidate-bearing cell).
+  void index();
+  [[nodiscard]] bool elaborated() const;
 
   std::size_t n_;
-  Tables tab_;
-  // Origin index, built once with the tables.  Cell (i, j) owns j - i
-  // heads per stream, after those of the cells before it in arena order:
-  // row head b - i for origin (i, b), b in [i, j), and column head
-  // a - i - 1 for origin (a, j), a in (i, j].  A head holds the first
-  // candidate (an index into the per-candidate tables) that the origin
-  // feeds; next_row_ / next_col_ chain the others in ascending t, and
-  // kNoCandidate ends a chain.
-  std::vector<std::uint32_t> row_head_, col_head_;
-  std::vector<std::uint32_t> next_row_, next_col_;
+  /// The compiled tables, the origin index, the per-run lanes and the
+  /// cells, in one recycled arena.
   std::unique_ptr<Arena> arena_;
-  std::vector<std::unique_ptr<Cell>> cells_;
 };
 
 /// The generic triangular array on the simulation engine: compiles `Rule`
@@ -155,8 +149,10 @@ class TriangularModularArray {
  public:
   using Result = TriangularModularCore::Result;
 
-  TriangularModularArray(const Rule& rule, std::size_t n)
-      : core_(n, compile(rule, n)) {}
+  TriangularModularArray(const Rule& rule, std::size_t n) : core_(n) {
+    compile(rule, n, core_.tables());
+    core_.index();
+  }
 
   [[nodiscard]] Result run(sim::Gating gating = sim::Gating::kSparse) {
     return core_.run(gating);
@@ -175,31 +171,34 @@ class TriangularModularArray {
   }
 
  private:
-  /// Evaluate the rule's interval geometry once per candidate, cells in
-  /// arena order.  The local cost is recovered by probing candidate() with
-  /// zero operands — every interval rule's candidate is (use_left ? left :
-  /// 0) + (use_right ? right : 0) + local, so the zero probe isolates
-  /// `local`.
-  static TriangularModularCore::Tables compile(const Rule& rule,
-                                               std::size_t n) {
-    TriangularModularCore::Tables tab;
+  /// Evaluate the rule's interval geometry and terms (IntervalTerms, see
+  /// triangular_array.hpp) once per candidate, cells in arena order,
+  /// writing `tab` by index once its sizes are known from the rule's split
+  /// counts.
+  static void compile(const Rule& rule, std::size_t n,
+                      TriangularModularCore::Tables& tab) {
+    const std::size_t cells = n * (n + 1) / 2;
     tab.base.resize(n);
     for (std::size_t i = 0; i < n; ++i) tab.base[i] = rule.base(i);
-    std::size_t total = 0;
+    tab.first.assign(cells + 1, 0);  // diagonal cells have no candidates
+    std::size_t id = n;
     for (std::size_t d = 1; d < n; ++d) {
-      for (std::size_t i = 0; i + d < n; ++i) total += rule.splits(i, i + d);
+      for (std::size_t i = 0; i + d < n; ++i, ++id) {
+        tab.first[id + 1] =
+            tab.first[id] + static_cast<std::uint32_t>(rule.splits(i, i + d));
+      }
     }
-    tab.first.reserve(n * (n + 1) / 2 + 1);
-    tab.first.assign(n + 1, 0);  // diagonal cells have no candidates
-    tab.row_origin.reserve(total);
-    tab.col_origin.reserve(total);
-    tab.use.reserve(total);
-    tab.local.reserve(total);
+    const std::size_t total = tab.first[cells];
+    tab.row_origin.resize(total);
+    tab.col_origin.resize(total);
+    tab.use.resize(total);
+    tab.local.resize(total);
+    std::size_t k = 0;
     for (std::size_t d = 1; d < n; ++d) {
       for (std::size_t i = 0; i + d < n; ++i) {
         const std::size_t j = i + d;
-        const std::size_t k = rule.splits(i, j);
-        for (std::size_t t = 0; t < k; ++t) {
+        const std::size_t splits = rule.splits(i, j);
+        for (std::size_t t = 0; t < splits; ++t, ++k) {
           const auto [li, lj] = rule.left_interval(i, j, t);
           const auto [ri, rj] = rule.right_interval(i, j, t);
           if (li != i || lj > j || ri < i || rj != j) {
@@ -207,22 +206,15 @@ class TriangularModularArray {
                 "TriangularModularArray: rule's sub-intervals must lie on "
                 "the consumer's row and column");
           }
-          // Clamp detection: feed a sentinel through a zero probe.  If the
-          // rule ignores an operand (empty sub-tree), a sentinel in that
-          // slot does not move the result.
-          const Cost local = rule.candidate(i, j, t, 0, 0);
-          const bool use_left = rule.candidate(i, j, t, 1, 0) != local;
-          const bool use_right = rule.candidate(i, j, t, 0, 1) != local;
-          tab.row_origin.push_back(static_cast<std::uint32_t>(lj));
-          tab.col_origin.push_back(static_cast<std::uint32_t>(ri));
-          tab.use.push_back(static_cast<std::uint8_t>(
-              (use_left ? 1 : 0) | (use_right ? 2 : 0)));
-          tab.local.push_back(local);
+          const auto terms = rule.terms(i, j, t);
+          tab.row_origin[k] = static_cast<std::uint32_t>(lj);
+          tab.col_origin[k] = static_cast<std::uint32_t>(ri);
+          tab.use[k] = static_cast<std::uint8_t>((terms.use_left ? 1 : 0) |
+                                                 (terms.use_right ? 2 : 0));
+          tab.local[k] = terms.local;
         }
-        tab.first.push_back(static_cast<std::uint32_t>(tab.local.size()));
       }
     }
-    return tab;
   }
 
   TriangularModularCore core_;

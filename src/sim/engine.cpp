@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -9,63 +10,74 @@
 
 namespace sysdp::sim {
 
-namespace {
-
-constexpr Cycle kQuiescencePeriod = Engine::kQuiescencePeriod;
-
-}  // namespace
-
-void Engine::add(Module& m) {
-  const auto idx = static_cast<std::uint32_t>(modules_.size());
-  modules_.push_back(&m);
-  module_index_.emplace(&m, idx);
-  wake_.emplace_back();
-  active_.push_back(1);  // every module evaluates in its first cycle
-  is_driver_.push_back(m.combinational() ? 1 : 0);
-  (m.combinational() ? driver_idx_ : reg_idx_).push_back(idx);
-  gated_init_ = false;  // active lists are rebuilt on the next gated step
+void Engine::frozen(const char* call, const std::string& what) const {
+  throw std::logic_error(std::string("Engine::") + call + ": " + what +
+                         " after the first step() (now at cycle " +
+                         std::to_string(now_) + ")");
 }
 
-std::size_t Engine::index_of(const Module& m) const {
-  const auto it = module_index_.find(&m);
-  if (it == module_index_.end()) {
-    throw std::invalid_argument("Engine::add_wakeup: module not registered");
+void Engine::add(Module& m) {
+  if (now_ > 0) frozen("add", "module " + m.name());
+  if (registered(m)) {
+    throw std::invalid_argument("Engine::add: module " + m.name() +
+                                " is already registered");
   }
-  return it->second;
+  const auto idx = static_cast<std::uint32_t>(modules_.size());
+  m.engine_index_ = idx;
+  modules_.push_back(&m);
+  active_.push_back(1);  // every module evaluates in its first cycle
+  is_driver_.push_back(m.combinational() ? 1 : 0);
+  (m.combinational() ? active_drivers_ : active_regs_).push_back(idx);
 }
 
 void Engine::add_wakeup(const Module& src, const Module& dst) {
   if (now_ > 0) {
-    throw std::logic_error(
-        "Engine::add_wakeup: wakeup edges must be declared before the first "
-        "step() — a module may already have gone quiescent without this "
-        "edge's protection (edge " +
-        src.name() + " -> " + dst.name() + " declared at cycle " +
-        std::to_string(now_) + ")");
+    frozen("add_wakeup", "edge " + src.name() + " -> " + dst.name());
   }
-  wake_[index_of(src)].push_back(static_cast<std::uint32_t>(index_of(dst)));
-  gated_init_ = false;  // the CSR edge view is stale
+  const std::uint32_t s = find_index(src);
+  edges_.emplace_back(s, find_index(dst));
+}
+
+std::uint32_t Engine::find_index(const Module& m) const {
+  if (registered(m)) return m.engine_index_;
+  // Cold path: m was registered here and since with another engine, or
+  // never here.
+  const auto it = std::find(modules_.begin(), modules_.end(), &m);
+  if (it == modules_.end()) {
+    throw std::invalid_argument("Engine::add_wakeup: module " + m.name() +
+                                " not registered with this engine");
+  }
+  return static_cast<std::uint32_t>(it - modules_.begin());
 }
 
 void Engine::add_observer(EngineObserver* obs) {
   if (obs == nullptr) {
     throw std::invalid_argument("Engine::add_observer: null observer");
   }
-  if (now_ > 0) {
-    throw std::logic_error(
-        "Engine::add_observer: observers must attach before the first "
-        "step() — on_elaborated has already fired (now at cycle " +
-        std::to_string(now_) + ")");
-  }
+  if (now_ > 0) frozen("add_observer", "observer");
   observers_.push_back(obs);
+}
+
+void Engine::build_wake_csr(std::vector<std::uint32_t>& off,
+                            std::vector<std::uint32_t>& dst) const {
+  // Stable counting sort by source: count, prefix-sum, scatter in
+  // declaration order through a per-source cursor.
+  off.assign(modules_.size() + 1, 0);
+  for (const auto& e : edges_) ++off[e.first + 1];
+  std::partial_sum(off.begin(), off.end(), off.begin());
+  std::vector<std::uint32_t> at(off.begin(), off.end() - 1);
+  dst.resize(edges_.size());
+  for (const auto& [s, d] : edges_) dst[at[s]++] = d;
 }
 
 std::vector<std::pair<const Module*, const Module*>> Engine::wakeup_edges()
     const {
+  std::vector<std::uint32_t> off, dst;
+  build_wake_csr(off, dst);
   std::vector<std::pair<const Module*, const Module*>> edges;
-  for (std::size_t i = 0; i < wake_.size(); ++i) {
-    for (const std::uint32_t d : wake_[i]) {
-      edges.emplace_back(modules_[i], modules_[d]);
+  for (std::size_t s = 0; s < modules_.size(); ++s) {
+    for (std::uint32_t e = off[s]; e < off[s + 1]; ++e) {
+      edges.emplace_back(modules_[s], modules_[dst[e]]);
     }
   }
   return edges;
@@ -77,26 +89,8 @@ void Engine::step_dense() {
   active_evals_ += modules_.size();
 }
 
-void Engine::init_gated() {
-  active_drivers_.clear();
-  active_regs_.clear();
-  for (const std::uint32_t i : driver_idx_) {
-    if (active_[i]) active_drivers_.push_back(i);
-  }
-  for (const std::uint32_t i : reg_idx_) {
-    if (active_[i]) active_regs_.push_back(i);
-  }
-  wake_off_.assign(modules_.size() + 1, 0);
-  wake_edges_.clear();
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    wake_edges_.insert(wake_edges_.end(), wake_[i].begin(), wake_[i].end());
-    wake_off_[i + 1] = static_cast<std::uint32_t>(wake_edges_.size());
-  }
-  gated_init_ = true;
-}
-
 void Engine::step_gated() {
-  if (!gated_init_) init_gated();
+  if (now_ == 0) build_wake_csr(wake_off_, wake_edges_);  // netlist frozen
   for (const std::uint32_t i : active_drivers_) modules_[i]->eval(now_);
   for (const std::uint32_t i : active_regs_) modules_[i]->eval(now_);
   for (const std::uint32_t i : active_drivers_) modules_[i]->commit();

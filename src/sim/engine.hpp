@@ -31,7 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,8 +61,19 @@ class Engine {
   /// Engine with an explicit gating mode.
   explicit Engine(Gating gating) : gating_(gating) {}
 
-  /// Register a module.  Order matters for combinational bus visibility:
-  /// drivers first, listeners after.
+  // Elaboration — add, add_wakeup, add_observer — must finish before time
+  // starts: each throws std::logic_error after the first step(), when a
+  // late module or observer would have missed on_elaborated and a late
+  // edge could not guard the cycles already stepped.
+
+  /// Register a module under the next dense engine index, which the
+  /// module keeps for O(1) lookups.  Order matters for combinational bus
+  /// visibility: drivers first, listeners after.  Throws
+  /// std::invalid_argument if `m` is already registered (it would step
+  /// twice per cycle).  A module may belong to several engines, but it
+  /// keeps only its latest index: a repeat add() is caught only when that
+  /// latest registration is with this engine, and add_wakeup on an engine
+  /// that registered `m` earlier finds it by a linear search.
   void add(Module& m);
 
   /// Declare a wakeup edge for Gating::kSparse: whenever `src` ends a
@@ -70,13 +81,8 @@ class Engine {
   /// Array builders declare one edge per register-dataflow arc that can
   /// carry a reactivating value (left PE -> right PE, host -> first PE,
   /// tail -> feedback consumer, ...).  Both modules must already be
-  /// add()ed; throws std::invalid_argument otherwise.  Ignored (harmless)
-  /// in dense mode.
-  ///
-  /// Elaboration must be complete before time starts: once step() has run,
-  /// a module may already have been demoted without the new edge's
-  /// protection, so add_wakeup throws std::logic_error instead of letting
-  /// the late edge silently fail to guard the cycles that already passed.
+  /// add()ed here; throws std::invalid_argument otherwise.  Ignored
+  /// (harmless) in dense mode.
   void add_wakeup(const Module& src, const Module& dst);
 
   /// Install a check that runs once, at the first step(), after the
@@ -90,11 +96,9 @@ class Engine {
   }
 
   /// Attach a telemetry probe (see sim/observer.hpp).  The observer is
-  /// borrowed, not owned, and must outlive the engine's stepping.  Must be
-  /// called before the first step() — on_elaborated fires exactly once, at
-  /// cycle 0, so a late observer would silently miss it; add_observer
-  /// throws std::logic_error instead (mirroring add_wakeup).  With no
-  /// observers attached the per-cycle cost is a single empty()-check.
+  /// borrowed, not owned, and must outlive the engine's stepping;
+  /// on_elaborated fires exactly once, at cycle 0.  With no observers
+  /// attached the per-cycle cost is a single empty()-check.
   void add_observer(EngineObserver* obs);
 
   /// Attached observers, in attachment (= notification) order.
@@ -144,8 +148,10 @@ class Engine {
     return modules_;
   }
 
-  /// Declared wakeup edges as (src, dst) module pairs, in declaration
-  /// order per source.  Read-only view for the analysis layer.
+  /// Declared wakeup edges as (src, dst) module pairs: sources in
+  /// registration order, each source's edges in declaration order (the
+  /// order of the CSR the gated sweep walks).  Read-only view for the
+  /// analysis layer.
   [[nodiscard]] std::vector<std::pair<const Module*, const Module*>>
   wakeup_edges() const;
 
@@ -215,8 +221,6 @@ class Engine {
  private:
   void step_dense();
   void step_gated();
-  /// Build the persistent active lists from the active_ flags.
-  void init_gated();
   /// Post-commit bookkeeping: every active module wakes its declared
   /// successors each cycle (sleeping targets are appended to the active
   /// lists); quiescence is polled — and sleepers demoted — only every
@@ -224,31 +228,40 @@ class Engine {
   /// the per-cycle critical path.  A late demotion only runs extra no-op
   /// evals, so results are unchanged.
   void refresh_active();
-  [[nodiscard]] std::size_t index_of(const Module& m) const;
+  /// Throws the std::logic_error of an elaboration call made after the
+  /// first step().
+  [[noreturn]] void frozen(const char* call, const std::string& what) const;
+  /// Whether `m`'s latest registration is with this engine.
+  [[nodiscard]] bool registered(const Module& m) const noexcept {
+    return m.engine_index_ < modules_.size() &&
+           modules_[m.engine_index_] == &m;
+  }
+  /// `m`'s index here; throws std::invalid_argument if `m` is not
+  /// registered with this engine.
+  [[nodiscard]] std::uint32_t find_index(const Module& m) const;
+  /// CSR of edges_: successors of module i are dst[off[i] .. off[i+1]),
+  /// in declaration order.
+  void build_wake_csr(std::vector<std::uint32_t>& off,
+                      std::vector<std::uint32_t>& dst) const;
 
   std::vector<Module*> modules_;   ///< all, in registration order
-  /// Module -> registration index, so add_wakeup on an n-PE array costs
-  /// O(edges) instead of O(edges * n) linear scans.
-  std::unordered_map<const Module*, std::uint32_t> module_index_;
-  std::vector<std::uint32_t> driver_idx_;  ///< modules_ index per driver
-  std::vector<std::uint32_t> reg_idx_;  ///< modules_ index per register-only
-  std::vector<std::vector<std::uint32_t>> wake_;  ///< wakeup successors
-  /// CSR view of wake_, rebuilt by init_gated: successors of module i are
+  /// Wakeup edges as (src, dst) module indices, in declaration order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
+  /// CSR of edges_, built at the first gated step: successors of module i are
   /// wake_edges_[wake_off_[i] .. wake_off_[i+1]) — one contiguous walk per
   /// refresh instead of a pointer chase per active module.
   std::vector<std::uint32_t> wake_off_, wake_edges_;
   std::vector<std::uint8_t> active_;     ///< active flag per module
   std::vector<std::uint8_t> is_driver_;  ///< combinational flag per module
-  /// Persistent active sets, maintained incrementally (wake appends,
-  /// demote removes).  Both are kept sorted by registration index: drivers
-  /// need it for bus visibility; register-only modules don't need it for
-  /// correctness (two-phase registers make their eval order unobservable)
-  /// but an in-order sweep keeps per-module state accesses streaming for
-  /// the hardware prefetcher.
+  /// Persistent active sets, seeded by add() with every module, then
+  /// maintained incrementally (wake appends, demote removes).  Both stay
+  /// sorted by registration index: drivers need it for bus visibility;
+  /// register-only modules don't (two-phase registers make their eval
+  /// order unobservable), but an in-order sweep keeps per-module state
+  /// accesses streaming for the hardware prefetcher.
   std::vector<std::uint32_t> active_drivers_;
   std::vector<std::uint32_t> active_regs_;
   std::vector<std::uint32_t> woken_;  ///< refresh_active scratch
-  bool gated_init_ = false;
   std::function<void(const Engine&)> elaboration_check_;
   std::vector<EngineObserver*> observers_;
   OpRecorder* recorder_ = nullptr;

@@ -7,6 +7,7 @@
 
 namespace sysdp::sim {
 
+class Engine;
 class PortSet;
 
 /// Clock cycle index.
@@ -84,10 +85,24 @@ class Module {
   /// opaque to the static-analysis layer.
   virtual void describe_ports(PortSet& ports) const { (void)ports; }
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// Name for VCD scopes, lint reports and compiled provenance.  A module
+  /// constructed without one formats it on demand, so thousands of cells
+  /// build no string until something asks.
+  [[nodiscard]] std::string name() const {
+    return name_.empty() ? format_name() : name_;
+  }
+
+ protected:
+  Module() = default;  ///< for modules that override format_name()
+  [[nodiscard]] virtual std::string format_name() const { return {}; }
 
  private:
+  friend class Engine;
+
   std::string name_;
+  /// Set by Engine::add; trusted only where the engine's module list holds
+  /// this module at that index.
+  std::uint32_t engine_index_ = 0;
 };
 
 }  // namespace sysdp::sim

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/batch.hpp"
@@ -148,6 +149,129 @@ TEST(Engine, AddWakeupAfterFirstStepThrows) {
   // Once time has started a module may already have been demoted without
   // the new edge's protection, so the engine must refuse the late edge.
   EXPECT_THROW(eng.add_wakeup(a, b), std::logic_error);
+}
+
+// Counts its evals and commits, so a double registration shows up as a
+// doubled sweep.
+class CountingModule : public Module {
+ public:
+  using Module::Module;
+  void eval(Cycle) override { ++evals; }
+  void commit() override { ++commits; }
+  int evals = 0;
+  int commits = 0;
+};
+
+TEST(Engine, AddTwiceThrowsAndKeepsOneSweep) {
+  for (const Gating g : {Gating::kDense, Gating::kSparse}) {
+    CountingModule m("twice");
+    Engine eng(g);
+    eng.add(m);
+    try {
+      eng.add(m);
+      FAIL() << "a second add() of the same module was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("twice"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(eng.num_modules(), 1u);
+    eng.run(3);
+    EXPECT_EQ(m.evals, 3);  // once per cycle, not twice
+    EXPECT_EQ(m.commits, 3);
+  }
+}
+
+TEST(Engine, AddAfterFirstStepThrows) {
+  CountingModule a("a");
+  CountingModule late("late");
+  Engine eng;
+  eng.add(a);
+  eng.step();
+  // on_elaborated has fired and the active lists are built: a module that
+  // joins now would miss both, so the engine refuses it.
+  EXPECT_THROW(eng.add(late), std::logic_error);
+  EXPECT_EQ(eng.num_modules(), 1u);
+}
+
+TEST(Engine, AddWakeupRejectsModulesNotRegisteredHere) {
+  CountingModule a("a");
+  CountingModule b("b");
+  CountingModule stranger("stranger");
+  CountingModule foreign("foreign");
+  Engine eng(Gating::kSparse);
+  Engine other(Gating::kSparse);
+  eng.add(a);
+  eng.add(b);
+  other.add(foreign);
+  const auto expect_unregistered = [&](const Module& src, const Module& dst,
+                                       const std::string& who) {
+    try {
+      eng.add_wakeup(src, dst);
+      FAIL() << "edge " << src.name() << " -> " << dst.name()
+             << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("not registered"), std::string::npos) << what;
+      EXPECT_NE(what.find(who), std::string::npos) << what;
+    }
+  };
+  expect_unregistered(stranger, a, "stranger");  // unregistered source
+  expect_unregistered(a, stranger, "stranger");  // unregistered destination
+  expect_unregistered(a, foreign, "foreign");    // another engine's module
+  expect_unregistered(foreign, b, "foreign");
+  EXPECT_TRUE(eng.wakeup_edges().empty());
+  eng.add_wakeup(a, b);
+  EXPECT_EQ(eng.wakeup_edges().size(), 1u);
+}
+
+// A module keeps only the index of its latest registration; an engine
+// that registered it earlier must still wire it.
+TEST(Engine, ModuleRegisteredWithTwoEnginesWiresInBoth) {
+  CountingModule a("a");
+  CountingModule b("b");
+  CountingModule shared("shared");
+  Engine first(Gating::kSparse);
+  first.add(a);
+  first.add(b);
+  first.add(shared);  // index 2 here
+  Engine second(Gating::kSparse);
+  second.add(shared);  // index 0 there, the one it keeps
+  first.add_wakeup(shared, a);
+  first.add_wakeup(b, shared);
+  second.add_wakeup(shared, shared);
+  using Edge = std::pair<const Module*, const Module*>;
+  EXPECT_EQ(first.wakeup_edges(),
+            (std::vector<Edge>{{&b, &shared}, {&shared, &a}}));
+  EXPECT_EQ(second.wakeup_edges(), (std::vector<Edge>{{&shared, &shared}}));
+  EXPECT_THROW(second.add(shared), std::invalid_argument);
+  first.run(2);
+  second.run(3);
+  EXPECT_EQ(shared.evals, 5);
+  EXPECT_EQ(shared.commits, 5);
+}
+
+// wakeup_edges() is what analysis::capture and the lint read: sources in
+// registration order, each source's edges in declaration order, however
+// the declarations interleave.
+TEST(Engine, WakeupEdgesGroupBySourceInDeclarationOrder) {
+  CountingModule a("a");
+  CountingModule b("b");
+  CountingModule c("c");
+  CountingModule d("d");
+  Engine eng(Gating::kSparse);
+  for (Module* m : {&a, &b, &c, &d}) eng.add(*m);
+  eng.add_wakeup(c, a);
+  eng.add_wakeup(a, d);
+  eng.add_wakeup(c, b);
+  eng.add_wakeup(a, b);
+  eng.add_wakeup(b, c);
+  eng.add_wakeup(a, c);
+  using Edge = std::pair<const Module*, const Module*>;
+  const std::vector<Edge> want = {{&a, &d}, {&a, &b}, {&a, &c},
+                                  {&b, &c}, {&c, &a}, {&c, &b}};
+  EXPECT_EQ(eng.wakeup_edges(), want);
+  eng.run(2);  // building the stepping CSR does not reorder the view
+  EXPECT_EQ(eng.wakeup_edges(), want);
 }
 
 TEST(Bus, SingleDriverPerCycle) {

@@ -13,7 +13,8 @@
 #include "arrays/gkt_rtl.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
-#include "semiring/kernels.hpp"
+#include "sim/engine.hpp"
+#include "sim/module.hpp"
 
 namespace sysdp {
 namespace {
@@ -166,9 +167,9 @@ struct BadRule {
   [[nodiscard]] std::size_t splits(std::size_t, std::size_t) const {
     return 1;
   }
-  [[nodiscard]] Cost candidate(std::size_t, std::size_t, std::size_t, Cost l,
-                               Cost r) const {
-    return l + r;
+  [[nodiscard]] IntervalTerms terms(std::size_t, std::size_t,
+                                    std::size_t) const {
+    return {};
   }
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
       std::size_t i, std::size_t, std::size_t) const {
@@ -260,6 +261,45 @@ TEST(TriangularModular, SimulatedCountsPinnedAtBenchmarkSizes) {
   }
 }
 
+// Cell names reach VCD scopes and compiled provenance, so they are pinned
+// here: GKT's c{i}_{j} and the triangular family's t{i}_{j}, registered
+// diagonal-major — the diagonal, then (0, 1), (1, 2), ..., then (0, 2), ...
+TEST(TriangularModular, CellNamesPinnedInRegistrationOrder) {
+  const auto pinned = [](char prefix, std::size_t n) {
+    std::vector<std::string> names;
+    if (n == 1) names = {"0_0"};
+    if (n == 2) names = {"0_0", "1_1", "0_1"};
+    if (n == 5) {
+      names = {"0_0", "1_1", "2_2", "3_3", "4_4", "0_1", "1_2", "2_3",
+               "3_4", "0_2", "1_3", "2_4", "0_3", "1_4", "0_4"};
+    }
+    for (auto& name : names) name.insert(name.begin(), prefix);
+    return names;
+  };
+  const auto names_of = [](auto& array) {
+    sim::Engine engine(sim::Gating::kSparse);
+    array.elaborate(engine);
+    std::vector<std::string> names;
+    for (const sim::Module* m : engine.modules()) names.push_back(m->name());
+    return names;
+  };
+  for (const std::size_t n : {1u, 2u, 5u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    GktModularArray gkt(make_costs(n + 1, 3));
+    EXPECT_EQ(names_of(gkt), pinned('c', n));
+    TriangularModularArray<BstRule> bst(BstRule(make_costs(n, 5)), n);
+    EXPECT_EQ(names_of(bst), pinned('t', n));
+    TriangularModularArray<ChainRule> chain(ChainRule(make_costs(n + 1, 7)),
+                                            n);
+    EXPECT_EQ(names_of(chain), pinned('t', n));
+    if (n >= 2) {  // a polygon needs two vertices
+      TriangularModularArray<PolygonRule> poly(PolygonRule(make_costs(n, 9)),
+                                               n);
+      EXPECT_EQ(names_of(poly), pinned('t', n));
+    }
+  }
+}
+
 // Chain splits plus two candidates per cell that the diagonal (i, i) on
 // the cell's row also feeds, so that one origin feeds three candidates of
 // one cell (t = 0, t = j-i and t = j-i+1).  Candidate j-i clamps that
@@ -271,16 +311,11 @@ struct TripleFeedRule {
   [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
     return j - i + 2;
   }
-  [[nodiscard]] Cost candidate(std::size_t i, std::size_t j, std::size_t t,
-                               Cost left, Cost right) const {
-    if (t < j - i) {
-      return kern::interval_candidate(left, right,
-                                      dims[i] * dims[i + t + 1] * dims[j + 1]);
-    }
-    if (t == j - i) {
-      return kern::interval_candidate(0, right, dims[i] + dims[j + 1] + 7);
-    }
-    return kern::interval_candidate(left, right, dims[i] * dims[j + 1] + 3);
+  [[nodiscard]] IntervalTerms terms(std::size_t i, std::size_t j,
+                                    std::size_t t) const {
+    if (t < j - i) return {dims[i] * dims[i + t + 1] * dims[j + 1], true, true};
+    if (t == j - i) return {dims[i] + dims[j + 1] + 7, false, true};
+    return {dims[i] * dims[j + 1] + 3, true, true};
   }
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
       std::size_t i, std::size_t j, std::size_t t) const {
@@ -315,9 +350,9 @@ struct SilentOriginRule {
   [[nodiscard]] std::size_t splits(std::size_t i, std::size_t j) const {
     return i == 0 && j == 1 ? 0 : 1;
   }
-  [[nodiscard]] Cost candidate(std::size_t, std::size_t, std::size_t, Cost l,
-                               Cost r) const {
-    return l + r;
+  [[nodiscard]] IntervalTerms terms(std::size_t, std::size_t,
+                                    std::size_t) const {
+    return {};
   }
   [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
       std::size_t i, std::size_t j, std::size_t) const {
