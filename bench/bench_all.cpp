@@ -632,95 +632,6 @@ std::vector<CompiledBatchSample> measure_compiled_batch(
   return out;
 }
 
-// ----------------------------------------------- optimized replay ---------
-
-/// One family's optimizer payoff: the same design lowered twice — once
-/// untouched, once through the full opt-2 pipeline (compile/optimize.hpp)
-/// — and both tapes replayed.  The families are the narrow string-product
-/// pipelines whose fill/drain ramps leave levels nearly empty (occupancy
-/// 2–4 op-lanes): exactly where per-level dispatch overhead dominates and
-/// level fusion pays.  Wide tapes (gkt, bst) sit near 1.0x here by
-/// design — fusion cannot create work, only remove level boundaries.
-struct OptimizedSample {
-  std::string name;
-  std::uint64_t num_ops = 0;
-  std::uint64_t levels_opt0 = 0;
-  std::uint64_t levels_opt2 = 0;
-  std::uint64_t ops_pruned = 0;
-  std::uint64_t levels_fused = 0;
-  double opt0_seconds = 0.0;
-  double opt2_seconds = 0.0;
-
-  [[nodiscard]] double speedup() const {
-    return opt2_seconds > 0.0 ? opt0_seconds / opt2_seconds : 0.0;
-  }
-};
-
-/// Floor for the in-binary optimizer gate: the opt-2 tape must replay at
-/// least this much faster than the untouched tape on two or more of the
-/// fill/drain-heavy families (measured margins are 1.45–1.74x).
-constexpr double kOptimizedSpeedupFloor = 1.3;
-
-template <typename MakeArray>
-OptimizedSample measure_optimized_one(const char* name, MakeArray&& make) {
-  OptimizedSample s;
-  s.name = name;
-  auto a0 = make();
-  const auto low0 = compile::lower_array(a0);
-  auto a2 = make();
-  compile::LowerOptions lopt;
-  lopt.optimize = 2;
-  const auto low2 = compile::lower_array(a2, lopt);
-  s.num_ops = low0.net.num_ops();
-  s.levels_opt0 = low0.net.cycles();
-  s.levels_opt2 = low2.net.cycles();
-  s.ops_pruned = low2.net.stats.ops_pruned;
-  s.levels_fused = low2.net.stats.levels_fused;
-  const auto time_net = [&](const compile::CompiledNetlist& net) {
-    compile::CompiledEngine ce(net);
-    // Checked replay first: the optimized tape must stay op-for-op
-    // bit-identical to the oracle, or the speedup below compares wrong
-    // computations.
-    if (ce.run_all_checked().found || ce.verify_outputs().found) {
-      std::fprintf(stderr, "bench_all: optimized replay diverges on %s\n",
-                   name);
-      std::exit(1);
-    }
-    return best_seconds(9, [&] {
-      ce.reset();
-      ce.run_all();
-      benchmark::DoNotOptimize(ce.now());
-    });
-  };
-  s.opt0_seconds = time_net(low0.net);
-  s.opt2_seconds = time_net(low2.net);
-  return s;
-}
-
-std::vector<OptimizedSample> measure_optimized() {
-  std::vector<OptimizedSample> out;
-  {
-    Rng rng(111);
-    auto mats = random_matrix_string(96, 4, rng);
-    std::uniform_int_distribution<Cost> w(1, 40);
-    std::vector<Cost> v(4);
-    for (auto& x : v) x = w(rng);
-    out.push_back(measure_optimized_one("optimized_design1_q96_m4", [&] {
-      return Design1Modular(mats, v);
-    }));
-    out.push_back(measure_optimized_one("optimized_design2_q96_m4", [&] {
-      return Design2Modular(mats, v);
-    }));
-  }
-  {
-    Rng rng(642);
-    const auto nv = traffic_control_instance(64, 2, rng);
-    out.push_back(measure_optimized_one("optimized_design3_s64_w2",
-                                        [&] { return Design3Modular(nv); }));
-  }
-  return out;
-}
-
 // --------------------------------------------------------- baseline -------
 
 struct MetricSample {
@@ -844,10 +755,6 @@ std::vector<MetricSample> comparable_metrics(const std::string& text) {
                               "batch16_seconds", "/b16")) {
     out.push_back(std::move(s));
   }
-  // optimized_replay_throughput entries are deliberately absent: their
-  // opt2 replays run in microseconds, where one tick of timer
-  // quantisation dwarfs the 15% tolerance.  Their gate is the in-binary
-  // >=1.3x opt0-vs-opt2 floor — a same-run ratio, immune to host drift.
   for (auto& s : scan_section(text, "gating", "sparse_seconds", "/sparse")) {
     out.push_back(std::move(s));
   }
@@ -1034,21 +941,6 @@ int main(int argc, char** argv) {
         c.rebind_instances_per_sec());
   }
 
-  // Optimizer payoff: the same families' tapes untouched versus opt-2.
-  const auto optimized = measure_optimized();
-  std::size_t optimized_fast_families = 0;
-  for (const auto& c : optimized) {
-    if (c.speedup() >= kOptimizedSpeedupFloor) ++optimized_fast_families;
-    std::printf(
-        "  optimized %-22s opt0=%8.3fms (%llu levels) opt2=%8.3fms "
-        "(%llu levels, %llu fused, %llu pruned) speedup=%.2fx\n",
-        c.name.c_str(), c.opt0_seconds * 1e3,
-        static_cast<unsigned long long>(c.levels_opt0), c.opt2_seconds * 1e3,
-        static_cast<unsigned long long>(c.levels_opt2),
-        static_cast<unsigned long long>(c.levels_fused),
-        static_cast<unsigned long long>(c.ops_pruned), c.speedup());
-  }
-
   const unsigned hw_threads = std::thread::hardware_concurrency();
 
   // ----------------------------------------------------------- output -----
@@ -1179,26 +1071,6 @@ int main(int argc, char** argv) {
   }
   section_close();
 
-  section_open("optimized_replay_throughput", 0, false);
-  for (std::size_t i = 0; i < optimized.size(); ++i) {
-    const auto& c = optimized[i];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"num_ops\": %llu, "
-                  "\"levels_opt0\": %llu, \"levels_opt2\": %llu, "
-                  "\"levels_fused\": %llu, \"ops_pruned\": %llu, "
-                  "\"opt0_seconds\": %.6f, \"opt2_seconds\": %.6f, "
-                  "\"speedup\": %.3f}%s\n",
-                  c.name.c_str(), static_cast<unsigned long long>(c.num_ops),
-                  static_cast<unsigned long long>(c.levels_opt0),
-                  static_cast<unsigned long long>(c.levels_opt2),
-                  static_cast<unsigned long long>(c.levels_fused),
-                  static_cast<unsigned long long>(c.ops_pruned),
-                  c.opt0_seconds, c.opt2_seconds, c.speedup(),
-                  i + 1 < optimized.size() ? "," : "");
-    out << buf;
-  }
-  section_close();
-
   // Baseline comparison: per-benchmark medians against a committed
   // BENCH_SIM.json; only benchmarks present in both documents compare.
   std::size_t regressed = 0;
@@ -1246,14 +1118,6 @@ int main(int argc, char** argv) {
                       "    {\"name\": \"%s\", \"batch8_seconds\": %.6f, "
                       "\"batch16_seconds\": %.6f},\n",
                       c.name.c_str(), c.batch8_seconds, c.batch16_seconds);
-        tmp << buf;
-      }
-      tmp << "  ],\n";
-      tmp << "  \"optimized_replay_throughput\": [\n";
-      for (const auto& c : optimized) {
-        std::snprintf(buf, sizeof buf,
-                      "    {\"name\": \"%s\", \"opt2_seconds\": %.6f},\n",
-                      c.name.c_str(), c.opt2_seconds);
         tmp << buf;
       }
       tmp << "  ],\n";
@@ -1344,19 +1208,6 @@ int main(int argc, char** argv) {
                  "bench_all: batched replay >= %.1fx per-instance at B=8 on "
                  "only %zu/%zu families (need >= 2)\n",
                  kBatchPerInstanceFloor, batch_fast_families, cbatch.size());
-    return 2;
-  }
-
-  // Optimizer gate: the opt-2 tape must beat the untouched tape by
-  // kOptimizedSpeedupFloor on at least two of the fill/drain-heavy
-  // families.  Serial replay of the same op stream, so this gate is
-  // unconditional.
-  if (optimized_fast_families < 2) {
-    std::fprintf(stderr,
-                 "bench_all: optimized replay >= %.1fx on only %zu/%zu "
-                 "families (need >= 2)\n",
-                 kOptimizedSpeedupFloor, optimized_fast_families,
-                 optimized.size());
     return 2;
   }
 

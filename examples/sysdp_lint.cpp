@@ -11,16 +11,12 @@
 //                 captures the dataflow netlist, and runs the analysis
 //                 checks (schema sysdp-lint-v1).
 //   --tape      — tape verification.  Lowers each instance to a compiled
-//                 flat netlist and runs analysis::TapeVerifier over seven
+//                 flat netlist and runs analysis::TapeVerifier over three
 //                 variants per design: the raw SSA tape (#ssa), the
-//                 live-range-compacted tape (#compacted), a parameterised
-//                 tape re-verified under a perturbed weight binding
-//                 (#rebound) — proving the static guarantees hold for
-//                 rebound replays, not just the oracle's weights — and the
-//                 optimizer sweep (#opt1, #opt2, #opt1-rebound,
-//                 #opt2-rebound): each optimizer level in compacted and
-//                 rebound-parameterised form, proving every pass pipeline
-//                 preserves the checks the recorder established
+//                 live-range-compacted tape (#compacted), and a
+//                 parameterised tape re-verified under a perturbed weight
+//                 binding (#rebound) — proving the static guarantees hold
+//                 for rebound replays, not just the oracle's weights
 //                 (schema sysdp-tapelint-v1).
 //
 // Text output is one report per design (per tape variant with --tape);
@@ -71,9 +67,8 @@ analysis::LintReport lint_design(const examples::DesignSpec& spec) {
 /// (every finite oracle weight +1 — deterministic, and different enough
 /// that a verifier accidentally reading the baked immediates would certify
 /// the wrong value ranges).
-analysis::TapeVerifyReport verify_rebound(const examples::DesignSpec& spec,
-                                          compile::LowerOptions opt,
-                                          const std::string& variant) {
+analysis::TapeVerifyReport verify_rebound(const examples::DesignSpec& spec) {
+  compile::LowerOptions opt;
   opt.parameterise = true;
   const auto low = spec.make()->lower(opt);
   analysis::TapeVerifyOptions vopt;
@@ -81,16 +76,12 @@ analysis::TapeVerifyReport verify_rebound(const examples::DesignSpec& spec,
   for (Cost& w : vopt.bound_weights) {
     if (!is_inf(w) && !is_neg_inf(w)) w += 1;
   }
-  return analysis::verify_tape(low.net, spec.name + variant, vopt);
+  return analysis::verify_tape(low.net, spec.name + "#rebound", vopt);
 }
 
-/// Lower one registry instance seven ways and verify each tape: the SSA
-/// tape, the compacted tape, a parameterised tape under a perturbed
-/// rebinding, and — for each optimizer level — the optimized compacted
-/// tape plus its rebound-parameterised twin.  The optimizer sweep is the
-/// gate that keeps every pass pipeline honest: whatever fusion, reordering
-/// and pruning did, the nine static checks must still hold, under the
-/// oracle's weights and under a rebinding alike.
+/// Lower one registry instance three ways and verify each tape: the SSA
+/// tape, the compacted tape, and a parameterised tape under a perturbed
+/// rebinding.
 std::vector<analysis::TapeVerifyReport> verify_design(
     const examples::DesignSpec& spec) {
   std::vector<analysis::TapeVerifyReport> out;
@@ -103,16 +94,7 @@ std::vector<analysis::TapeVerifyReport> verify_design(
   out.push_back(analysis::verify_tape(spec.make()->lower({}).net,
                                       spec.name + "#compacted"));
 
-  out.push_back(verify_rebound(spec, {}, "#rebound"));
-
-  for (int level = 1; level <= 2; ++level) {
-    compile::LowerOptions oopt;
-    oopt.optimize = level;
-    const std::string tag = "#opt" + std::to_string(level);
-    out.push_back(
-        analysis::verify_tape(spec.make()->lower(oopt).net, spec.name + tag));
-    out.push_back(verify_rebound(spec, oopt, tag + "-rebound"));
-  }
+  out.push_back(verify_rebound(spec));
   return out;
 }
 

@@ -5,7 +5,7 @@
 //   sysdp_tool gen objective <vars> <domain> <seed>     (banded, eq. 36)
 //   sysdp_tool info <file>                              classify and describe
 //   sysdp_tool solve <file> [k] [--metrics] [--engine=modular|compiled]
-//                    [--batch=N] [--opt=0|1|2]          route per Table 1
+//                    [--batch=N]                        route per Table 1
 //
 // `solve` dispatches exactly as core/solver.hpp: multistage graphs to the
 // Design 1 systolic array (plus divide-and-conquer when k > 1 is given),
@@ -18,9 +18,6 @@
 // on a multi-lane compiled engine (chunks of 8 lanes), verifies every
 // lane against the oracle, and reports the replay throughput — the
 // multi-instance path the benchmarks use, driven from the CLI.
-// --opt=0|1|2 runs the tape optimizer pipeline at lowering time
-// (compile/optimize.hpp) — the replay stays oracle-checked, so an
-// optimizer bug can never change a printed answer.
 //
 // Numeric arguments are read whole (examples/cli_args.hpp) and checked
 // before the instance is loaded: a malformed number or an unknown option
@@ -63,7 +60,6 @@ int usage() {
                "  sysdp_tool info <file>\n"
                "  sysdp_tool solve <file> [k] [--metrics]\n"
                "                  [--engine=modular|compiled] [--batch=N]\n"
-               "                  [--opt=0|1|2]\n"
                "  sysdp_tool reduce <file>      stage-reduction plan "
                "(multistage only)\n");
   return 2;
@@ -227,36 +223,23 @@ std::string batched_replay(const compile::Lowered& low, std::uint64_t n) {
   return buf;
 }
 
-/// Per-run knobs of the compiled route, bundled so the two compiled
-/// solvers share one signature.
-struct CompiledRoute {
-  std::uint64_t batch = 1;
-  int opt = 0;  ///< --opt=N tape optimizer level
-};
-
-/// Decorations shared by the compiled routes' method strings: optimizer
-/// level and batched throughput.
-std::string route_suffix(const compile::Lowered& low,
-                         const CompiledRoute& route) {
-  std::string s;
-  if (route.opt > 0) s += ", opt" + std::to_string(route.opt);
-  if (route.batch > 1) s += batched_replay(low, route.batch);
-  return s;
+/// The compiled routes' method-string suffix: the batched throughput when
+/// --batch asked for more than one replay, else nothing.
+std::string batch_suffix(const compile::Lowered& low, std::uint64_t batch) {
+  return batch > 1 ? batched_replay(low, batch) : std::string();
 }
 
 /// --engine=compiled on a multistage graph: Design 1 lowered to a flat
 /// tape.  The optimum comes from the replayed "out" lanes; path recovery
 /// stays with the sequential sweep, exactly like the interpreted route.
 SolveReport solve_monadic_compiled(const MultistageGraph& g,
-                                   const CompiledRoute& route,
+                                   std::uint64_t batch,
                                    obs::MetricsRegistry* metrics) {
   SolveReport rep;
   rep.cls = {Recursion::kMonadic, Structure::kSerial};
   auto prob = to_string_product(g);
   Design1Modular arr(std::move(prob.mats), std::move(prob.v));
-  compile::LowerOptions lopt;
-  lopt.optimize = route.opt;
-  const auto low = compile::lower_array(arr, lopt);
+  const auto low = compile::lower_array(arr);
   const auto ce = checked_replay(low);
   if (metrics != nullptr) profiled_replays(low, *metrics);
   Cost best = kInfCost;
@@ -267,7 +250,7 @@ SolveReport solve_monadic_compiled(const MultistageGraph& g,
   rep.method = "Design 1 via compiled tape (" +
                std::to_string(low.net.num_ops()) + " ops, " +
                std::to_string(low.net.cycles()) + " levels" +
-               route_suffix(low, route) + ")";
+               batch_suffix(low, batch) + ")";
   rep.work_steps = low.net.num_ops();
   rep.cycles = low.net.cycles();
   rep.assignment = solve_monadic_serial(g).assignment;
@@ -277,14 +260,12 @@ SolveReport solve_monadic_compiled(const MultistageGraph& g,
 /// --engine=compiled on a matrix chain: the GKT triangle lowered to a
 /// flat tape; the root cell carries the optimum.
 SolveReport solve_chain_compiled(const std::vector<Cost>& dims,
-                                 const CompiledRoute& route,
+                                 std::uint64_t batch,
                                  obs::MetricsRegistry* metrics) {
   SolveReport rep;
   rep.cls = {Recursion::kPolyadic, Structure::kNonserial};
   GktModularArray arr(dims);
-  compile::LowerOptions lopt;
-  lopt.optimize = route.opt;
-  const auto low = compile::lower_array(arr, lopt);
+  const auto low = compile::lower_array(arr);
   const std::size_t n = dims.size() - 1;
   const auto ce = checked_replay(low);
   if (metrics != nullptr) profiled_replays(low, *metrics);
@@ -292,17 +273,17 @@ SolveReport solve_chain_compiled(const std::vector<Cost>& dims,
   rep.method = "GKT array via compiled tape (" +
                std::to_string(low.net.num_ops()) + " ops, " +
                std::to_string(low.net.cycles()) + " levels" +
-               route_suffix(low, route) + ")";
+               batch_suffix(low, batch) + ")";
   rep.work_steps = low.net.num_ops();
   rep.cycles = low.net.cycles();
   return rep;
 }
 
 int cmd_solve(const std::string& path, std::uint64_t k, bool metrics,
-              bool compiled, const CompiledRoute& route) {
+              bool compiled, std::uint64_t batch) {
   const auto problem = load_problem(path);
   std::visit(
-      [k, metrics, compiled, &route](const auto& p) {
+      [k, metrics, compiled, batch](const auto& p) {
         using T = std::decay_t<decltype(p)>;
         SolveReport rep;
         // Compiled routes fill the replay-latency histogram when asked.
@@ -311,7 +292,7 @@ int cmd_solve(const std::string& path, std::uint64_t k, bool metrics,
             metrics && compiled ? &registry : nullptr;
         if constexpr (std::is_same_v<T, MultistageGraph>) {
           rep = k > 1         ? solve_polyadic_serial(p, k)
-                : compiled    ? solve_monadic_compiled(p, route, prof)
+                : compiled    ? solve_monadic_compiled(p, batch, prof)
                               : solve_monadic_serial(p);
           if (compiled && k > 1) {
             std::fprintf(stderr,
@@ -319,7 +300,7 @@ int cmd_solve(const std::string& path, std::uint64_t k, bool metrics,
                          "(divide-and-conquer runs interpreted)\n");
           }
         } else if constexpr (std::is_same_v<T, std::vector<Cost>>) {
-          rep = compiled ? solve_chain_compiled(p, route, prof)
+          rep = compiled ? solve_chain_compiled(p, batch, prof)
                          : solve_chain_order(p);
         } else {
           if (compiled) {
@@ -383,7 +364,7 @@ int main(int argc, char** argv) {
       std::uint64_t k = 1;
       bool metrics = false;
       bool compiled = false;
-      CompiledRoute route;
+      std::uint64_t batch = 1;
       for (int i = 3; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if (arg == "--metrics") {
@@ -393,10 +374,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--engine=modular") {
           compiled = false;
         } else if (arg.rfind("--batch=", 0) == 0) {
-          route.batch = examples::unsigned_arg("--batch", arg.substr(8));
-        } else if (arg.rfind("--opt=", 0) == 0) {
-          route.opt = static_cast<int>(
-              examples::unsigned_arg("--opt", arg.substr(6), 0, 2));
+          batch = examples::unsigned_arg("--batch", arg.substr(8));
         } else if (arg.rfind("--", 0) == 0) {
           throw examples::UsageError("unknown option '" + std::string(arg) +
                                      "'");
@@ -404,13 +382,12 @@ int main(int argc, char** argv) {
           k = examples::unsigned_arg("k", arg);
         }
       }
-      if ((route.batch > 1 || route.opt > 0) && !compiled) {
+      if (batch > 1 && !compiled) {
         std::fprintf(stderr,
-                     "note: --batch/--opt require --engine=compiled; "
-                     "ignored\n");
-        route = CompiledRoute{};
+                     "note: --batch requires --engine=compiled; ignored\n");
+        batch = 1;
       }
-      return cmd_solve(argv[2], k, metrics, compiled, route);
+      return cmd_solve(argv[2], k, metrics, compiled, batch);
     }
     if (cmd == "reduce" && argc == 3) return cmd_reduce(argv[2]);
     return usage();

@@ -2,7 +2,7 @@
 //
 //   sysdp_trace [--design <substr>] [--out-dir <dir>] [--bucket <cycles>]
 //               [--gating <dense|sparse>] [--engine <modular|compiled>]
-//               [--opt=0|1|2] [--dnc <N,K>] [--list]
+//               [--dnc <N,K>] [--list]
 //
 // For every matching design of examples/design_registry.hpp (the same
 // fixed instances the lint gate certifies) the tool runs the array once on
@@ -10,7 +10,7 @@
 // three artifacts into --out-dir (default "."):
 //
 //   <name>.vcd           — per-port waveforms (GTKWave-viewable)
-//   <name>.metrics.json  — sysdp-metrics-v1 counters/gauges + utilisation
+//   <name>.metrics.json  — sysdp-metrics-v2 counters/gauges + utilisation
 //                          timeline (per-PE busy deltas per bucket)
 //   <name>.trace.json    — Chrome trace-event JSON (chrome://tracing or
 //                          Perfetto)
@@ -30,7 +30,7 @@
 //                                   slot→port provenance, same signal
 //                                   names as the interpreted VCD
 //   <name>.compiled.metrics.json  — tape shape + replay counters +
-//                                   latency histograms (schema v2) +
+//                                   latency histograms +
 //                                   lowering's stage times (lower.*_ms)
 //   <name>.compiled.profile.json  — sysdp-profile-v1: per-level op/kind
 //                                   counts, per-replay records, timing
@@ -40,12 +40,6 @@
 // timeline's aggregate busy count must equal the replay's ops_executed,
 // and the profiler's per-level op counts must equal the tape's own CSR
 // level sizes.
-//
-// --opt=0|1|2 (compiled engine only) lowers every matching design through
-// the tape optimizer pipeline at that level, so the artifacts describe
-// the optimized schedule: the metrics document carries the optimizer's
-// own stats (tape.opt_level, tape.ops_pruned, tape.levels_fused) and the
-// cross-checks run against the rewritten tape.
 //
 // --dnc N,K additionally records the divide-and-conquer scheduler of
 // src/dnc/schedule over an N-leaf problem on K arrays and writes
@@ -86,8 +80,8 @@ int usage() {
       stderr,
       "usage: sysdp_trace [--design <substring>] [--out-dir <dir>]\n"
       "                   [--bucket <cycles>] [--gating <dense|sparse>]\n"
-      "                   [--engine <modular|compiled>] [--opt=0|1|2]\n"
-      "                   [--dnc <N,K>] [--list]\n");
+      "                   [--engine <modular|compiled>] [--dnc <N,K>]\n"
+      "                   [--list]\n");
   return 2;
 }
 
@@ -113,7 +107,6 @@ struct Options {
   sim::Cycle bucket = 1;
   sim::Gating gating = sim::Gating::kSparse;
   bool compiled = false;
-  int opt_level = 0;
   bool list = false;
   bool dnc = false;
   std::uint64_t dnc_n = 0;
@@ -131,9 +124,7 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
   const auto inst = spec.make();
   compile::Lowered low;
   try {
-    compile::LowerOptions lopt;
-    lopt.optimize = opt.opt_level;
-    low = inst->lower(lopt);
+    low = inst->lower();
   } catch (const std::logic_error& e) {
     std::fprintf(stderr, "sysdp_trace: %s: lowering failed: %s\n",
                  spec.name.c_str(), e.what());
@@ -238,11 +229,6 @@ bool trace_design_compiled(const examples::DesignSpec& spec,
   metrics.set_counter("tape.lanes_bound", low.net.stats.lanes_bound);
   metrics.set_counter("tape.named_lanes", low.net.stats.named_lanes);
   metrics.set_counter("tape.compacted", low.net.compacted() ? 1 : 0);
-  metrics.set_counter("tape.opt_level", low.net.stats.opt_level);
-  if (low.net.stats.opt_level > 0) {
-    metrics.set_counter("tape.ops_pruned", low.net.stats.ops_pruned);
-    metrics.set_counter("tape.levels_fused", low.net.stats.levels_fused);
-  }
   if (low.net.compacted()) {
     metrics.set_counter("tape.slots_uncompacted",
                         low.net.stats.slots_uncompacted);
@@ -430,9 +416,6 @@ Options parse_options(int argc, char** argv) {
             "--engine takes modular or compiled, got '" + std::string(e) +
             "'");
       }
-    } else if (arg.rfind("--opt=", 0) == 0) {
-      opt.opt_level = static_cast<int>(
-          examples::unsigned_arg("--opt", arg.substr(6), 0, 2));
     } else if (arg == "--dnc") {
       parse_dnc(value(), opt);
     } else {
@@ -451,11 +434,6 @@ int main(int argc, char** argv) {
   } catch (const examples::UsageError& e) {
     std::fprintf(stderr, "sysdp_trace: %s\n", e.what());
     return usage();
-  }
-
-  if (opt.opt_level > 0 && !opt.compiled) {
-    std::fprintf(stderr, "note: --opt requires --engine compiled; ignored\n");
-    opt.opt_level = 0;
   }
 
   const auto designs = examples::all_designs();

@@ -15,10 +15,8 @@
 // the engine's working set — at any lane count — becomes cache-sized.
 //
 // Reuse is level-granular on purpose: a freed index is reallocated only in
-// a strictly later level than its last touch, so any in-level reordering
-// that preserves same-level RAW chains (the optimizer's kind-major
-// regrouping) stays sound — no write in level t can clobber a value still
-// read in level t.
+// a strictly later level than its last touch, so no write in level t can
+// clobber a value still read in level t.
 //
 // kRelax ops address slot pairs (dst/dst+1, a/a+1), so paired slots move
 // as one contiguous group.  Output slots are pinned — they must survive to

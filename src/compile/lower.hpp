@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "compile/compact.hpp"
-#include "compile/optimize.hpp"
 #include "compile/program.hpp"
 #include "compile/recorder.hpp"
 #include "sim/engine.hpp"
@@ -44,10 +43,6 @@ struct LowerOptions {
   /// from the declared ports whose keys the narration touched (see the
   /// file comment).  Off leaves every lane unnamed ("lane<N>").
   bool capture_netlist = true;
-  /// Cross-check tape op count against the oracle's busy-step count: every
-  /// paper design marks exactly one busy step per semiring op, so a
-  /// mismatch means a narration site is missing or duplicated.
-  bool check_busy_steps = true;
   /// Rename slots by live-range reuse after lowering (compile/compact.hpp):
   /// the recorder's SSA slot file scales with the op count, compaction
   /// shrinks it to the peak live count so replays — above all a B-lane
@@ -62,15 +57,6 @@ struct LowerOptions {
   /// and counters, never on cost values), so their parameter planes align
   /// index for index.
   bool parameterise = false;
-  /// Tape optimizer level (compile/optimize.hpp): 0 leaves the recorded
-  /// schedule untouched, 1 runs the conservative pipeline (dead-op
-  /// elimination, edge-free level fusion, kind-major reordering), 2 also
-  /// fuses across same-kind chain edges.  Runs after the oracle
-  /// cross-checks — the recorded tape is validated, then rewritten — and
-  /// before compaction, which requires the SSA slot file.  Replay stays
-  /// bit-identical at every level; an optimized tape's now() counts
-  /// fused dependency levels, not oracle cycles.
-  int optimize = 0;
 };
 
 struct Lowered {
@@ -199,18 +185,13 @@ template <typename Array>
         " dependency levels but the oracle ran " +
         std::to_string(out.oracle_cycles) + " cycles");
   }
-  if (opt.check_busy_steps &&
-      out.net.num_ops() != out.net.stats.oracle_busy_steps) {
+  // Every paper design marks exactly one busy step per semiring op.
+  if (out.net.num_ops() != out.net.stats.oracle_busy_steps) {
     throw std::logic_error(
         "compile::lower_array: tape has " + std::to_string(out.net.num_ops()) +
         " ops but the oracle counted " +
         std::to_string(out.net.stats.oracle_busy_steps) +
         " busy steps — a narration site is missing or duplicated");
-  }
-  if (opt.optimize > 0) {
-    OptimizeOptions oo;
-    oo.level = opt.optimize;
-    optimize_tape(out.net, oo);
   }
   if (opt.compact) {
     t0 = Clock::now();

@@ -169,13 +169,6 @@ struct TapeStats {
   /// meaningful only when `compacted`.  num_slots after compaction is the
   /// peak live count — the executor's true working set.
   std::uint64_t slots_uncompacted = 0;
-  /// Optimizer pipeline record (compile/optimize.hpp): the level the tape
-  /// was run through (0 = untouched) and what the passes removed.  After
-  /// optimization `oracle_busy_steps == ops.size()` no longer holds — the
-  /// pruned-op count closes the books.
-  std::uint8_t opt_level = 0;
-  std::uint64_t ops_pruned = 0;   ///< dead-op elimination removals
-  std::uint64_t levels_fused = 0; ///< dependency levels merged away
   /// Wall time of lowering's stages, in ms (compile/lower.hpp): the
   /// narrated oracle run (including sealing the tape), the lane-naming
   /// pass, and compaction; 0 for a stage lowering did not run.

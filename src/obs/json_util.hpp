@@ -1,6 +1,6 @@
 // Minimal JSON rendering helpers shared by the obs emitters.
 //
-// The repo's JSON documents (sysdp-metrics-v1, chrome traces, bench JSON)
+// The repo's JSON documents (sysdp-metrics-v2, chrome traces, bench JSON)
 // are all *written*, never parsed, so a couple of inline formatters beat a
 // JSON library dependency.
 #pragma once

@@ -118,10 +118,8 @@ std::string MetricsRegistry::to_json() const {
 std::string metrics_json(const std::string& design,
                          const MetricsRegistry& registry,
                          const TimelineSink* timeline) {
-  const char* schema =
-      registry.histograms().empty() ? "sysdp-metrics-v1" : "sysdp-metrics-v2";
-  std::string out = std::string("{\n  \"schema\": \"") + schema +
-                    "\",\n  \"design\": \"" + json_escape(design) +
+  std::string out = "{\n  \"schema\": \"sysdp-metrics-v2\",\n"
+                    "  \"design\": \"" + json_escape(design) +
                     "\",\n  \"metrics\": " + registry.to_json();
   if (timeline != nullptr) {
     out += ",\n  \"timeline\": " + timeline->to_json();

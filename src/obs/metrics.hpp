@@ -8,12 +8,10 @@
 // sorted key order (std::map), so renderings are deterministic and
 // golden-testable regardless of insertion order.
 //
-// sysdp-metrics-v1 is the one-run document sysdp_trace emits: the
+// sysdp-metrics-v2 is the one-run document sysdp_trace emits: the
 // registry plus the per-PE utilisation timeline, self-describing via a
 // "schema" field like the bench and lint documents.  A registry carrying
-// histograms renders as sysdp-metrics-v2 — same document plus a
-// "histograms" object; a histogram-free registry still renders v1 byte
-// for byte, so existing consumers and goldens are untouched.
+// histograms adds a "histograms" object; nothing else depends on them.
 #pragma once
 
 #include <array>
@@ -130,11 +128,9 @@ class MetricsRegistry {
 /// Render the metrics document for one run: the registry plus the
 /// optional utilisation timeline (see obs/timeline.hpp).  The timeline's
 /// aggregate equals the "busy_steps" counter by construction, which the
-/// sysdp_trace CLI asserts before writing the file.  Schema version is
-/// picked from the registry's contents: "sysdp-metrics-v1" (byte-identical
-/// to the pre-histogram renderer) when no histograms were recorded,
-/// "sysdp-metrics-v2" when any were — v2 is v1 plus the "histograms"
-/// object inside "metrics", nothing else moves.
+/// sysdp_trace CLI asserts before writing the file.  The schema is always
+/// "sysdp-metrics-v2"; the "histograms" object inside "metrics" appears
+/// only when some histogram was recorded.
 [[nodiscard]] std::string metrics_json(const std::string& design,
                                        const MetricsRegistry& registry,
                                        const TimelineSink* timeline);

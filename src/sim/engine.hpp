@@ -194,12 +194,9 @@ class Engine {
     return dense_fallback_ ? Gating::kDense : gating_;
   }
 
-  /// Module evaluations actually performed so far.  In dense mode this is
-  /// modules x cycles; in sparse mode only active modules count.
-  [[nodiscard]] std::uint64_t module_evals() const noexcept {
-    return active_evals_;
-  }
-  /// Same as module_evals() — the numerator of activity().
+  /// Module evaluations actually performed so far — the numerator of
+  /// activity().  In dense mode this is modules x cycles; in sparse mode
+  /// only active modules count.
   [[nodiscard]] std::uint64_t active_evals() const noexcept {
     return active_evals_;
   }

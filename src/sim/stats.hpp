@@ -57,13 +57,12 @@ class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
 
-  /// Seconds elapsed since construction (or the last restart()).
+  /// Seconds elapsed since construction.
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
         .count();
   }
-  void restart() { start_ = std::chrono::steady_clock::now(); }
 
  private:
   std::chrono::steady_clock::time_point start_;
@@ -86,13 +85,6 @@ struct ThroughputStats {
     return wall_seconds > 0.0
                ? static_cast<double>(module_evals) / wall_seconds
                : 0.0;
-  }
-
-  ThroughputStats& operator+=(const ThroughputStats& o) noexcept {
-    cycles += o.cycles;
-    module_evals += o.module_evals;
-    wall_seconds += o.wall_seconds;
-    return *this;
   }
 };
 

@@ -147,12 +147,15 @@ TEST(MetricsRegistryTest, RenderingsAreSortedAndInsertionOrderFree) {
 }
 
 TEST(MetricsRegistryTest, MetricsV1DocumentIsWellFormed) {
+  // Counters and gauges only — what the retired v1 schema carried — now
+  // render under the one v2 schema name.
   obs::MetricsRegistry m;
   m.set_counter("run.cycles", 29);
   m.set_gauge("run.utilization_wall", 0.828);
   const std::string doc = obs::metrics_json("design1-modular[q4,m6]", m,
                                             nullptr);
-  EXPECT_NE(doc.find("\"schema\": \"sysdp-metrics-v1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"sysdp-metrics-v2\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"histograms\""), std::string::npos);
   EXPECT_NE(doc.find("\"design\": \"design1-modular[q4,m6]\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"run.cycles\": 29"), std::string::npos);
@@ -206,27 +209,29 @@ TEST(HistogramTest, SingleSampleQuantilesClampIntoTheObservedRange) {
   EXPECT_EQ(h.max(), 1000u);
 }
 
-TEST(MetricsRegistryTest, HistogramFreeRegistryStillRendersV1ByteForByte) {
-  // The back-compat contract for the histogram extension: a registry that
-  // never recorded a histogram renders exactly the pre-extension document.
+TEST(MetricsRegistryTest, HistogramFreeRegistryRendersV2ByteForByte) {
+  // One schema name whatever the registry holds: a registry that never
+  // recorded a histogram renders v2 with no "histograms" object.
   obs::MetricsRegistry m;
   m.set_counter("run.cycles", 29);
   m.set_gauge("run.utilization_wall", 0.828);
   const std::string doc = obs::metrics_json("d1", m, nullptr);
   EXPECT_EQ(doc,
-            "{\n  \"schema\": \"sysdp-metrics-v1\",\n"
+            "{\n  \"schema\": \"sysdp-metrics-v2\",\n"
             "  \"design\": \"d1\",\n"
             "  \"metrics\": {\"counters\": {\"run.cycles\": 29}, "
             "\"gauges\": {\"run.utilization_wall\": 0.828}}\n}\n");
 
-  // One recorded sample bumps the schema to v2 — v1 plus "histograms",
-  // nothing else moves.
+  // One recorded sample adds the "histograms" object after the gauges;
+  // the schema name and everything before it stay put.
   m.observe("replay.wall_ns", 4096);
-  const std::string v2 = obs::metrics_json("d1", m, nullptr);
-  EXPECT_NE(v2.find("\"schema\": \"sysdp-metrics-v2\""), std::string::npos);
-  EXPECT_NE(v2.find("\"histograms\": {\"replay.wall_ns\": "),
+  const std::string with_hist = obs::metrics_json("d1", m, nullptr);
+  // Everything up to the gauges' closing brace.
+  const std::string head = doc.substr(0, doc.size() - 4);
+  EXPECT_EQ(with_hist.substr(0, head.size()), head);
+  EXPECT_NE(with_hist.find("\"histograms\": {\"replay.wall_ns\": "),
             std::string::npos);
-  EXPECT_TRUE(balanced_json(v2));
+  EXPECT_TRUE(balanced_json(with_hist));
   // Histogram summaries join the text rendering.
   EXPECT_NE(m.to_text().find("replay.wall_ns"), std::string::npos);
   EXPECT_NE(m.to_text().find("count=1"), std::string::npos);

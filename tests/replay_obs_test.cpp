@@ -400,7 +400,7 @@ TEST(ProfileMetrics, FillsHistogramsCountersAndSkew) {
   ASSERT_EQ(metrics.histograms().count("replay.wall_ns"), 1u);
   EXPECT_EQ(metrics.histograms().at("replay.wall_ns").count(), 4u);
   ASSERT_EQ(metrics.histograms().count("replay.level_ns"), 1u);
-  // Histograms promote the document to sysdp-metrics-v2.
+  // The histograms render inside the sysdp-metrics-v2 document.
   const std::string doc = obs::metrics_json("d1", metrics, nullptr);
   EXPECT_NE(doc.find("\"schema\": \"sysdp-metrics-v2\""), std::string::npos);
   EXPECT_NE(doc.find("\"histograms\""), std::string::npos);

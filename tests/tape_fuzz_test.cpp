@@ -1,17 +1,19 @@
-// Tape-verifier fuzzing: randomly generated but construction-correct tapes
-// must verify clean, and a single seeded corruption must be rejected with
-// a diagnostic from the matching check.  This is the static-analysis seed
-// of the differential-fuzzing roadmap item: the generator knows which
-// property it broke, so the verifier's answer is checkable bit for bit —
-// no oracle replay needed.
+// Tape fuzzing: randomly generated but construction-correct tapes must
+// verify clean, and a single seeded corruption must be rejected with a
+// diagnostic from the matching check — the generator knows which property
+// it broke, so the verifier's answer is checkable bit for bit, no oracle
+// replay needed.  The same tapes also replay on multi-lane engines, where
+// every lane must match a one-lane replay of its own weight binding.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/tape_verify.hpp"
+#include "compile/engine.hpp"
 #include "compile/program.hpp"
 #include "graph/generators.hpp"
 
@@ -27,14 +29,16 @@ using compile::OpKind;
 /// Build a random layered SSA tape that is correct by construction:
 /// constants (plus one relax pair) in init, then `levels` dependency
 /// levels of mac/fold/relax ops whose operands are drawn from slots
-/// defined in strictly earlier levels, every op's first operand from the
-/// immediately preceding level (so producer->consumer edges exist at
-/// every level for the mutations to attack).  The tape is parameterised
-/// with the identity plane, mirroring the recorder's emission.
+/// defined in strictly earlier levels, every mac/fold op's first operand
+/// from the immediately preceding level (so producer->consumer edges
+/// exist at every level for the mutations to attack).  A relax op reads
+/// the pair the previous relax op wrote, so two relax ops in one level
+/// form an in-level chain.  The tape is parameterised with the identity
+/// plane, mirroring the recorder's emission.
 CompiledNetlist random_tape(Rng& rng) {
   std::uniform_int_distribution<int> d_consts(2, 5);
-  std::uniform_int_distribution<int> d_levels(2, 6);
-  std::uniform_int_distribution<int> d_ops(1, 4);
+  std::uniform_int_distribution<int> d_levels(2, 8);
+  std::uniform_int_distribution<int> d_ops(1, 12);
   std::uniform_int_distribution<Cost> d_w(1, 9);
   std::uniform_int_distribution<Cost> d_v(0, 50);
   std::uniform_int_distribution<int> d_kind(0, 99);
@@ -107,6 +111,28 @@ CompiledNetlist random_tape(Rng& rng) {
   net.params.reserve(net.ops.size());
   for (const Op& op : net.ops) net.params.push_back(op.w);
   return net;
+}
+
+/// Replay `net` on a one-lane engine, bound to `weights` (the oracle
+/// binding when null), and return the full slot image.
+std::vector<Cost> slot_image(const CompiledNetlist& net,
+                             const std::vector<Cost>* weights) {
+  compile::CompiledEngine eng(net);
+  if (weights != nullptr) eng.bind(0, *weights);
+  eng.run_all();
+  std::vector<Cost> img(net.num_slots);
+  for (sim::SlotId s = 0; s < net.num_slots; ++s) img[s] = eng.value(s);
+  return img;
+}
+
+/// Every finite oracle weight bumped by one — the deterministic rebinding
+/// the lint gate verifies.
+std::vector<Cost> perturbed_weights(const CompiledNetlist& net) {
+  std::vector<Cost> w = net.params;
+  for (Cost& x : w) {
+    if (!is_inf(x) && !is_neg_inf(x)) x += 1;
+  }
+  return w;
 }
 
 void expect_rejected(const CompiledNetlist& net, std::string_view check,
@@ -209,6 +235,59 @@ TEST(TapeFuzz, RandomTapesVerifyCleanAndSingleMutationsAreCaught) {
       expect_rejected(m, TapeVerifier::kTapeStructure, "csr-truncate");
     }
   }
+}
+
+/// Lane-exactness on random tapes: every lane of a B-lane engine, B in
+/// {1, 2, 8}, must end with the slot image of a one-lane replay of its own
+/// binding — the oracle's weights or the perturbed table — whether the
+/// lanes all share one binding or alternate.  Unlike the lowered designs,
+/// these tapes put several op kinds in one level and chain relax ops
+/// inside a level, so levels of several runs and in-level reads meet every
+/// lane kernel; the seeds must produce both, or the check has nothing to
+/// say about them.
+TEST(TapeFuzz, RandomTapesReplayLaneExactAtEveryWidth) {
+  std::uint64_t mixed_kind_tapes = 0;
+  std::uint64_t chained_tapes = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed * 0x9e3779b97f4a7c15ull + 99);
+    const CompiledNetlist net = random_tape(rng);
+    if (compile::CompiledEngine(net).fallback_levels() > 0) {
+      ++mixed_kind_tapes;
+    }
+    if (analysis::verify_tape(net, "fuzz-lanes").stats.in_level_chains > 0) {
+      ++chained_tapes;
+    }
+
+    const std::vector<Cost> perturbed = perturbed_weights(net);
+    // One-lane slot image per binding: [0] oracle, [1] perturbed.
+    const std::array<std::vector<Cost>, 2> ref = {
+        slot_image(net, nullptr), slot_image(net, &perturbed)};
+    for (const std::uint32_t lanes : {1u, 2u, 8u}) {
+      // Pattern 0: every lane oracle-bound (the baked-immediate path);
+      // 1: every lane perturbed; 2: odd lanes perturbed, even lanes on
+      // the oracle's table.
+      for (std::uint32_t pattern = 0; pattern < 3; ++pattern) {
+        SCOPED_TRACE("B=" + std::to_string(lanes) +
+                     " pattern=" + std::to_string(pattern));
+        compile::CompiledEngine be(net, lanes);
+        std::vector<std::uint32_t> binding(lanes, pattern == 1 ? 1u : 0u);
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          if (pattern == 2) binding[l] = l % 2;
+          if (binding[l] == 1) be.bind(l, perturbed);
+        }
+        be.run_all();
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          for (sim::SlotId s = 0; s < net.num_slots; ++s) {
+            ASSERT_EQ(be.value(s, l), ref[binding[l]][s])
+                << "lane " << l << " slot " << s;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(mixed_kind_tapes, 0u) << "no seed produced a mixed-kind level";
+  EXPECT_GT(chained_tapes, 0u) << "no seed produced an in-level chain";
 }
 
 }  // namespace
