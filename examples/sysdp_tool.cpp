@@ -17,12 +17,16 @@
 // to the modular run.  --batch=N additionally replays the tape N times
 // on a multi-lane compiled engine (chunks of 8 lanes), verifies every
 // lane against the oracle, and reports the replay throughput — the
-// multi-instance path the benchmarks use, driven from the CLI.
+// multi-instance path the benchmarks use, driven from the CLI.  With
+// --metrics, a compiled route also reports its set-up stage times under
+// sysdp_trace's gauge names (lower.oracle_ms, lower.naming_ms,
+// lower.compact_ms) plus lower.verify_ms, the static verifier's.
 //
 // Numeric arguments are read whole (examples/cli_args.hpp) and checked
 // before the instance is loaded: a malformed number or an unknown option
 // names itself and exits 2.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -160,9 +164,21 @@ int cmd_info(const std::string& path) {
 /// a compiled-route answer is never printed unless it is bit-identical to
 /// the modular run that produced the tape.  Static verification runs
 /// first: a structurally broken tape is rejected before any cycle is
-/// spent replaying it.
-compile::CompiledEngine checked_replay(const compile::Lowered& low) {
+/// spent replaying it.  `metrics`, when given, receives the set-up stage
+/// times: lowering's own and the verifier's.
+compile::CompiledEngine checked_replay(const compile::Lowered& low,
+                                       obs::MetricsRegistry* metrics) {
+  const auto t0 = std::chrono::steady_clock::now();
   analysis::verify_tape_or_throw(low.net, "compiled tape");
+  if (metrics != nullptr) {
+    metrics->set_gauge("lower.oracle_ms", low.net.stats.oracle_ms);
+    metrics->set_gauge("lower.naming_ms", low.net.stats.naming_ms);
+    metrics->set_gauge("lower.compact_ms", low.net.stats.compact_ms);
+    metrics->set_gauge("lower.verify_ms",
+                       std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+  }
   compile::CompiledEngine ce(low.net);
   const auto div = ce.run_all_checked();
   if (div.found || ce.verify_outputs().found) {
@@ -240,7 +256,7 @@ SolveReport solve_monadic_compiled(const MultistageGraph& g,
   auto prob = to_string_product(g);
   Design1Modular arr(std::move(prob.mats), std::move(prob.v));
   const auto low = compile::lower_array(arr);
-  const auto ce = checked_replay(low);
+  const auto ce = checked_replay(low, metrics);
   if (metrics != nullptr) profiled_replays(low, *metrics);
   Cost best = kInfCost;
   for (const auto& o : low.net.outputs) {
@@ -267,7 +283,7 @@ SolveReport solve_chain_compiled(const std::vector<Cost>& dims,
   GktModularArray arr(dims);
   const auto low = compile::lower_array(arr);
   const std::size_t n = dims.size() - 1;
-  const auto ce = checked_replay(low);
+  const auto ce = checked_replay(low, metrics);
   if (metrics != nullptr) profiled_replays(low, *metrics);
   rep.cost = n >= 2 ? ce.output("cell", n - 1) : 0;
   rep.method = "GKT array via compiled tape (" +

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <memory>
+#include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "compile/live_range.hpp"
@@ -21,9 +25,11 @@ using compile::Output;
 using compile::SlotInit;
 using compile::TapeSemiring;
 
-/// Current-definition sentinels for the forward scan.
-constexpr std::int64_t kInitDef = -1;  ///< defined by a SlotInit entry
-constexpr std::int64_t kNoDef = -2;    ///< no definition reached yet
+/// Current-definition sentinels for the forward scan.  Op indices fit 32
+/// bits: the CSR cycle index that bounds the tape is 32-bit, so no index
+/// reaches them.
+constexpr std::uint32_t kNoDef = 0xffffffffu;    ///< no definition reached yet
+constexpr std::uint32_t kInitDef = 0xfffffffeu;  ///< defined by a SlotInit
 
 /// Emit helper: one check's findings at one severity.
 class Emitter {
@@ -33,12 +39,25 @@ class Emitter {
 
   void operator()(const std::string& site, const std::string& storage,
                   std::string message, Severity severity) const {
-    report_.diagnostics.push_back(Diagnostic{
-        std::string(check_), severity, site, storage, std::move(message)});
+    report_.diagnostics.push_back(
+        finding(site, storage, std::move(message), severity));
   }
   void operator()(const std::string& site, const std::string& storage,
                   std::string message) const {
     (*this)(site, storage, std::move(message), severity_);
+  }
+  /// The finding operator() would emit, without emitting it.
+  [[nodiscard]] Diagnostic finding(const std::string& site,
+                                   const std::string& storage,
+                                   std::string message,
+                                   Severity severity) const {
+    return Diagnostic{std::string(check_), severity, site, storage,
+                      std::move(message)};
+  }
+  [[nodiscard]] Diagnostic finding(const std::string& site,
+                                   const std::string& storage,
+                                   std::string message) const {
+    return finding(site, storage, std::move(message), severity_);
   }
 
  private:
@@ -62,30 +81,27 @@ std::string slot_name(sim::SlotId s) { return "slot" + std::to_string(s); }
 // set) is used for slots poisoned by unrelated tape corruption so a broken
 // def never cascades into spurious range findings.
 
+constexpr std::uint8_t kPInf = 1;  ///< may be the +inf sentinel
+constexpr std::uint8_t kNInf = 2;  ///< may be the -inf sentinel
+constexpr std::uint8_t kFin = 4;   ///< may be finite, within [lo, hi]
+
+/// An abstract value.  Without kFin, lo and hi are both 0, so the helpers
+/// below can compute on them unconditionally and select the result.
 struct AbsVal {
-  bool may_pinf = false;
-  bool may_ninf = false;
-  bool has_fin = false;
   Cost lo = 0;
   Cost hi = 0;
-
-  [[nodiscard]] bool known() const noexcept {
-    return may_pinf || may_ninf || has_fin;
-  }
+  std::uint8_t cls = 0;  ///< kPInf | kNInf | kFin bits; 0 is unknown
 };
 
-AbsVal abs_const(Cost v) {
-  AbsVal r;
-  if (is_inf(v)) {
-    r.may_pinf = true;
-  } else if (is_neg_inf(v)) {
-    r.may_ninf = true;
-  } else {
-    r.has_fin = true;
-    r.lo = v;
-    r.hi = v;
-  }
-  return r;
+// The helpers below run a few times per op in the verifier's forward scan,
+// on data no branch predictor learns: they select instead of branching,
+// and are forced inline so the scan compiles to one loop body.
+
+[[gnu::always_inline]] inline AbsVal abs_const(Cost v) {
+  const bool fin = !is_inf(v) && !is_neg_inf(v);
+  const auto cls = static_cast<std::uint8_t>(
+      fin ? kFin : (is_inf(v) ? kPInf : kNInf));
+  return {fin ? v : 0, fin ? v : 0, cls};
 }
 
 struct TimesResult {
@@ -96,93 +112,110 @@ struct TimesResult {
 };
 
 /// Abstract semiring multiplication (saturating add).
-TimesResult abs_times(const AbsVal& x, const AbsVal& y) {
+[[gnu::always_inline]] inline TimesResult abs_times(const AbsVal& x,
+                                                    const AbsVal& y) {
   TimesResult r;
-  if (!x.known() || !y.known()) return r;
+  if (x.cls == 0 || y.cls == 0) return r;
   // Sentinel operands absorb (sat_add checks +inf first, so +inf wins mixed
   // cases; the union of both flags stays a sound over-approximation).
-  r.val.may_pinf = x.may_pinf || y.may_pinf;
-  r.val.may_ninf = x.may_ninf || y.may_ninf;
-  if (x.has_fin && y.has_fin) {
-    // |finite| < kInfCost == max/4, so these int64 sums cannot overflow.
-    const Cost lo = x.lo + y.lo;
-    const Cost hi = x.hi + y.hi;
-    if (hi >= kInfCost || lo <= kNegInfCost) {
-      r.clip = true;
-      if (hi >= kInfCost) r.val.may_pinf = true;
-      if (lo <= kNegInfCost) r.val.may_ninf = true;
-    }
-    const Cost flo = std::max(lo, kNegInfCost + 1);
-    const Cost fhi = std::min(hi, kInfCost - 1);
-    if (flo <= fhi) {
-      r.val.has_fin = true;
-      r.val.lo = flo;
-      r.val.hi = fhi;
-    }
-  }
+  // |finite| < kInfCost == max/4, so these int64 sums cannot overflow.
+  const bool fin = (x.cls & y.cls & kFin) != 0;
+  const Cost lo = x.lo + y.lo;
+  const Cost hi = x.hi + y.hi;
+  const bool pclip = fin && hi >= kInfCost;
+  const bool nclip = fin && lo <= kNegInfCost;
+  const Cost flo = std::max(lo, kNegInfCost + 1);
+  const Cost fhi = std::min(hi, kInfCost - 1);
+  const bool rfin = fin && flo <= fhi;
+  r.clip = pclip || nclip;
+  r.val.cls = static_cast<std::uint8_t>(
+      ((x.cls | y.cls) & (kPInf | kNInf)) | (pclip ? kPInf : 0) |
+      (nclip ? kNInf : 0) | (rfin ? kFin : 0));
+  r.val.lo = rfin ? flo : 0;
+  r.val.hi = rfin ? fhi : 0;
   return r;
 }
 
 /// Abstract semiring addition: the kernels' improves-select is exactly
 /// MIN (MinPlus) / MAX (MaxPlus) of its two operands.
-AbsVal abs_select(const AbsVal& x, const AbsVal& y, TapeSemiring sr) {
-  if (!x.known() || !y.known()) return AbsVal{};
+[[gnu::always_inline]] inline AbsVal abs_select(const AbsVal& x,
+                                                const AbsVal& y,
+                                                TapeSemiring sr) {
+  if (x.cls == 0 || y.cls == 0) return AbsVal{};
+  const std::uint8_t both = x.cls & y.cls;
+  const std::uint8_t either = x.cls | y.cls;
   AbsVal r;
-  if (sr == TapeSemiring::kMinPlus) {
-    r.may_pinf = x.may_pinf && y.may_pinf;  // min is +inf only if both can be
-    r.may_ninf = x.may_ninf || y.may_ninf;
-  } else {
-    r.may_pinf = x.may_pinf || y.may_pinf;
-    r.may_ninf = x.may_ninf && y.may_ninf;
-  }
+  // MIN is +inf only if both operands can be, -inf if either can be; MAX
+  // the other way round.
+  r.cls = sr == TapeSemiring::kMinPlus
+              ? static_cast<std::uint8_t>((both & kPInf) | (either & kNInf))
+              : static_cast<std::uint8_t>((either & kPInf) | (both & kNInf));
   // Finite part: interval hull of the finite parts that can be selected.
-  r.has_fin = x.has_fin || y.has_fin;
-  if (x.has_fin && y.has_fin) {
-    r.lo = std::min(x.lo, y.lo);
-    r.hi = std::max(x.hi, y.hi);
-  } else if (x.has_fin) {
-    r.lo = x.lo;
-    r.hi = x.hi;
-  } else if (y.has_fin) {
-    r.lo = y.lo;
-    r.hi = y.hi;
-  }
+  r.cls = static_cast<std::uint8_t>(r.cls | (either & kFin));
+  const bool xf = (x.cls & kFin) != 0;
+  const bool yf = (y.cls & kFin) != 0;
+  r.lo = xf ? (yf ? std::min(x.lo, y.lo) : x.lo) : y.lo;
+  r.hi = xf ? (yf ? std::max(x.hi, y.hi) : x.hi) : y.hi;
   return r;
 }
 
-/// Forward-scan state of one slot: its current definition (op index or a
-/// sentinel) and level, how often it was written, whether anything writes
-/// it at all, and its abstract value.
+/// Forward-scan state of one slot, half a cache line: its abstract value,
+/// its current definition (op index or a sentinel), the level that
+/// definition is ready in (its level + 1; 0 for an init entry, so a read
+/// can never be early for it), and the defining op's longest def-use
+/// chain in ops (0 for an init entry).
 struct SlotState {
-  std::int64_t def_op = kNoDef;
-  std::int64_t def_level = kNoDef;
-  std::uint32_t writes = 0;
-  bool has_def = false;
   AbsVal aval;
+  std::uint32_t def_op = kNoDef;
+  std::uint32_t ready = 0;
+  std::uint32_t depth = 0;
 };
 
-/// Forward-scan state of one op: its longest def-use chain, in ops, and
-/// the op each of its (up to three) operand reads resolved to, or kNoOp
-/// for an init entry or an unresolved read — the instance-resolved edges
-/// dead-op reachability walks, exact even on compacted tapes where a slot
-/// name alone is ambiguous.  Op indices fit 32 bits: the CSR cycle index
-/// that bounds the tape is 32-bit, so no index reaches kNoOp.
-struct OpState {
-  static constexpr std::uint32_t kNoOp = 0xffffffffu;
-  std::uint32_t depth = 0;
-  std::array<std::uint32_t, 3> rdef{kNoOp, kNoOp, kNoOp};
+/// The definition each of an op's (up to three) operand reads resolved to
+/// — an op index, or kInitDef / kNoDef for an init entry or an unresolved
+/// read: the instance-resolved edges dead-op reachability walks, exact
+/// even on compacted tapes where a slot name alone is ambiguous.
+using ReadDefs = std::array<std::uint32_t, 3>;
+
+/// Compaction-safety state of one slot group in the verifier's own
+/// per-definition scan: the last level anything touched it, and whether
+/// it has been defined yet.
+struct GroupState {
+  std::uint32_t last = 0;
+  std::uint8_t defined = 0;
 };
+
+/// True if every slot `op` names lies in a file of `n` slots and its kind
+/// is a known kernel: the per-op half of the tape-structure check, which
+/// the forward scan applies as it goes.
+[[gnu::always_inline]] inline bool op_in_range(const Op& op,
+                                               std::uint32_t n) {
+  if (op.dst >= n || op.a >= n || op.b >= n) return false;
+  switch (op.kind) {
+    case OpKind::kMac:
+      return true;
+    case OpKind::kFold:
+      return op.c < n;
+    case OpKind::kRelax:
+      return static_cast<sim::SlotId>(op.dst + 1) < n &&
+             static_cast<sim::SlotId>(op.a + 1) < n;
+  }
+  return false;
+}
 
 // ---------------------------------------------------------------------------
 
 /// Structural validation; returns false if the tape is not safely
-/// traversable (every later check indexes it freely).
-bool check_structure(const CompiledNetlist& net, const Emitter& emit) {
+/// traversable (every later check indexes it freely).  Findings go to
+/// `emit`, or are only counted when it is null; with `with_ops` false the
+/// per-op checks (op_in_range) are left to the forward scan.
+bool check_structure(const CompiledNetlist& net, const Emitter* emit,
+                     bool with_ops) {
   std::size_t findings = 0;
   const auto note = [&](const std::string& site, const std::string& storage,
                         std::string message) {
     ++findings;
-    emit(site, storage, std::move(message));
+    if (emit != nullptr) (*emit)(site, storage, std::move(message));
   };
 
   if (static_cast<std::uint8_t>(net.semiring) > 1) {
@@ -235,7 +268,7 @@ bool check_structure(const CompiledNetlist& net, const Emitter& emit) {
          std::string("operand ") + role + " names slot " + std::to_string(s) +
              " but the tape declares only " + std::to_string(n));
   };
-  for (std::uint64_t i = 0; i < nops; ++i) {
+  for (std::uint64_t i = 0; with_ops && i < nops; ++i) {
     const Op& op = net.ops[i];
     if (static_cast<std::uint8_t>(op.kind) > 2) {
       note(op_site(i), "",
@@ -398,8 +431,21 @@ Severity TapeVerifier::severity_of(std::string_view check) const {
 TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                                    std::string design_name,
                                    const TapeVerifyOptions& opt) const {
+  // A compacted tape is verified first with every slot its own group,
+  // which spares a pass over the tape; one with pair ops is verified again
+  // under its real grouping.
+  if (std::optional<TapeVerifyReport> report =
+          pass(net, design_name, opt, false)) {
+    return std::move(*report);
+  }
+  return pass(net, design_name, opt, true).value();
+}
+
+std::optional<TapeVerifyReport> TapeVerifier::pass(
+    const CompiledNetlist& net, const std::string& design_name,
+    const TapeVerifyOptions& opt, bool grouped) const {
   TapeVerifyReport report;
-  report.design = std::move(design_name);
+  report.design = design_name;
   const auto emitter = [&](std::string_view check) {
     return Emitter(check, severity_of(check), report);
   };
@@ -412,8 +458,17 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   st.compacted = net.compacted();
   st.parameterised = net.parameterised;
 
-  // Gate: nothing below may index a tape whose structure is corrupt.
-  if (!check_structure(net, emitter(kTapeStructure))) return report;
+  // Gate: nothing below may index a tape whose structure is corrupt.  The
+  // tape-wide facts are checked here, each op's slots and kind by the
+  // forward scan before it touches them; either way a corrupt tape is
+  // reported by the full structure check alone.
+  const Emitter emit_struct = emitter(kTapeStructure);
+  const auto reject_structure = [&] {
+    report.diagnostics.clear();
+    (void)check_structure(net, &emit_struct, true);
+    return report;
+  };
+  if (!check_structure(net, nullptr, false)) return reject_structure();
 
   // --- bind-plane: parameter-plane shape and oracle-binding agreement.
   {
@@ -461,13 +516,19 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
     }
   }
 
-  const bool rebound = net.parameterised &&
-                       opt.bound_weights.size() == net.params.size() &&
-                       !opt.bound_weights.empty();
+  // Weights the value range is proven under.  An op whose parameter lies
+  // outside the plane (a bind-plane finding above) keeps its baked weight.
+  const std::vector<Cost>* const bound =
+      net.parameterised && !opt.bound_weights.empty() &&
+              opt.bound_weights.size() == net.params.size()
+          ? &opt.bound_weights
+          : nullptr;
 
   const std::uint32_t n = net.num_slots;
   const std::uint64_t nops = net.ops.size();
   const std::uint64_t cycles = st.levels;
+  const bool compacted = st.compacted;
+  const TapeSemiring sr = net.semiring;
 
   const Emitter emit_dbu = emitter(kDefBeforeUse);
   const Emitter emit_sched = emitter(kLevelSchedule);
@@ -476,108 +537,142 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   const Emitter emit_val = emitter(kValueRange);
   const Emitter emit_reach = emitter(kOutputReachability);
 
-  // Forward-scan state, one record per slot and one per op, so an
-  // operand's lookups and an op's bookkeeping each touch one place.
+  // Forward-scan state: one record per slot, the writes past the first of
+  // each slot written more than once, and the resolved reads of each op
+  // for reachability.
   std::vector<SlotState> slot(n);
-  std::vector<OpState> opst(nops);
+  std::unordered_map<sim::SlotId, std::uint32_t> rewrites;
+  const auto rdef = std::make_unique_for_overwrite<ReadDefs[]>(nops);
 
-  // Which slots are written *anywhere* — separates dangling references
-  // (def-before-use) from defined-too-late ones (level-schedule).
-  for (const SlotInit& si : net.init) slot[si.slot].has_def = true;
-  for (const Op& op : net.ops) {
-    slot[op.dst].has_def = true;
-    if (op.kind == OpKind::kRelax) slot[op.dst + 1].has_def = true;
-  }
-
-  // Compaction-safety state: group structure from the very analysis that
-  // drives compact_slots(), plus this pass's own last-touch aggregation to
-  // cross-check against it.
+  // Compaction-safety state: the group structure compact_slots() uses,
+  // the last touches its liveness rule computes (compile/live_range.hpp,
+  // applied op by op in this scan), and this scan's own per-definition
+  // last touches to cross-check against them.  Unless `grouped`, every
+  // slot is its own group, the grouping of any tape without pair ops, and
+  // the pass gives up at the first relax op.
   compile::TapeLiveness lv;
-  std::vector<std::uint32_t> glast;
-  std::vector<std::uint8_t> gdef;
-  if (st.compacted) {
-    lv = compile::compute_liveness(net);
-    glast.assign(n, 0);
-    gdef.assign(n, 0);
+  std::vector<GroupState> group;
+  if (compacted) {
+    if (grouped) {
+      lv = compile::group_slots(net);
+    } else {
+      lv.base.resize(n);
+      std::iota(lv.base.begin(), lv.base.end(), 0u);
+      lv.extent.assign(n, 1);
+      lv.last.assign(n, 0);
+    }
+    group.resize(n);
   }
+
+  // The scan's counters live here and reach the report at the end.
+  std::uint64_t nonempty_levels = 0;
+  std::uint64_t in_level_chains = 0;
+  std::uint64_t dependence_depth = 0;
+  std::uint64_t transport_slack_ops = 0;
+  std::uint64_t max_transport_slack = 0;
+  Cost max_abs_finite = 0;
+  bool clip_found = false;
 
   for (const SlotInit& si : net.init) {
     SlotState& ss = slot[si.slot];
-    ++ss.writes;
-    if (ss.writes > 1) {
+    if (ss.def_op != kNoDef) {
+      ++rewrites[si.slot];
       emit_ssa("init", slot_name(si.slot),
                "slot is initialised more than once — the surviving value "
                "depends on init order");
     }
     ss.def_op = kInitDef;
-    ss.def_level = -1;
+    ss.ready = 0;
+    ss.depth = 0;
     ss.aval = abs_const(si.value);
-    if (si.value > st.max_abs_finite && !is_inf(si.value)) {
-      st.max_abs_finite = si.value;
+    if (si.value > max_abs_finite && !is_inf(si.value)) {
+      max_abs_finite = si.value;
     }
-    if (-si.value > st.max_abs_finite && !is_neg_inf(si.value)) {
-      st.max_abs_finite = -si.value;
+    if (-si.value > max_abs_finite && !is_neg_inf(si.value)) {
+      max_abs_finite = -si.value;
     }
-    if (st.compacted) gdef[lv.base[si.slot]] = 1;
+    if (compacted) group[lv.base[si.slot]].defined = 1;
   }
 
-  const auto note_fin = [&](const AbsVal& v) {
-    if (!v.has_fin) return;
-    st.max_abs_finite = std::max(st.max_abs_finite, v.hi);
-    st.max_abs_finite = std::max(st.max_abs_finite, v.lo < 0 ? -v.lo : v.lo);
+  // The scan's lambdas run per operand; forced inline, they keep the
+  // scan's state in registers instead of behind a closure pointer.
+  const auto note_fin = [&max_abs_finite](const AbsVal& v)
+                            __attribute__((always_inline)) {
+    // A value without kFin has lo == hi == 0, which cannot raise the
+    // maximum.
+    max_abs_finite = std::max(max_abs_finite, v.hi);
+    max_abs_finite = std::max(max_abs_finite, v.lo < 0 ? -v.lo : v.lo);
   };
 
-  bool clip_found = false;
+  // Provenance attribution, counted as the scan passes each op when the
+  // op -> lane table runs parallel to the tape; ops attributed to a lane
+  // outside the table are reported with the provenance findings.
+  const compile::Provenance& prov = net.provenance;
+  const auto nlanes = static_cast<std::uint32_t>(prov.lanes.size());
+  const bool attribute = prov.op_lane.size() == nops;
+  std::uint64_t ops_attributed = 0;
+  std::vector<std::uint32_t> stray_lanes;
+
+  // A read of a slot with no definition yet is either dangling (nothing
+  // ever writes the slot: def-before-use) or early (a later op does:
+  // level-schedule).  Which one is known once the scan is over, so the
+  // finding is held in its place in the report until then.
+  struct Unresolved {
+    std::size_t diagnostic;
+    std::uint64_t op;
+    std::uint64_t level;
+    sim::SlotId slot;
+    const char* role;
+  };
+  std::vector<Unresolved> unresolved;
 
   for (std::uint64_t t = 0; t < cycles; ++t) {
     const std::uint32_t lo = net.cycle_off[t];
     const std::uint32_t hi = net.cycle_off[t + 1];
-    if (lo < hi) ++st.nonempty_levels;
+    if (lo < hi) ++nonempty_levels;
+    const auto level = static_cast<std::uint32_t>(t);
     for (std::uint32_t i = lo; i < hi; ++i) {
       const Op& op = net.ops[i];
+      if (!op_in_range(op, n)) return reject_structure();
+      if (compacted && !grouped && op.kind == OpKind::kRelax) {
+        return std::nullopt;
+      }
       // The site string is built only for a finding, never per op.
       const auto site = [i, t] { return op_site(i, t); };
+      if (attribute && prov.op_lane[i] != compile::Provenance::kNone) {
+        ++ops_attributed;
+        if (prov.op_lane[i] >= nlanes) stray_lanes.push_back(i);
+      }
 
       // -- reads: resolve each operand against the schedule so far.
       std::uint64_t min_level = 0;  // dependence-minimal level for this op
       std::uint32_t d = 0;          // deepest operand chain
-      const auto read = [&](sim::SlotId s, std::size_t rix,
-                            const char* role) {
-        if (st.compacted) {
-          // Mirror compute_liveness() exactly: reads touch the group even
-          // when they fail to resolve.
-          const std::uint32_t g = lv.base[s];
-          glast[g] = std::max(glast[g], static_cast<std::uint32_t>(t));
+      ReadDefs reads{kNoDef, kNoDef, kNoDef};
+      const auto read = [&](sim::SlotId s, std::size_t rix, const char* role)
+                            __attribute__((always_inline)) {
+        if (compacted) {
+          // Mirror compaction's liveness rule: reads touch the group even
+          // when they fail to resolve.  The scan runs in level order, so
+          // the latest touch is this one.
+          group[lv.base[s]].last = level;
         }
         const SlotState& ss = slot[s];
-        if (!ss.has_def) {
-          emit_dbu(site(), slot_name(s),
-                   std::string("operand ") + role + " reads a slot nothing "
-                       "ever writes — dangling reference");
-          return;
-        }
         if (ss.def_op == kNoDef) {
-          emit_sched(site(), slot_name(s),
-                     std::string("operand ") + role + " is read before its "
-                         "first definition in the schedule — replay would "
-                         "see an uninitialised slot");
+          unresolved.push_back({report.diagnostics.size(), i, t, s, role});
+          report.diagnostics.emplace_back();
           return;
         }
-        if (ss.def_op >= 0) {
-          const auto def = static_cast<std::uint32_t>(ss.def_op);
-          opst[i].rdef[rix] = def;
-          d = std::max(d, opst[def].depth);
-        }
-        if (ss.def_level == static_cast<std::int64_t>(t)) {
-          // Same-level chain: legal because the oracle executed the defining
-          // op earlier in this very level (forward scan guarantees program
-          // order), and the engine replays every level in tape order.
-          ++st.in_level_chains;
-          min_level = std::max(min_level, t);
-        } else {
-          min_level =
-              std::max(min_level, static_cast<std::uint64_t>(ss.def_level + 1));
-        }
+        reads[rix] = ss.def_op;
+        d = std::max(d, ss.depth);
+        // A definition is ready in its level + 1, and every definition so
+        // far lies in this level or an earlier one.  One ready in the next
+        // level is a same-level chain: legal because the oracle executed
+        // the defining op earlier in this very level (forward scan
+        // guarantees program order), and the engine replays every level in
+        // tape order; it pins this op to this level.
+        if (ss.ready > level) ++in_level_chains;
+        min_level = std::max<std::uint64_t>(min_level,
+                                            std::min(ss.ready, level));
       };
 
       switch (op.kind) {
@@ -604,15 +699,15 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           }
           break;
       }
+      rdef[i] = reads;
 
       // -- dependence depth and transport slack.
-      opst[i].depth = d + 1;
-      st.dependence_depth = std::max<std::uint64_t>(st.dependence_depth,
-                                                    opst[i].depth);
+      const std::uint32_t depth = d + 1;
+      dependence_depth = std::max<std::uint64_t>(dependence_depth, depth);
       if (t > min_level) {
         const std::uint64_t slack = t - min_level;
-        ++st.transport_slack_ops;
-        st.max_transport_slack = std::max(st.max_transport_slack, slack);
+        ++transport_slack_ops;
+        max_transport_slack = std::max(max_transport_slack, slack);
         if (opt.max_transport_slack >= 0 &&
             slack > static_cast<std::uint64_t>(opt.max_transport_slack)) {
           emit_sched(site(), slot_name(op.dst),
@@ -625,7 +720,9 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       }
 
       // -- value-range: abstract-evaluate the kernel.
-      const Cost wc = rebound ? opt.bound_weights[op.param] : op.w;
+      const Cost wc = bound != nullptr && op.param < bound->size()
+                          ? (*bound)[op.param]
+                          : op.w;
       const AbsVal w = abs_const(wc);
       AbsVal out_dst;
       AbsVal out_pair;
@@ -635,7 +732,7 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           const TimesResult wb = abs_times(w, slot[op.b].aval);
           clip = wb.clip;
           note_fin(wb.val);
-          out_dst = abs_select(slot[op.a].aval, wb.val, net.semiring);
+          out_dst = abs_select(slot[op.a].aval, wb.val, sr);
           break;
         }
         case OpKind::kFold: {
@@ -644,22 +741,24 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
           clip = bc.clip || cand.clip;
           note_fin(bc.val);
           note_fin(cand.val);
-          out_dst = abs_select(slot[op.a].aval, cand.val, net.semiring);
+          out_dst = abs_select(slot[op.a].aval, cand.val, sr);
           break;
         }
         case OpKind::kRelax: {
           const TimesResult cand = abs_times(slot[op.b].aval, w);
           clip = cand.clip;
           note_fin(cand.val);
-          out_dst = abs_select(slot[op.a].aval, cand.val, net.semiring);
+          out_dst = abs_select(slot[op.a].aval, cand.val, sr);
           // dst+1 takes either the station immediate or the old index half.
           out_pair = abs_select(abs_const(static_cast<Cost>(op.c)),
-                                slot[op.a + 1].aval, net.semiring);
+                                slot[op.a + 1].aval, sr);
+          note_fin(out_pair);
           break;
         }
       }
-      note_fin(out_dst);
-      note_fin(out_pair);
+      // out_dst needs no note of its own: its finite part is the hull of
+      // operand a's, noted when a was written, and the candidate's, noted
+      // above.
       if (clip) {
         clip_found = true;
         emit_val(site(), slot_name(op.dst),
@@ -669,53 +768,69 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
       }
 
       // -- writes.
-      if (st.compacted) {
+      if (compacted) {
         // The op's write is one definition event: check the written group
         // against the state *before* this op's writes, then commit.
-        const std::uint32_t g = lv.base[op.dst];
-        if (gdef[g] != 0 && glast[g] >= t) {
+        GroupState& g = group[lv.base[op.dst]];
+        if (g.defined != 0 && g.last >= level) {
           emit_comp(site(), slot_name(op.dst),
                     "redefines a slot whose previous value is still live "
-                    "(last touched at level " + std::to_string(glast[g]) +
+                    "(last touched at level " + std::to_string(g.last) +
                         ", redefined at level " + std::to_string(t) +
                         ") — overlapping live ranges share a slot, "
                         "compaction is unsound");
         }
-        gdef[g] = 1;
-        glast[g] = std::max(glast[g], static_cast<std::uint32_t>(t));
+        g.defined = 1;
+        g.last = level;
+        compile::touch_groups(lv, op, level);
       }
-      const auto write = [&](sim::SlotId s, const AbsVal& v) {
-        SlotState& ss = slot[s];
-        ++ss.writes;
-        if (!st.compacted && ss.writes > 1) {
+      const auto write = [&](sim::SlotId s, const AbsVal& v)
+                             __attribute__((always_inline)) {
+        if (!compacted && slot[s].def_op != kNoDef) {
           emit_ssa(site(), slot_name(s),
                    "slot is written more than once on an uncompacted tape — "
                    "single assignment violated (" +
-                       std::to_string(ss.writes) + " writes so far)");
+                       std::to_string(2 + rewrites[s]++) +
+                       " writes so far)");
         }
-        ss.def_op = static_cast<std::int64_t>(i);
-        ss.def_level = static_cast<std::int64_t>(t);
-        ss.aval = v;
+        slot[s] = {v, i, level + 1, depth};
       };
       write(op.dst, out_dst);
       if (op.kind == OpKind::kRelax) write(op.dst + 1, out_pair);
     }
   }
 
+  // --- def-before-use / level-schedule: settle the held unresolved reads.
+  for (const Unresolved& u : unresolved) {
+    const std::string site = op_site(u.op, u.level);
+    report.diagnostics[u.diagnostic] =
+        slot[u.slot].def_op == kNoDef
+            ? emit_dbu.finding(site, slot_name(u.slot),
+                               std::string("operand ") + u.role +
+                                   " reads a slot nothing ever writes — "
+                                   "dangling reference")
+            : emit_sched.finding(
+                  site, slot_name(u.slot),
+                  std::string("operand ") + u.role +
+                      " is read before its first definition in the "
+                      "schedule — replay would see an uninitialised slot");
+  }
+
   // --- compaction-safety cross-check: this pass's last-touch aggregation
   // must agree with compile/live_range.hpp, the analysis the allocator
   // actually ran.  Pinned (output) groups are excluded — the liveness side
   // deliberately collapses them to a sentinel.
-  if (st.compacted) {
+  if (compacted) {
+    compile::pin_outputs(lv, net);
     for (std::uint32_t g = 0; g < n; ++g) {
       if (lv.base[g] != g || lv.last[g] == compile::TapeLiveness::kPinned) {
         continue;
       }
-      if (glast[g] != lv.last[g]) {
+      if (group[g].last != lv.last[g]) {
         emit_comp("tape", slot_name(g),
                   "verifier liveness disagrees with compile/live_range.hpp "
                   "for this slot group (verifier last touch " +
-                      std::to_string(glast[g]) + ", compaction's " +
+                      std::to_string(group[g].last) + ", compaction's " +
                       std::to_string(lv.last[g]) +
                       ") — the allocator and its proof have drifted apart");
       }
@@ -723,31 +838,34 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   }
 
   // --- output-reachability: every output written, every op feeding one.
+  std::uint64_t dead_ops = 0;
   {
     std::vector<std::uint8_t> live(nops, 0);
     for (const Output& o : net.outputs) {
-      if (!slot[o.slot].has_def) {
+      const std::uint32_t d = slot[o.slot].def_op;  // final definition
+      if (d == kNoDef) {
         emit_reach("output", o.tag + "[" + std::to_string(o.index) + "]",
                    "declared output reads " + slot_name(o.slot) +
                        ", which nothing ever writes — verify_outputs() "
                        "would compare garbage");
         continue;
       }
-      const std::int64_t d = slot[o.slot].def_op;  // final definition
-      if (d >= 0) live[static_cast<std::size_t>(d)] = 1;
+      if (d != kInitDef) live[d] = 1;
     }
     // Every resolved read names an earlier op (the scan records a read
     // before the op's own writes), so one backward sweep closes the live
     // set: an op is final once every later op has passed on its reads.
     for (std::uint64_t i = nops; i-- > 0;) {
-      if (live[i] == 0) continue;
-      for (const std::uint32_t d : opst[i].rdef) {
-        if (d != OpState::kNoOp) live[d] = 1;
+      if (live[i] == 0) {
+        ++dead_ops;
+        continue;
+      }
+      for (const std::uint32_t d : rdef[i]) {
+        if (d < kInitDef) live[d] = 1;
       }
     }
-    for (std::uint64_t i = 0; i < nops; ++i) {
+    for (std::uint64_t i = 0; dead_ops > 0 && i < nops; ++i) {
       if (live[i] != 0) continue;
-      ++st.dead_ops;
       emit_reach(op_site(i, net.level_of_op(i)), slot_name(net.ops[i].dst),
                  "no declared output can observe this op's value through "
                  "any def-use chain — dead work on the tape",
@@ -756,33 +874,27 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
   }
 
   // --- provenance: the slot→port table, when present, must agree with
-  // the tape it annotates.  Runs after the forward scan so def_level is
-  // available for the sampling-order proof.
+  // the tape it annotates.  Runs after the forward scan so each slot's
+  // definition level is available for the sampling-order proof.
   {
     const Emitter emit = emitter(kProvenance);
-    const compile::Provenance& prov = net.provenance;
     st.provenance_lanes = prov.lanes.size();
     st.provenance_binds = prov.binds.size();
-    const std::uint32_t nlanes = static_cast<std::uint32_t>(prov.lanes.size());
 
-    if (!prov.op_lane.empty() && prov.op_lane.size() != nops) {
+    if (!prov.op_lane.empty() && !attribute) {
       emit("tape", "",
            "op→lane attribution holds " +
                std::to_string(prov.op_lane.size()) + " entries for a tape of " +
                std::to_string(nops) +
                " ops — neither absent nor parallel to the tape");
     } else {
-      for (std::uint64_t i = 0; i < prov.op_lane.size(); ++i) {
-        const std::uint32_t lane = prov.op_lane[i];
-        if (lane == compile::Provenance::kNone) continue;
-        ++st.ops_attributed;
-        if (lane >= nlanes) {
-          emit(op_site(i), "",
-               "attributed to lane " + std::to_string(lane) +
-                   ", outside the table of " + std::to_string(nlanes) +
-                   " lanes");
-        }
+      for (const std::uint32_t i : stray_lanes) {
+        emit(op_site(i), "",
+             "attributed to lane " + std::to_string(prov.op_lane[i]) +
+                 ", outside the table of " + std::to_string(nlanes) +
+                 " lanes");
       }
+      st.ops_attributed = ops_attributed;
     }
 
     for (std::uint32_t l = 0; l < nlanes; ++l) {
@@ -831,22 +943,22 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                  std::to_string(n) + " slots");
         continue;
       }
-      if (!st.compacted) {
+      if (!compacted) {
         // SSA: the slot has exactly one definition, so "sampled at the end
         // of level stamp-1" is provable per bind.  (Compacted tapes reuse
         // slot names; the lifetime extension that keeps these samples
         // valid is compaction-safety's cross-checked territory.)
-        if (slot[bind.slot].def_op == kNoDef) {
+        const SlotState& ss = slot[bind.slot];
+        if (ss.def_op == kNoDef) {
           emit(site(), prov.lanes[bind.lane].label,
                "binds " + slot_name(bind.slot) +
                    ", which nothing ever writes — the waveform would "
                    "sample garbage");
-        } else if (slot[bind.slot].def_level >=
-                   static_cast<std::int64_t>(bind.stamp)) {
+        } else if (ss.ready > bind.stamp) {
           emit(site(), prov.lanes[bind.lane].label,
                "stamp " + std::to_string(bind.stamp) + " samples " +
                    slot_name(bind.slot) + " defined at level " +
-                   std::to_string(slot[bind.slot].def_level) +
+                   std::to_string(ss.ready - 1) +
                    " — the register would show a value before the tape "
                    "computes it");
         }
@@ -854,23 +966,31 @@ TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
     }
   }
 
+  st.nonempty_levels = nonempty_levels;
+  st.in_level_chains = in_level_chains;
+  st.dependence_depth = dependence_depth;
+  st.transport_slack_ops = transport_slack_ops;
+  st.max_transport_slack = max_transport_slack;
+  st.dead_ops = dead_ops;
+  st.max_abs_finite = max_abs_finite;
+
   // --- value-range and schedule summaries.
-  st.int32_safe = !clip_found && st.max_abs_finite <= opt.value_bound;
-  if (!clip_found && st.max_abs_finite > opt.value_bound) {
+  st.int32_safe = !clip_found && max_abs_finite <= opt.value_bound;
+  if (!clip_found && max_abs_finite > opt.value_bound) {
     emit_val("tape", "",
              "reachable finite values span up to " +
-                 std::to_string(st.max_abs_finite) +
+                 std::to_string(max_abs_finite) +
                  " — exceeds the configured bound of " +
                  std::to_string(opt.value_bound) +
                  "; narrow-lane kernels would need widening",
              Severity::kWarning);
   }
-  if (st.transport_slack_ops > 0) {
+  if (transport_slack_ops > 0) {
     emit_sched("tape", "",
-               std::to_string(st.transport_slack_ops) + " of " +
+               std::to_string(transport_slack_ops) + " of " +
                    std::to_string(nops) +
                    " ops are scheduled past their dependence-minimal level "
-                   "(max slack " + std::to_string(st.max_transport_slack) +
+                   "(max slack " + std::to_string(max_transport_slack) +
                    ") — the physical array's transport latency, erased by "
                    "copy elision; replay stays race-free",
                Severity::kNote);

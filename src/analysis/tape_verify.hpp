@@ -68,7 +68,9 @@
 //                         (the engine's oracle-bound path reads the
 //                         immediates and must see the same weights), and
 //                         any rebinding table offered for
-//                         verification shaped to the plane.  A
+//                         verification shaped to the plane (an op whose
+//                         parameter lies outside it is range-checked
+//                         under its baked weight).  A
 //                         non-parameterised tape must carry no plane.
 //   provenance          — slot→port provenance consistency: the op→lane
 //                         attribution parallel to the tape (or absent),
@@ -86,6 +88,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -194,6 +197,12 @@ class TapeVerifier {
 
  private:
   [[nodiscard]] Severity severity_of(std::string_view check) const;
+  /// One pass of run().  Unless `grouped`, every slot of a compacted tape
+  /// is taken for its own group, and the pass returns nothing at the
+  /// first relax op, whose pair groups it would miss.
+  [[nodiscard]] std::optional<TapeVerifyReport> pass(
+      const compile::CompiledNetlist& net, const std::string& design_name,
+      const TapeVerifyOptions& opt, bool grouped) const;
 
   struct CheckSeverity {
     std::string_view check;

@@ -30,6 +30,7 @@
 #include "semiring/matrix.hpp"
 #include "sim/engine.hpp"
 #include "sim/port.hpp"
+#include "sim/record.hpp"
 #include "sim/stats.hpp"
 
 namespace sysdp {
@@ -73,6 +74,15 @@ class Design1Modular {
   /// Testbench-side taps for analysis::capture: the run loop harvests the
   /// result values straight out of the ACC rail after the final cycles.
   void describe_environment(sim::PortSet& ports) const;
+
+  /// What a narrated run records, from the matrix shapes: one MAC per
+  /// entry of every matrix, m times the summed row counts ((N-2)m^2 + m
+  /// for an N-stage graph, E1); one lane per R and ACC register plus the
+  /// host's input bus.  `slots` and `binds` are bounds: the MAC results
+  /// plus the interned constants (the fed vector, 0, +inf and each lane's
+  /// reset value), and each lane's reset bind plus, every cycle, at most
+  /// two binds per PE and one for the host.
+  [[nodiscard]] sim::NarrationExtent narration_extent() const;
 
  private:
   class Host;

@@ -225,6 +225,15 @@ void Design2Modular::describe_environment(sim::PortSet& ports) const {
   }
 }
 
+sim::NarrationExtent Design2Modular::narration_extent() const {
+  std::uint64_t rows = 0;
+  for (const Matrix<V>& mat : mats_) rows += mat.rows();
+  const std::uint64_t m = m_;
+  const std::uint64_t ops = rows * m;
+  const std::uint64_t lanes = 3 * m;
+  return {ops, ops + lanes + m + 1, lanes, 3 * ops + lanes};
+}
+
 RunResult<Design2Modular::V> Design2Modular::run(sim::Gating gating) {
   sim::Engine engine(gating);
   return run(engine);

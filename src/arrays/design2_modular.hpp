@@ -28,6 +28,7 @@
 #include "sim/engine.hpp"
 #include "sim/module.hpp"
 #include "sim/port.hpp"
+#include "sim/record.hpp"
 #include "sim/register.hpp"
 #include "sim/stats.hpp"
 
@@ -71,6 +72,14 @@ class Design2Modular {
   /// Testbench-side taps for analysis::capture: the run loop harvests the
   /// S registers of the first final-matrix-rows PEs.
   void describe_environment(sim::PortSet& ports) const;
+
+  /// What a narrated run records, from the matrix shapes: one MAC per
+  /// entry of every matrix, m times the summed row counts; one lane per
+  /// ACC, S and feedback-snapshot register.  `slots` and `binds` are
+  /// bounds: the MAC results plus the interned constants (the fed vector,
+  /// +inf and each lane's reset value), and each lane's reset bind plus at
+  /// most three binds per MAC.
+  [[nodiscard]] sim::NarrationExtent narration_extent() const;
 
  private:
   class FeedbackUnit;

@@ -441,6 +441,12 @@ TriangularModularCore::Tables& TriangularModularCore::tables() {
   return arena_->tab;
 }
 
+sim::NarrationExtent TriangularModularCore::narration_extent() const {
+  const std::uint64_t ops = arena_->tab.first.back();
+  const std::uint64_t lanes = num_pes();
+  return {ops, ops + lanes + 1, lanes, ops + lanes};
+}
+
 bool TriangularModularCore::elaborated() const {
   return !arena_->meta.empty();
 }

@@ -45,6 +45,7 @@
 #include "semiring/matrix.hpp"
 #include "sim/engine.hpp"
 #include "sim/port.hpp"
+#include "sim/record.hpp"
 
 namespace sysdp {
 
@@ -118,6 +119,13 @@ class TriangularModularCore {
   /// elaboration.
   [[nodiscard]] std::uint64_t pe_busy(std::size_t pe) const;
 
+  /// What a narrated run records, from the compiled tables: one fold per
+  /// candidate (the rule's busy steps); one lane per cell's best, bound
+  /// once at reset and once per fold; the fold results plus at most one
+  /// interned constant per lane's reset value and the literal 0.  Exact
+  /// but for `slots`, a bound.
+  [[nodiscard]] sim::NarrationExtent narration_extent() const;
+
  private:
   template <typename Rule>
   friend class TriangularModularArray;
@@ -168,6 +176,9 @@ class TriangularModularArray {
   }
   [[nodiscard]] std::uint64_t pe_busy(std::size_t pe) const {
     return core_.pe_busy(pe);
+  }
+  [[nodiscard]] sim::NarrationExtent narration_extent() const {
+    return core_.narration_extent();
   }
 
  private:

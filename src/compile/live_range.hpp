@@ -9,7 +9,9 @@
 //   * analysis::TapeVerifier cross-checks its own per-definition liveness
 //     scan against this group-level summary, so the compaction pass and
 //     the verifier cannot drift apart silently — a disagreement between
-//     the two is itself a finding.
+//     the two is itself a finding.  It applies the summary's pieces
+//     (group_slots, touch_groups, pin_outputs) inside its own single scan
+//     of the tape instead of calling compute_liveness().
 //
 // Everything is header-only on purpose: src/analysis may not link against
 // sysdp_compile (the compile library already links sysdp_analysis for
@@ -43,11 +45,12 @@ struct TapeLiveness {
   std::vector<std::uint32_t> last;
 };
 
-/// Compute the group structure and last-touch level of every slot group,
-/// exactly as compact_slots() sees them.  Safe on any tape whose slot
-/// references are in range (callers validating untrusted tapes must bound
-/// -check first).
-[[nodiscard]] inline TapeLiveness compute_liveness(const CompiledNetlist& net) {
+/// The group structure of every slot, with every group's last touch at 0:
+/// the part of compute_liveness() that must precede a scan of the tape.
+/// Safe on any tape: a pair naming a slot outside the file joins nothing,
+/// and a caller validating an untrusted tape rejects that op before it
+/// reads a group through it.
+[[nodiscard]] inline TapeLiveness group_slots(const CompiledNetlist& net) {
   TapeLiveness lv;
   const std::uint32_t n = net.num_slots;
   lv.base.resize(n);
@@ -60,7 +63,7 @@ struct TapeLiveness {
   // groups are the maximal runs of joined slots.
   std::vector<std::uint8_t> joined(n, 0);
   for (const Op& op : net.ops) {
-    if (op.kind == OpKind::kRelax) {
+    if (op.kind == OpKind::kRelax && op.dst < n && op.a < n) {
       joined[op.dst] = 1;
       joined[op.a] = 1;
     }
@@ -69,27 +72,40 @@ struct TapeLiveness {
     lv.base[s] = (s > 0 && joined[s - 1] != 0) ? lv.base[s - 1] : s;
     ++lv.extent[lv.base[s]];
   }
+  return lv;
+}
 
-  // Last touch: the latest dependency level that reads or writes any slot
-  // of the group.  Output slots are pinned (verify_outputs reads them
-  // after the run).
-  const auto touch = [&](sim::SlotId s, std::uint32_t lvl) {
-    std::uint32_t& l = lv.last[lv.base[s]];
-    if (l < lvl) l = lvl;
-  };
-  const auto cycles = static_cast<std::uint32_t>(net.cycles());
-  for (std::uint32_t t = 0; t < cycles; ++t) {
-    for (std::uint32_t i = net.cycle_off[t]; i < net.cycle_off[t + 1]; ++i) {
-      const Op& op = net.ops[i];
-      touch(op.dst, t);  // dst+1 / a+1 share the dst / a group
-      touch(op.a, t);
-      touch(op.b, t);
-      if (op.kind == OpKind::kFold) touch(op.c, t);
-    }
-  }
+/// Last touch: op `op`, in dependency level `level`, reads or writes every
+/// slot group it names (dst+1 / a+1 share the dst / a group).  Ops must
+/// come in level order, so each touch is the group's latest so far.
+inline void touch_groups(TapeLiveness& lv, const Op& op, std::uint32_t level) {
+  lv.last[lv.base[op.dst]] = level;
+  lv.last[lv.base[op.a]] = level;
+  lv.last[lv.base[op.b]] = level;
+  if (op.kind == OpKind::kFold) lv.last[lv.base[op.c]] = level;
+}
+
+/// Output slots are pinned: verify_outputs reads them after the run.
+inline void pin_outputs(TapeLiveness& lv, const CompiledNetlist& net) {
   for (const Output& o : net.outputs) {
     lv.last[lv.base[o.slot]] = TapeLiveness::kPinned;
   }
+}
+
+/// Compute the group structure and last-touch level of every slot group,
+/// exactly as compact_slots() sees them: group_slots(), touch_groups() for
+/// every op in level order, then pin_outputs().  Safe on any tape whose
+/// slot references are in range.
+[[nodiscard]] inline TapeLiveness compute_liveness(const CompiledNetlist& net) {
+  TapeLiveness lv = group_slots(net);
+  if (lv.base.empty()) return lv;
+  const auto cycles = static_cast<std::uint32_t>(net.cycles());
+  for (std::uint32_t t = 0; t < cycles; ++t) {
+    for (std::uint32_t i = net.cycle_off[t]; i < net.cycle_off[t + 1]; ++i) {
+      touch_groups(lv, net.ops[i], t);
+    }
+  }
+  pin_outputs(lv, net);
   return lv;
 }
 

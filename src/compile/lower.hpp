@@ -35,6 +35,7 @@
 #include "compile/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/port.hpp"
+#include "sim/record.hpp"
 
 namespace sysdp::compile {
 
@@ -150,16 +151,20 @@ std::uint64_t name_lanes(Provenance& prov, const Recorder& rec,
 
 /// Lower `arr` by oracle run.  The array must be fresh (never run); the
 /// oracle engine is internal, serial and gated, its active modules
-/// stepping in the canonical program order.  Throws
+/// stepping in the canonical program order.  The recorder is sized once
+/// from the array's narration_extent() (sim/record.hpp).  Throws
 /// std::logic_error if the narration is inconsistent with the oracle's
-/// live values or the busy-step invariant fails — lowering bugs die here,
-/// not in a diverging replay.  Fills TapeStats' stage times: the narrated
-/// oracle run, the naming pass and compaction.
+/// live values or the busy-step invariant fails — the oracle's busy steps
+/// must equal both the tape's op count and the count the array worked out
+/// from its shape — so lowering bugs die here, not in a diverging replay.
+/// Fills TapeStats' stage times: the narrated oracle run, the naming pass
+/// and compaction.
 template <typename Array>
 [[nodiscard]] Lowered lower_array(Array& arr, const LowerOptions& opt = {}) {
   using Clock = std::chrono::steady_clock;
+  const sim::NarrationExtent extent = arr.narration_extent();
   sim::Engine oracle(sim::Gating::kSparse);
-  Recorder rec;
+  Recorder rec(extent);
   oracle.set_recorder(&rec);
   oracle.add_observer(&rec);
 
@@ -185,13 +190,21 @@ template <typename Array>
         " dependency levels but the oracle ran " +
         std::to_string(out.oracle_cycles) + " cycles");
   }
-  // Every paper design marks exactly one busy step per semiring op.
+  // Every paper design marks exactly one busy step per semiring op, and
+  // its busy steps follow from its shape.
   if (out.net.num_ops() != out.net.stats.oracle_busy_steps) {
     throw std::logic_error(
         "compile::lower_array: tape has " + std::to_string(out.net.num_ops()) +
         " ops but the oracle counted " +
         std::to_string(out.net.stats.oracle_busy_steps) +
         " busy steps — a narration site is missing or duplicated");
+  }
+  if (extent.ops != out.net.stats.oracle_busy_steps) {
+    throw std::logic_error(
+        "compile::lower_array: the array's shape predicts " +
+        std::to_string(extent.ops) + " busy steps but the oracle counted " +
+        std::to_string(out.net.stats.oracle_busy_steps) +
+        " — the closed form and the model disagree");
   }
   if (opt.compact) {
     t0 = Clock::now();

@@ -16,7 +16,36 @@ namespace {
                          what);
 }
 
+void check_live(Cost held, std::int64_t live, const char* site) {
+  if (held != live) {
+    bail(site,
+         "narrated binding disagrees with the oracle's live value (slot "
+         "holds " +
+             std::to_string(held) + ", oracle observed " +
+             std::to_string(live) + ") — a model mis-narrated a write");
+  }
+}
+
 }  // namespace
+
+Recorder::Recorder(const sim::NarrationExtent& extent) {
+  slots_.reserve(extent.slots);
+  ops_.reserve(extent.ops);
+  expected_.reserve(extent.ops);
+  op_lane_.reserve(extent.ops);
+  // A lane's reset bind is its first touch, so there is at most one each;
+  // finish() moves them to the front of binds_, which the extent counts
+  // them in.
+  reset_binds_.reserve(extent.lanes);
+  binds_.reserve(extent.binds);
+  rehash(capacity_for(extent.lanes));
+}
+
+std::size_t Recorder::capacity_for(std::uint64_t lanes) {
+  std::size_t capacity = 64;
+  while (4 * lanes > 3 * capacity) capacity *= 2;
+  return capacity;
+}
 
 sim::SlotId Recorder::alloc(Cost value) {
   if (slots_.size() >= std::numeric_limits<sim::SlotId>::max() - 1) {
@@ -26,10 +55,28 @@ sim::SlotId Recorder::alloc(Cost value) {
   return static_cast<sim::SlotId>(slots_.size() - 1);
 }
 
+Cost Recorder::value_of(sim::SlotId slot, const char* site) const {
+  if (slot >= slots_.size()) bail(site, "slot id out of range");
+  for (const Recent& r : recent_) {
+    if (r.slot == slot) return r.value;
+  }
+  return slots_[slot].value;
+}
+
 const Recorder::SlotRec& Recorder::slot_rec(sim::SlotId slot,
                                             const char* site) const {
   if (slot >= slots_.size()) bail(site, "slot id out of range");
   return slots_[slot];
+}
+
+sim::SlotId Recorder::emit(Op op, Cost result) {
+  const auto index = static_cast<std::uint32_t>(ops_.size());
+  op.param = index;
+  slots_[op.dst].def_op = index;
+  ops_.push_back(op);
+  expected_.push_back(result);
+  op_lane_.push_back(Provenance::kNone);
+  return handed(op.dst, result);
 }
 
 std::size_t Recorder::probe(const void* key) const noexcept {
@@ -45,77 +92,70 @@ std::size_t Recorder::probe(const void* key) const noexcept {
   return i;
 }
 
-void Recorder::grow() {
-  std::vector<KeyLane> old = std::move(table_);
-  const std::size_t capacity = std::max<std::size_t>(64, 2 * old.size());
-  table_.assign(capacity, KeyLane{});
+void Recorder::rehash(std::size_t capacity) {
+  std::vector<LaneEntry> old = std::move(table_);
+  table_.assign(capacity, LaneEntry{});
   shift_ = 64;
   for (std::size_t c = capacity; c > 1; c >>= 1) --shift_;
-  for (const KeyLane& e : old) {
+  for (const LaneEntry& e : old) {
     if (e.lane != Provenance::kNone) table_[probe(e.key)] = e;
   }
+  last_ = nullptr;
 }
 
-std::uint32_t Recorder::intern(const void* key, bool& fresh) {
-  if (2 * (lane_slot_.size() + 1) > table_.size()) grow();
-  KeyLane& e = table_[probe(key)];
-  fresh = e.lane == Provenance::kNone;
-  if (fresh) {
-    e = {key, static_cast<std::uint32_t>(lane_slot_.size())};
-    lane_slot_.push_back(Provenance::kNone);
+Recorder::LaneEntry& Recorder::intern(const void* key, bool& fresh) {
+  fresh = false;
+  // A fold reads its cell's lane and then binds it: one probe serves both.
+  if (last_ != nullptr && last_->key == key) return *last_;
+  if (4 * (static_cast<std::uint64_t>(num_lanes_) + 1) > 3 * table_.size()) {
+    rehash(std::max(capacity_for(num_lanes_ + 1), 2 * table_.size()));
   }
-  return e.lane;
+  LaneEntry& e = table_[probe(key)];
+  if (e.lane == Provenance::kNone) {
+    fresh = true;
+    e.key = key;
+    e.lane = num_lanes_++;
+  }
+  last_ = &e;
+  return e;
 }
 
-void Recorder::record_bind(std::uint32_t lane, sim::SlotId slot,
+void Recorder::record_bind(LaneEntry& lane, sim::SlotId slot, Cost value,
                            std::uint32_t stamp) {
   // Rebinding a lane to the slot it already points at carries no waveform
   // information — skip the event, mirroring the copy-elision dedup.
-  if (lane_slot_[lane] == slot) return;
-  lane_slot_[lane] = slot;
-  (stamp == 0 ? reset_binds_ : binds_).push_back({stamp, lane, slot});
+  if (lane.slot == slot) return;
+  lane.slot = slot;
+  lane.value = value;
+  (stamp == 0 ? reset_binds_ : binds_).push_back({stamp, lane.lane, slot});
   // First-bind-wins op attribution: the op that defined this slot belongs
   // to the module whose register first captures its result.
   const std::uint32_t def = slots_[slot].def_op;
   if (def != Provenance::kNone && op_lane_[def] == Provenance::kNone) {
-    op_lane_[def] = lane;
+    op_lane_[def] = lane.lane;
   }
 }
 
-void Recorder::rebind(const void* key, sim::SlotId slot) {
+void Recorder::rebind(const void* key, sim::SlotId slot, Cost value) {
   bool fresh = false;
-  const std::uint32_t lane = intern(key, fresh);
-  if (!fresh && lane_slot_[lane] != slot) ++copies_elided_;
+  LaneEntry& lane = intern(key, fresh);
+  if (!fresh && lane.slot != slot) ++copies_elided_;
   // During cycle t the cycle index holds t+1 entries, so this stamp is
   // t+1 — the VCD time at which the interpreted run reports the change.
-  record_bind(lane, slot, static_cast<std::uint32_t>(cycle_off_.size()));
-}
-
-Cost Recorder::concrete(sim::SlotId slot, const char* site) const {
-  return slot_rec(slot, site).value;
-}
-
-void Recorder::check_live(sim::SlotId slot, std::int64_t live,
-                          const char* site) const {
-  if (concrete(slot, site) != live) {
-    bail(site,
-         "narrated binding disagrees with the oracle's live value (slot "
-         "holds " +
-             std::to_string(slots_[slot].value) + ", oracle observed " +
-             std::to_string(live) + ") — a model mis-narrated a write");
-  }
+  record_bind(lane, slot, value,
+              static_cast<std::uint32_t>(cycle_off_.size()));
 }
 
 sim::SlotId Recorder::constant(std::int64_t value) {
   const auto it = const_cache_.find(value);
   if (it != const_cache_.end()) {
     ++consts_interned_;
-    return it->second;
+    return handed(it->second, value);
   }
   const sim::SlotId s = alloc(value);
   init_.push_back({s, value});
   const_cache_.emplace(value, s);
-  return s;
+  return handed(s, value);
 }
 
 sim::SlotId Recorder::constant_pair(std::int64_t value, std::int64_t arg) {
@@ -123,7 +163,7 @@ sim::SlotId Recorder::constant_pair(std::int64_t value, std::int64_t arg) {
   const auto it = const_pair_cache_.find(key);
   if (it != const_pair_cache_.end()) {
     ++consts_interned_;
-    return it->second;
+    return handed(it->second, value);
   }
   const sim::SlotId s = alloc(value);  // arg must land at s + 1
   const sim::SlotId a = alloc(arg);
@@ -131,87 +171,63 @@ sim::SlotId Recorder::constant_pair(std::int64_t value, std::int64_t arg) {
   init_.push_back({s, value});
   init_.push_back({a, arg});
   const_pair_cache_.emplace(key, s);
-  return s;
+  return handed(s, value);
 }
 
 sim::SlotId Recorder::lane(const void* key, std::int64_t live) {
   bool fresh = false;
-  const std::uint32_t lane = intern(key, fresh);
+  LaneEntry& lane = intern(key, fresh);
   if (!fresh) {
-    check_live(lane_slot_[lane], live, "lane");
-    return lane_slot_[lane];
+    check_live(lane.value, live, "lane");
+    return handed(lane.slot, lane.value);
   }
   // First touch: the oracle observed this lane's reset value — intern it,
   // so initial state is captured without any per-array bookkeeping.  The
   // bind carries stamp 0: the register has held this value since reset.
   const sim::SlotId s = constant(live);
-  record_bind(lane, s, 0);
+  record_bind(lane, s, live, 0);
   return s;
 }
 
 sim::SlotId Recorder::lane_pair(const void* key, std::int64_t live,
                                 std::int64_t arg) {
   bool fresh = false;
-  const std::uint32_t lane = intern(key, fresh);
+  LaneEntry& lane = intern(key, fresh);
   if (!fresh) {
-    const sim::SlotId s = lane_slot_[lane];
-    if (slots_[s].pair_head == 0) {
+    if (slots_[lane.slot].pair_head == 0) {
       bail("lane_pair", "lane is bound to a scalar slot");
     }
-    check_live(s, live, "lane_pair");
-    check_live(s + 1, arg, "lane_pair(arg)");
-    return s;
+    check_live(lane.value, live, "lane_pair");
+    check_live(slots_[lane.slot + 1].value, arg, "lane_pair(arg)");
+    return handed(lane.slot, lane.value);
   }
   const sim::SlotId s = constant_pair(live, arg);
-  record_bind(lane, s, 0);
+  record_bind(lane, s, live, 0);
   return s;
 }
 
-sim::SlotId Recorder::pending(const void* key, std::int64_t live) {
-  for (auto it = staged_.rbegin(); it != staged_.rend(); ++it) {
-    if (it->first == key) {
-      check_live(it->second, live, "pending");
-      return it->second;
-    }
-  }
-  return lane(key, live);
-}
-
 void Recorder::bind_now(const void* key, sim::SlotId slot) {
-  (void)concrete(slot, "bind_now");
-  rebind(key, slot);
+  rebind(key, slot, value_of(slot, "bind_now"));
 }
 
 void Recorder::bind_staged(const void* key, sim::SlotId slot) {
-  (void)concrete(slot, "bind_staged");
-  staged_.emplace_back(key, slot);
+  staged_.push_back({key, slot, value_of(slot, "bind_staged")});
 }
 
 sim::SlotId Recorder::mac(sim::SlotId base, std::int64_t w, sim::SlotId x) {
   const Cost result =
-      kern::mac<MinPlus>(concrete(base, "mac"), w, concrete(x, "mac"));
-  const sim::SlotId dst = alloc(result);
-  ops_.push_back({dst, base, x, 0, w, OpKind::kMac,
-                  static_cast<std::uint32_t>(ops_.size())});
-  expected_.push_back(result);
-  slots_[dst].def_op = static_cast<std::uint32_t>(ops_.size() - 1);
-  op_lane_.push_back(Provenance::kNone);
-  return dst;
+      kern::mac<MinPlus>(value_of(base, "mac"), w, value_of(x, "mac"));
+  return emit({alloc(result), base, x, 0, w, OpKind::kMac, 0}, result);
 }
 
 sim::SlotId Recorder::fold(sim::SlotId best, sim::SlotId left,
                            sim::SlotId right, std::int64_t local) {
   const Cost cand = kern::interval_candidate(
-      concrete(left, "fold"), concrete(right, "fold"), local);
-  const Cost prev = concrete(best, "fold");
+      value_of(left, "fold"), value_of(right, "fold"), local);
+  const Cost prev = value_of(best, "fold");
   const Cost result = cand < prev ? cand : prev;
-  const sim::SlotId dst = alloc(result);
-  ops_.push_back({dst, best, left, right, local, OpKind::kFold,
-                  static_cast<std::uint32_t>(ops_.size())});
-  expected_.push_back(result);
-  slots_[dst].def_op = static_cast<std::uint32_t>(ops_.size() - 1);
-  op_lane_.push_back(Provenance::kNone);
-  return dst;
+  return emit({alloc(result), best, left, right, local, OpKind::kFold, 0},
+              result);
 }
 
 sim::SlotId Recorder::relax(sim::SlotId pair, sim::SlotId kh,
@@ -219,34 +235,36 @@ sim::SlotId Recorder::relax(sim::SlotId pair, sim::SlotId kh,
   if (slot_rec(pair, "relax").pair_head == 0) {
     bail("relax", "source is not a pair slot");
   }
-  const Cost cand = sat_add(concrete(kh, "relax"), edge);
-  const Cost prev = concrete(pair, "relax");
+  const Cost cand = sat_add(value_of(kh, "relax"), edge);
+  const Cost prev = value_of(pair, "relax");
   const bool better = cand < prev;
-  const sim::SlotId dst = alloc(better ? cand : prev);
-  const sim::SlotId darg =
-      alloc(better ? station : concrete(pair + 1, "relax(arg)"));
-  (void)darg;  // adjacency is guaranteed by consecutive alloc calls
+  const Cost result = better ? cand : prev;
+  const sim::SlotId dst = alloc(result);
+  // Adjacency is guaranteed by consecutive alloc calls.
+  (void)alloc(better ? station : value_of(pair + 1, "relax(arg)"));
   slots_[dst].pair_head = 1;
-  ops_.push_back({dst, pair, kh, static_cast<sim::SlotId>(station), edge,
-                  OpKind::kRelax, static_cast<std::uint32_t>(ops_.size())});
-  expected_.push_back(slots_[dst].value);
-  slots_[dst].def_op = static_cast<std::uint32_t>(ops_.size() - 1);
-  op_lane_.push_back(Provenance::kNone);
-  return dst;
+  return emit({dst, pair, kh, static_cast<sim::SlotId>(station), edge,
+               OpKind::kRelax, 0},
+              result);
 }
 
 void Recorder::output(std::string_view tag, std::uint64_t index,
                       sim::SlotId slot, std::int64_t observed) {
-  check_live(slot, observed, "output");
-  const auto key = std::make_pair(std::string(tag), index);
-  const auto it = output_index_.find(key);
-  if (it != output_index_.end()) {
+  check_live(value_of(slot, "output"), observed, "output");
+  auto by_tag = std::find_if(output_index_.begin(), output_index_.end(),
+                             [&](const auto& e) { return e.first == tag; });
+  if (by_tag == output_index_.end()) {
+    by_tag = output_index_.emplace(output_index_.end(), std::string(tag),
+                                   std::unordered_map<std::uint64_t,
+                                                      std::size_t>{});
+  }
+  const auto [it, fresh] = by_tag->second.try_emplace(index, outputs_.size());
+  if (!fresh) {
     outputs_[it->second].slot = slot;
     outputs_[it->second].expected = observed;
     return;
   }
-  output_index_.emplace(key, outputs_.size());
-  outputs_.push_back({key.first, index, slot, observed});
+  outputs_.push_back({by_tag->first, index, slot, observed});
 }
 
 void Recorder::output_arg(std::string_view tag, std::uint64_t index,
@@ -264,7 +282,7 @@ void Recorder::on_cycle(const sim::Engine& engine, sim::Cycle t) {
   // (each lane is staged at most once per cycle by two-phase discipline).
   // Bind stamps are taken before the level closes, so a commit during
   // cycle t lands at stamp t+1 like the bind_now path.
-  for (const auto& [key, slot] : staged_) rebind(key, slot);
+  for (const Staged& s : staged_) rebind(s.key, s.slot, s.value);
   staged_.clear();
   cycle_off_.push_back(static_cast<std::uint32_t>(ops_.size()));
 }
@@ -299,16 +317,16 @@ CompiledNetlist Recorder::finish(bool parameterise) {
   // stamp with narration order kept within one stamp — the reset binds,
   // then the committed ones, which arrived in stamp order — and the
   // per-op lane attribution.
-  net.provenance.lanes.resize(lane_slot_.size());
+  net.provenance.lanes.resize(num_lanes_);
   for (std::size_t i = 0; i < net.provenance.lanes.size(); ++i) {
     net.provenance.lanes[i].label = "lane" + std::to_string(i);
   }
-  reset_binds_.insert(reset_binds_.end(), binds_.begin(), binds_.end());
-  net.provenance.binds = std::move(reset_binds_);
+  binds_.insert(binds_.begin(), reset_binds_.begin(), reset_binds_.end());
+  net.provenance.binds = std::move(binds_);
   net.provenance.op_lane = std::move(op_lane_);
   net.stats.copies_elided = copies_elided_;
   net.stats.consts_interned = consts_interned_;
-  net.stats.lanes_bound = lane_slot_.size();
+  net.stats.lanes_bound = num_lanes_;
   return net;
 }
 

@@ -12,19 +12,29 @@
 //     values visible.
 //
 // It shadow-executes everything: each slot carries the concrete value the
-// oracle produced for it, every lane() / pending() / output() call is
-// verified against the live value the caller just observed, and every op's
-// result is recorded as the tape's expected value.  A mis-narrated model
-// therefore fails loudly at lowering time with the first inconsistent
-// site, instead of producing a tape that silently diverges.
+// oracle produced for it, every lane() / output() call is verified against
+// the live value the caller just observed, and every op's result is
+// recorded as the tape's expected value.  A mis-narrated model therefore
+// fails loudly at lowering time with the first inconsistent site, instead
+// of producing a tape that silently diverges.
 //
-// Lanes are interned once, in one open-addressing key -> lane table; the
-// lane's current binding lives in a dense per-lane slot vector, so each
-// narrated read or write costs one probe and one indexed load.  The same
-// table answers lane_of() after the run, which is how lowering names lanes
-// from the ports the modules declare.
+// Storage is sized once: lowering hands the recorder the extent the array
+// worked out from its shape (sim::NarrationExtent), and the op tape, its
+// expected values and op attribution, the slot file, the bind events and
+// the lane table are reserved to it before the oracle runs, so a narration
+// inside the extent never reallocates.
+//
+// Lanes are interned once, in one open-addressing key -> lane table whose
+// entry also holds the lane's current slot and that slot's value (SSA
+// slots never change, so the cached value stays exact), and the last few
+// slots handed to the model are remembered with their values.  A narrated
+// read, its live check and an op's operands therefore touch one
+// cache-resident table entry, not slot records far back in the SSA file.
+// The same table answers lane_of() after the run, which is how lowering
+// names lanes from the ports the modules declare.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -42,7 +52,9 @@ namespace sysdp::compile {
 
 class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
  public:
-  Recorder() = default;
+  /// A recorder sized once for a run of `extent`; storage still grows if
+  /// the narration outruns it.
+  explicit Recorder(const sim::NarrationExtent& extent = {});
 
   // --- sim::OpRecorder ----------------------------------------------------
   sim::SlotId constant(std::int64_t value) override;
@@ -50,7 +62,6 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   sim::SlotId lane(const void* key, std::int64_t live) override;
   sim::SlotId lane_pair(const void* key, std::int64_t live,
                         std::int64_t arg) override;
-  sim::SlotId pending(const void* key, std::int64_t live) override;
   void bind_now(const void* key, sim::SlotId slot) override;
   void bind_staged(const void* key, sim::SlotId slot) override;
   sim::SlotId mac(sim::SlotId base, std::int64_t w, sim::SlotId x) override;
@@ -81,29 +92,6 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   [[nodiscard]] CompiledNetlist finish(bool parameterise = false);
 
  private:
-  sim::SlotId alloc(Cost concrete);
-  [[nodiscard]] Cost concrete(sim::SlotId slot, const char* site) const;
-  void check_live(sim::SlotId slot, std::int64_t live, const char* site) const;
-  /// One entry of the key -> lane table; `lane == kNone` marks it empty.
-  struct KeyLane {
-    const void* key = nullptr;
-    std::uint32_t lane = Provenance::kNone;
-  };
-  /// Table index holding `key`, or the empty entry where it would go.
-  [[nodiscard]] std::size_t probe(const void* key) const noexcept;
-  /// Lane of `key`, interned (bound to no slot yet) on first sight;
-  /// `fresh` reports which.
-  std::uint32_t intern(const void* key, bool& fresh);
-  /// Double the table (at least 64 entries) and reinsert every lane.
-  void grow();
-  /// Copy `key`'s register from `slot` at the current stamp: a copy
-  /// elided from the tape if the lane was bound to another slot.
-  void rebind(const void* key, sim::SlotId slot);
-  /// Provenance: one bind event of `lane` to `slot` at `stamp` (skipped if
-  /// the lane already holds it), and first-bind-wins op attribution via
-  /// the bound slot's defining op.
-  void record_bind(std::uint32_t lane, sim::SlotId slot, std::uint32_t stamp);
-
   /// Shadow state of one slot: the concrete value the oracle produced
   /// there, the op that defined it (kNone for constants), and whether it
   /// is the value half of a pair.
@@ -112,13 +100,68 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
     std::uint32_t def_op = Provenance::kNone;
     std::uint8_t pair_head = 0;
   };
-  /// Slot `slot`'s record; throws std::logic_error naming `site` if the
-  /// model narrated a slot id the recorder never handed out.
+  /// A slot recently handed to the model, with its value.
+  struct Recent {
+    sim::SlotId slot = Provenance::kNone;
+    Cost value = 0;
+  };
+  /// A two-phase bind waiting for the clock edge.
+  struct Staged {
+    const void* key = nullptr;
+    sim::SlotId slot = 0;
+    Cost value = 0;
+  };
+  /// One entry of the key -> lane table, `lane == kNone` marking it
+  /// empty, with the lane's binding: its current slot and the value that
+  /// slot holds.
+  struct LaneEntry {
+    const void* key = nullptr;
+    std::uint32_t lane = Provenance::kNone;
+    sim::SlotId slot = Provenance::kNone;
+    Cost value = 0;
+  };
+
+  sim::SlotId alloc(Cost value);
+  /// Remember that the model now holds `slot`, whose value is `value`.
+  sim::SlotId handed(sim::SlotId slot, Cost value) noexcept {
+    recent_[recent_next_++ % recent_.size()] = {slot, value};
+    return slot;
+  }
+  /// Value of `slot`, from the recent slots when the model just received
+  /// it, else from its record; throws std::logic_error naming `site` if
+  /// the model narrated a slot id the recorder never handed out.
+  [[nodiscard]] Cost value_of(sim::SlotId slot, const char* site) const;
+  /// Slot `slot`'s record, range-checked like value_of().
   [[nodiscard]] const SlotRec& slot_rec(sim::SlotId slot,
                                         const char* site) const;
+  /// Append `op` (destination already allocated) with the value the
+  /// oracle produced for it.
+  sim::SlotId emit(Op op, Cost result);
+  /// Table index holding `key`, or the empty entry where it would go.
+  [[nodiscard]] std::size_t probe(const void* key) const noexcept;
+  /// Table entry of `key`'s lane, interned (bound to no slot yet) on
+  /// first sight; `fresh` reports which.  Valid until the next intern().
+  LaneEntry& intern(const void* key, bool& fresh);
+  /// Rebuild the table at `capacity` entries (a power of two, at least
+  /// 64) and reinsert every lane.
+  void rehash(std::size_t capacity);
+  /// The table capacity that holds `lanes` lanes at most three quarters
+  /// full.
+  [[nodiscard]] static std::size_t capacity_for(std::uint64_t lanes);
+  /// Copy `key`'s register from `slot` (holding `value`) at the current
+  /// stamp: a copy elided from the tape if the lane was bound to another
+  /// slot.
+  void rebind(const void* key, sim::SlotId slot, Cost value);
+  /// Provenance: one bind event of `lane` to `slot` (holding `value`) at
+  /// `stamp` (skipped if the lane already holds it), and first-bind-wins
+  /// op attribution via the bound slot's defining op.
+  void record_bind(LaneEntry& lane, sim::SlotId slot, Cost value,
+                   std::uint32_t stamp);
 
   std::vector<SlotRec> slots_;
-  std::vector<std::pair<const void*, sim::SlotId>> staged_;
+  std::array<Recent, 4> recent_{};
+  std::size_t recent_next_ = 0;
+  std::vector<Staged> staged_;
   std::unordered_map<std::int64_t, sim::SlotId> const_cache_;
   std::map<std::pair<std::int64_t, std::int64_t>, sim::SlotId>
       const_pair_cache_;
@@ -127,19 +170,23 @@ class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
   std::vector<Cost> expected_;
   std::vector<std::uint32_t> cycle_off_{0};
   std::vector<Output> outputs_;
-  std::map<std::pair<std::string, std::uint64_t>, std::size_t> output_index_;
+  /// Per output tag, the outputs_ entry of each declared index.
+  std::vector<std::pair<std::string,
+                        std::unordered_map<std::uint64_t, std::size_t>>>
+      output_index_;
   std::uint64_t copies_elided_ = 0;
   std::uint64_t consts_interned_ = 0;
   // Lanes and the provenance plane: the key -> lane table (power-of-two
-  // capacity, at most half full, linear probing from the top bits of a
-  // multiplicative hash), each lane's current slot, bind events in
-  // narration order — reset binds (stamp 0, first touches, which arrive
-  // at any cycle) apart from the committed ones (stamp t+1 for cycle t,
-  // which arrive in stamp order) — and the lane each op's dst first bound
-  // to.
-  std::vector<KeyLane> table_;
+  // capacity, at most three quarters full, linear probing from the top
+  // bits of a multiplicative hash) with the entry it answered last, the
+  // lane count, bind events in narration order — reset binds (stamp 0,
+  // first touches, which arrive at any cycle) apart from the committed
+  // ones (stamp t+1 for cycle t, which arrive in stamp order) — and the
+  // lane each op's dst first bound to.
+  std::vector<LaneEntry> table_;
   unsigned shift_ = 64;  ///< 64 - log2(table_.size())
-  std::vector<std::uint32_t> lane_slot_;  ///< current slot per lane
+  LaneEntry* last_ = nullptr;
+  std::uint32_t num_lanes_ = 0;
   std::vector<ProvenanceBind> reset_binds_;
   std::vector<ProvenanceBind> binds_;
   std::vector<std::uint32_t> op_lane_;  ///< parallel to ops_

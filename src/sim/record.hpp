@@ -41,6 +41,21 @@ namespace sysdp::sim {
 /// design: four slot ids fit in one cache line's worth of op descriptor.
 using SlotId = std::uint32_t;
 
+/// What one narrated run of an array records, worked out by the array
+/// from its shape before the run, so a recorder can size its storage once.
+/// `ops` is exact: every paper design marks one busy step per semiring op,
+/// and its busy steps follow from the shape alone (the closed forms of
+/// EXPERIMENTS.md, or a triangular rule's candidate tables).  The other
+/// three bound what the run can need: SlotIds handed out (constants
+/// included), storage keys narrated, and bind events (reset binds
+/// included).
+struct NarrationExtent {
+  std::uint64_t ops = 0;
+  std::uint64_t slots = 0;
+  std::uint64_t lanes = 0;
+  std::uint64_t binds = 0;
+};
+
 class OpRecorder {
  public:
   OpRecorder() = default;
@@ -62,9 +77,6 @@ class OpRecorder {
   /// Pair-slot variant of lane(); auto-initialises to constant_pair.
   virtual SlotId lane_pair(const void* key, std::int64_t live,
                            std::int64_t arg) = 0;
-  /// Slot staged for `key` this cycle if any, else the current binding.
-  /// Mirrors a commit phase reading a register it just latched.
-  virtual SlotId pending(const void* key, std::int64_t live) = 0;
 
   // --- bindings -----------------------------------------------------------
   /// Rebind `key` to `slot`, visible to reads later in the same cycle.

@@ -136,9 +136,10 @@ std::vector<Cost> perturbed_weights(const CompiledNetlist& net) {
 }
 
 void expect_rejected(const CompiledNetlist& net, std::string_view check,
-                     const char* what) {
-  const auto rep = analysis::verify_tape(net, std::string("fuzz-") +
-                                                  std::string(check));
+                     const char* what,
+                     const analysis::TapeVerifyOptions& opt = {}) {
+  const auto rep = analysis::verify_tape(
+      net, std::string("fuzz-") + std::string(check), opt);
   EXPECT_FALSE(rep.clean()) << what << ": mutation went undetected\n"
                             << rep.to_text();
   bool matched = false;
@@ -228,6 +229,14 @@ TEST(TapeFuzz, RandomTapesVerifyCleanAndSingleMutationsAreCaught) {
       std::uniform_int_distribution<std::size_t> d(0, m.params.size() - 1);
       m.params[d(rng)] += 1;
       expect_rejected(m, TapeVerifier::kBindPlane, "param-drift");
+    }
+    {
+      CompiledNetlist m = net;  // parameter index past the plane, rebound
+      std::uniform_int_distribution<std::size_t> d(0, m.ops.size() - 1);
+      m.ops[d(rng)].param = 1000000;
+      analysis::TapeVerifyOptions opt;
+      opt.bound_weights = perturbed_weights(m);
+      expect_rejected(m, TapeVerifier::kBindPlane, "param-out-of-plane", opt);
     }
     {
       CompiledNetlist m = net;  // cycle index truncated mid-tape

@@ -226,6 +226,20 @@ TEST(TapeVerify, BindPlaneFixtureOracleBindingMismatch) {
   expect_exactly(rep, TapeVerifier::kBindPlane, Severity::kError);
 }
 
+TEST(TapeVerify, BindPlaneFixtureParamOutsidePlaneWithRebinding) {
+  auto net = small_tape();
+  net.parameterised = true;
+  net.params = {5, 3};
+  net.ops[1].param = 1000000;  // far outside the plane of two
+  TapeVerifyOptions opt;
+  opt.bound_weights = {6, 50};
+  const auto rep = analysis::verify_tape(net, "fixture", opt);
+  expect_exactly(rep, TapeVerifier::kBindPlane, Severity::kError);
+  // The value range holds op 1 to its baked weight 3 (10 + 3 = 13) and
+  // rebinds op 0 (6 + 4 = 10); it never reads past the table.
+  EXPECT_EQ(rep.stats.max_abs_finite, Cost{13});
+}
+
 TEST(TapeVerify, BindPlaneFixtureStrayPlane) {
   auto net = small_tape();
   net.params = {5, 3};  // plane present, parameterised flag off
