@@ -4,8 +4,6 @@
 #include <array>
 #include <cstddef>
 #include <memory>
-#include <numeric>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -270,6 +268,10 @@ bool check_structure(const CompiledNetlist& net, const Emitter* emit,
   };
   for (std::uint64_t i = 0; with_ops && i < nops; ++i) {
     const Op& op = net.ops[i];
+    // op_in_range is the rule the forward scan rejects by; this loop only
+    // says why an op breaks it, and never leaves a broken op unreported.
+    if (op_in_range(op, n)) continue;
+    const std::size_t described = findings;
     if (static_cast<std::uint8_t>(op.kind) > 2) {
       note(op_site(i), "",
            "op kind tag " + std::to_string(static_cast<unsigned>(op.kind)) +
@@ -283,6 +285,11 @@ bool check_structure(const CompiledNetlist& net, const Emitter* emit,
     if (op.kind == OpKind::kRelax) {
       check_slot(i, op.dst + 1, "dst+1");
       check_slot(i, op.a + 1, "a+1");
+    }
+    if (findings == described) {
+      note(op_site(i), "",
+           "op names a slot outside the file of " + std::to_string(n) +
+               " slots or an unknown kernel");
     }
   }
   for (const SlotInit& si : net.init) {
@@ -431,21 +438,8 @@ Severity TapeVerifier::severity_of(std::string_view check) const {
 TapeVerifyReport TapeVerifier::run(const CompiledNetlist& net,
                                    std::string design_name,
                                    const TapeVerifyOptions& opt) const {
-  // A compacted tape is verified first with every slot its own group,
-  // which spares a pass over the tape; one with pair ops is verified again
-  // under its real grouping.
-  if (std::optional<TapeVerifyReport> report =
-          pass(net, design_name, opt, false)) {
-    return std::move(*report);
-  }
-  return pass(net, design_name, opt, true).value();
-}
-
-std::optional<TapeVerifyReport> TapeVerifier::pass(
-    const CompiledNetlist& net, const std::string& design_name,
-    const TapeVerifyOptions& opt, bool grouped) const {
   TapeVerifyReport report;
-  report.design = design_name;
+  report.design = std::move(design_name);
   const auto emitter = [&](std::string_view check) {
     return Emitter(check, severity_of(check), report);
   };
@@ -547,20 +541,11 @@ std::optional<TapeVerifyReport> TapeVerifier::pass(
   // Compaction-safety state: the group structure compact_slots() uses,
   // the last touches its liveness rule computes (compile/live_range.hpp,
   // applied op by op in this scan), and this scan's own per-definition
-  // last touches to cross-check against them.  Unless `grouped`, every
-  // slot is its own group, the grouping of any tape without pair ops, and
-  // the pass gives up at the first relax op.
+  // last touches to cross-check against them.
   compile::TapeLiveness lv;
   std::vector<GroupState> group;
   if (compacted) {
-    if (grouped) {
-      lv = compile::group_slots(net);
-    } else {
-      lv.base.resize(n);
-      std::iota(lv.base.begin(), lv.base.end(), 0u);
-      lv.extent.assign(n, 1);
-      lv.last.assign(n, 0);
-    }
+    lv = compile::group_slots(net);
     group.resize(n);
   }
 
@@ -634,9 +619,6 @@ std::optional<TapeVerifyReport> TapeVerifier::pass(
     for (std::uint32_t i = lo; i < hi; ++i) {
       const Op& op = net.ops[i];
       if (!op_in_range(op, n)) return reject_structure();
-      if (compacted && !grouped && op.kind == OpKind::kRelax) {
-        return std::nullopt;
-      }
       // The site string is built only for a finding, never per op.
       const auto site = [i, t] { return op_site(i, t); };
       if (attribute && prov.op_lane[i] != compile::Provenance::kNone) {

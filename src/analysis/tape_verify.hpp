@@ -88,7 +88,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -197,12 +196,6 @@ class TapeVerifier {
 
  private:
   [[nodiscard]] Severity severity_of(std::string_view check) const;
-  /// One pass of run().  Unless `grouped`, every slot of a compacted tape
-  /// is taken for its own group, and the pass returns nothing at the
-  /// first relax op, whose pair groups it would miss.
-  [[nodiscard]] std::optional<TapeVerifyReport> pass(
-      const compile::CompiledNetlist& net, const std::string& design_name,
-      const TapeVerifyOptions& opt, bool grouped) const;
 
   struct CheckSeverity {
     std::string_view check;

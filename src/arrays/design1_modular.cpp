@@ -378,12 +378,7 @@ void Design1Modular::describe_environment(sim::PortSet& ports) const {
 sim::NarrationExtent Design1Modular::narration_extent() const {
   std::uint64_t rows = 0;
   for (const Matrix<V>& mat : mats_) rows += mat.rows();
-  const std::uint64_t m = m_;
-  const std::uint64_t ops = rows * m;
-  const std::uint64_t lanes = 2 * m + 1;
-  // run()'s cycle count: back-to-back multiplies plus the final drain.
-  const std::uint64_t cycles = mats_.size() * m + mats_.front().rows() - 1;
-  return {ops, ops + lanes + m + 3, lanes, cycles * (2 * m + 1) + lanes};
+  return {rows * m_, 2 * m_ + 1};
 }
 
 RunResult<Design1Modular::V> Design1Modular::run(sim::Gating gating) {

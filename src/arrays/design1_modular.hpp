@@ -77,11 +77,8 @@ class Design1Modular {
 
   /// What a narrated run records, from the matrix shapes: one MAC per
   /// entry of every matrix, m times the summed row counts ((N-2)m^2 + m
-  /// for an N-stage graph, E1); one lane per R and ACC register plus the
-  /// host's input bus.  `slots` and `binds` are bounds: the MAC results
-  /// plus the interned constants (the fed vector, 0, +inf and each lane's
-  /// reset value), and each lane's reset bind plus, every cycle, at most
-  /// two binds per PE and one for the host.
+  /// for an N-stage graph, E1), and one lane per R and ACC register plus
+  /// the host's input bus.
   [[nodiscard]] sim::NarrationExtent narration_extent() const;
 
  private:

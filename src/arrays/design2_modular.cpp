@@ -228,10 +228,7 @@ void Design2Modular::describe_environment(sim::PortSet& ports) const {
 sim::NarrationExtent Design2Modular::narration_extent() const {
   std::uint64_t rows = 0;
   for (const Matrix<V>& mat : mats_) rows += mat.rows();
-  const std::uint64_t m = m_;
-  const std::uint64_t ops = rows * m;
-  const std::uint64_t lanes = 3 * m;
-  return {ops, ops + lanes + m + 1, lanes, 3 * ops + lanes};
+  return {.ops = rows * m_};
 }
 
 RunResult<Design2Modular::V> Design2Modular::run(sim::Gating gating) {

@@ -74,11 +74,7 @@ class Design2Modular {
   void describe_environment(sim::PortSet& ports) const;
 
   /// What a narrated run records, from the matrix shapes: one MAC per
-  /// entry of every matrix, m times the summed row counts; one lane per
-  /// ACC, S and feedback-snapshot register.  `slots` and `binds` are
-  /// bounds: the MAC results plus the interned constants (the fed vector,
-  /// +inf and each lane's reset value), and each lane's reset bind plus at
-  /// most three binds per MAC.
+  /// entry of every matrix, m times the summed row counts.
   [[nodiscard]] sim::NarrationExtent narration_extent() const;
 
  private:

@@ -427,11 +427,7 @@ void Design3Modular::describe_environment(sim::PortSet& ports) const {
 sim::NarrationExtent Design3Modular::narration_extent() const {
   const std::uint64_t m = m_;
   const std::uint64_t stages = n_stages_;
-  const std::uint64_t ops = (stages > 0 ? stages - 1 : 0) * m * m + m;
-  const std::uint64_t lanes = 2 * m + 2;
-  const std::uint64_t cycles = (stages + 1) * m;  // run()'s cycle count
-  return {ops, 2 * (ops + cycles + lanes) + 1, lanes,
-          cycles * (2 * m + 2) + lanes};
+  return {.ops = (stages > 0 ? stages - 1 : 0) * m * m + m};
 }
 
 Design3Result Design3Modular::run(sim::Gating gating) {

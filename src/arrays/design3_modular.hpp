@@ -67,12 +67,7 @@ class Design3Modular {
   void describe_environment(sim::PortSet& ports) const;
 
   /// What a narrated run records, from the graph's shape: one relaxation
-  /// per edge, (N-1)m^2 + m for N stages of width m (E2); one lane per
-  /// K/H and R register plus the in-flight pair and the collector.
-  /// `slots` and `binds` are bounds: two slots per relaxation and per
-  /// interned pair constant (the host-fed tokens and each lane's reset
-  /// value), and each lane's reset bind plus, every cycle, at most two
-  /// binds per PE and two more for the tail's hand-off.
+  /// per edge, (N-1)m^2 + m for N stages of width m (E2).
   [[nodiscard]] sim::NarrationExtent narration_extent() const;
 
  private:

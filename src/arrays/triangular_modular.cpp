@@ -442,9 +442,7 @@ TriangularModularCore::Tables& TriangularModularCore::tables() {
 }
 
 sim::NarrationExtent TriangularModularCore::narration_extent() const {
-  const std::uint64_t ops = arena_->tab.first.back();
-  const std::uint64_t lanes = num_pes();
-  return {ops, ops + lanes + 1, lanes, ops + lanes};
+  return {arena_->tab.first.back(), num_pes()};
 }
 
 bool TriangularModularCore::elaborated() const {

@@ -120,10 +120,7 @@ class TriangularModularCore {
   [[nodiscard]] std::uint64_t pe_busy(std::size_t pe) const;
 
   /// What a narrated run records, from the compiled tables: one fold per
-  /// candidate (the rule's busy steps); one lane per cell's best, bound
-  /// once at reset and once per fold; the fold results plus at most one
-  /// interned constant per lane's reset value and the literal 0.  Exact
-  /// but for `slots`, a bound.
+  /// candidate (the rule's busy steps) and one lane per cell's best.
   [[nodiscard]] sim::NarrationExtent narration_extent() const;
 
  private:

@@ -156,7 +156,8 @@ std::uint64_t name_lanes(Provenance& prov, const Recorder& rec,
 /// std::logic_error if the narration is inconsistent with the oracle's
 /// live values or the busy-step invariant fails — the oracle's busy steps
 /// must equal both the tape's op count and the count the array worked out
-/// from its shape — so lowering bugs die here, not in a diverging replay.
+/// from its shape — or if the run narrates another number of lanes than
+/// the array stated, so lowering bugs die here, not in a diverging replay.
 /// Fills TapeStats' stage times: the narrated oracle run, the naming pass
 /// and compaction.
 template <typename Array>
@@ -205,6 +206,13 @@ template <typename Array>
         std::to_string(extent.ops) + " busy steps but the oracle counted " +
         std::to_string(out.net.stats.oracle_busy_steps) +
         " — the closed form and the model disagree");
+  }
+  if (extent.lanes != 0 && extent.lanes != out.net.stats.lanes_bound) {
+    throw std::logic_error(
+        "compile::lower_array: the array's shape predicts " +
+        std::to_string(extent.lanes) + " lanes but the run narrated " +
+        std::to_string(out.net.stats.lanes_bound) +
+        " — the lane count and the model disagree");
   }
   if (opt.compact) {
     t0 = Clock::now();

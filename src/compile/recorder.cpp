@@ -29,15 +29,17 @@ void check_live(Cost held, std::int64_t live, const char* site) {
 }  // namespace
 
 Recorder::Recorder(const sim::NarrationExtent& extent) {
-  slots_.reserve(extent.slots);
   ops_.reserve(extent.ops);
   expected_.reserve(extent.ops);
   op_lane_.reserve(extent.ops);
-  // A lane's reset bind is its first touch, so there is at most one each;
-  // finish() moves them to the front of binds_, which the extent counts
-  // them in.
+  // Every op writes one fresh slot and binds it to one lane, and a lane's
+  // first touch interns at most one reset constant and makes its one
+  // reset bind, which finish() moves to the front of binds_.  Reserved
+  // for that plus one literal constant; pair ops, further constants and
+  // extra binds grow the vectors past it.
+  slots_.reserve(extent.ops + extent.lanes + 1);
   reset_binds_.reserve(extent.lanes);
-  binds_.reserve(extent.binds);
+  binds_.reserve(extent.ops + extent.lanes);
   rehash(capacity_for(extent.lanes));
 }
 

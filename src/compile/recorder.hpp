@@ -20,9 +20,10 @@
 //
 // Storage is sized once: lowering hands the recorder the extent the array
 // worked out from its shape (sim::NarrationExtent), and the op tape, its
-// expected values and op attribution, the slot file, the bind events and
-// the lane table are reserved to it before the oracle runs, so a narration
-// inside the extent never reallocates.
+// expected values and op attribution are reserved to its op count before
+// the oracle runs.  The slot file, the bind events and the lane table are
+// reserved to what one fold per op and one reset per lane need, which
+// covers the GKT and triangular narrations; other narrations grow them.
 //
 // Lanes are interned once, in one open-addressing key -> lane table whose
 // entry also holds the lane's current slot and that slot's value (SSA
@@ -52,8 +53,8 @@ namespace sysdp::compile {
 
 class Recorder final : public sim::OpRecorder, public sim::EngineObserver {
  public:
-  /// A recorder sized once for a run of `extent`; storage still grows if
-  /// the narration outruns it.
+  /// A recorder sized once for a run of `extent` (see the file comment);
+  /// storage still grows if the narration outruns it.
   explicit Recorder(const sim::NarrationExtent& extent = {});
 
   // --- sim::OpRecorder ----------------------------------------------------

@@ -45,15 +45,14 @@ using SlotId = std::uint32_t;
 /// from its shape before the run, so a recorder can size its storage once.
 /// `ops` is exact: every paper design marks one busy step per semiring op,
 /// and its busy steps follow from the shape alone (the closed forms of
-/// EXPERIMENTS.md, or a triangular rule's candidate tables).  The other
-/// three bound what the run can need: SlotIds handed out (constants
-/// included), storage keys narrated, and bind events (reset binds
-/// included).
+/// EXPERIMENTS.md, or a triangular rule's candidate tables).  `lanes`, the
+/// storage keys the run narrates, is stated only where the shape fixes it
+/// exactly (Design 1's R and ACC registers plus its input bus, one per
+/// cell's best in the GKT and triangular arrays) and is 0 otherwise.
+/// Lowering checks both against the run.
 struct NarrationExtent {
   std::uint64_t ops = 0;
-  std::uint64_t slots = 0;
   std::uint64_t lanes = 0;
-  std::uint64_t binds = 0;
 };
 
 class OpRecorder {

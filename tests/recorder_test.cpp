@@ -194,11 +194,44 @@ TEST(Recorder, LoweringRejectsAShapeCountTheOracleDisagreesWith) {
   }
 }
 
+/// The GKT array with its lane count one too high.
+class MiscountedGktLanes {
+ public:
+  explicit MiscountedGktLanes(std::vector<Cost> dims) : arr_(std::move(dims)) {}
+  [[nodiscard]] GktModularArray::Result run(sim::Engine& engine) {
+    return arr_.run(engine);
+  }
+  void describe_environment(sim::PortSet& ports) const {
+    arr_.describe_environment(ports);
+  }
+  [[nodiscard]] sim::NarrationExtent narration_extent() const {
+    sim::NarrationExtent e = arr_.narration_extent();
+    ++e.lanes;
+    return e;
+  }
+
+ private:
+  GktModularArray arr_;
+};
+
+TEST(Recorder, LoweringRejectsALaneCountTheRunDisagreesWith) {
+  Rng rng(7);
+  MiscountedGktLanes arr(random_chain_dims(8, rng));
+  try {
+    (void)compile::lower_array(arr);
+    ADD_FAILURE() << "a miscounted lane total lowered";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shape predicts 29 lanes"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 /// Lower `arr` as an SSA tape and check it against the extent the array
-/// worked out beforehand: ops exact, everything else within its bound.
+/// worked out beforehand: ops exact, and lanes exact where stated.
 /// Returns the extent and the tape.
 template <typename Array>
-std::pair<sim::NarrationExtent, compile::CompiledNetlist> expect_within_extent(
+std::pair<sim::NarrationExtent, compile::CompiledNetlist> expect_extent(
     Array& arr, const std::string& what) {
   SCOPED_TRACE(what);
   const sim::NarrationExtent e = arr.narration_extent();
@@ -206,13 +239,13 @@ std::pair<sim::NarrationExtent, compile::CompiledNetlist> expect_within_extent(
   ssa.compact = false;
   compile::CompiledNetlist net = compile::lower_array(arr, ssa).net;
   EXPECT_EQ(net.num_ops(), e.ops);
-  EXPECT_LE(net.num_slots, e.slots);
-  EXPECT_LE(net.stats.lanes_bound, e.lanes);
-  EXPECT_LE(net.provenance.binds.size(), e.binds);
+  if (e.lanes != 0) {
+    EXPECT_EQ(net.stats.lanes_bound, e.lanes);
+  }
   return {e, std::move(net)};
 }
 
-TEST(Recorder, NarrationExtentsBoundEveryFamily) {
+TEST(Recorder, NarrationExtentsMatchEveryFamily) {
   Rng rng(2024);
   for (const auto& [q, m] : {std::pair<std::size_t, std::size_t>{2, 3},
                             {5, 4},
@@ -222,34 +255,36 @@ TEST(Recorder, NarrationExtentsBoundEveryFamily) {
     std::vector<Cost> vec(m);
     for (Cost& x : vec) x = v(rng);
     Design1Modular d1(random_matrix_string(q, m, rng), vec);
-    (void)expect_within_extent(d1, "design1 " + shape);
+    (void)expect_extent(d1, "design1 " + shape);
     Design2Modular d2(random_matrix_string(q, m, rng), vec);
-    (void)expect_within_extent(d2, "design2 " + shape);
+    (void)expect_extent(d2, "design2 " + shape);
     const NodeValueGraph g = traffic_control_instance(q + 1, m, rng);
     Design3Modular d3(g);
-    (void)expect_within_extent(d3, "design3 " + shape);
+    (void)expect_extent(d3, "design3 " + shape);
   }
   for (const std::size_t stages : {3u, 9u}) {
     auto prob = to_string_product(
         with_single_source_sink(random_multistage(stages, 6, rng, 1, 99)));
     Design1Modular d1(std::move(prob.mats), std::move(prob.v));
-    (void)expect_within_extent(d1, "design1 graph " + std::to_string(stages));
+    (void)expect_extent(d1, "design1 graph " + std::to_string(stages));
   }
   for (const std::size_t n : {1u, 2u, 5u, 17u}) {
     const std::string size = "n" + std::to_string(n);
     GktModularArray gkt(random_chain_dims(n, rng));
-    const auto [e, net] = expect_within_extent(gkt, "gkt " + size);
+    const auto [e, net] = expect_extent(gkt, "gkt " + size);
+    // One slot per fold plus the constants 0 and +inf, and one bind per
+    // fold plus each lane's reset bind: inside the recorder's reserve.
     if (n >= 2) {
-      // With a fold to narrate, the GKT extent is exact in every field.
-      EXPECT_EQ(net.num_slots, e.slots) << size;
-      EXPECT_EQ(net.stats.lanes_bound, e.lanes) << size;
-      EXPECT_EQ(net.provenance.binds.size(), e.binds) << size;
+      EXPECT_EQ(net.num_slots, e.ops + 2) << size;
+      EXPECT_EQ(net.provenance.binds.size(), e.ops + e.lanes) << size;
     }
     TriangularModularArray<BstRule> bst(BstRule(std::vector<Cost>(n, 3)), n);
-    (void)expect_within_extent(bst, "bst " + size);
+    const auto [be, bnet] = expect_extent(bst, "bst " + size);
+    EXPECT_LE(bnet.num_slots, be.ops + be.lanes + 1) << size;
     TriangularModularArray<ChainRule> chain(
         ChainRule(random_chain_dims(n, rng)), n);
-    (void)expect_within_extent(chain, "chain " + size);
+    const auto [ce, cnet] = expect_extent(chain, "chain " + size);
+    EXPECT_LE(cnet.num_slots, ce.ops + ce.lanes + 1) << size;
   }
 }
 
