@@ -563,7 +563,7 @@ TriangularModularCore::Result TriangularModularCore::run(sim::Engine& engine) {
 
   Result out{Matrix<Cost>(n, n, kInfCost), Matrix<sim::Cycle>(n, n, 0), {}};
   out.stats.num_pes = n * (n + 1) / 2;
-  out.stats.input_scalars = n;
+  out.stats.input_scalars = arena_->tab.input_scalars;
   sim::OpRecorder* const rec = engine.recorder();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {

@@ -200,8 +200,10 @@ TEST(ProcessorUtilization, Eq9MatchesMeasuredIterationPU) {
       const auto res = run_design1_shortest(g);
       const auto serial = serial_steps_design12(N, m);
       // Measured busy steps equal the serial step count: the array does no
-      // redundant work.
+      // redundant work, on either linear design.
       EXPECT_EQ(res.busy_steps, serial) << "N=" << N << " m=" << m;
+      EXPECT_EQ(run_design2_shortest(g).busy_steps, serial)
+          << "N=" << N << " m=" << m;
       // Eq. (9) uses N*m iterations; the simulated array uses (N-1)*m
       // iterations plus m-1 fill cycles.  Both PU figures approach 1 and
       // differ only in the fill accounting.
