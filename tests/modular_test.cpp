@@ -1,5 +1,6 @@
 // Tests for the distributed-control Design 1, the resource-allocation
-// workload, and random-DAG serialisation fuzzing.
+// workload, random-DAG serialisation fuzzing, and the GKT cells' operand
+// buffers and completion bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -176,65 +177,30 @@ TEST(SerializeFuzz, RandomDagsStaySerialAndValuePreserving) {
 }  // namespace
 }  // namespace sysdp
 
-// RTL model of the GKT array: data physically moves through single-value
-// link registers; equality with the arithmetic-timing model proves the
-// wiring is conflict-free.
-#include "arrays/gkt_array.hpp"
-#include "arrays/gkt_rtl.hpp"
-#include "baseline/matrix_chain.hpp"
+// The GKT cells' physical limits: how deep a cell's operand staging grows
+// and how soon the top cell completes.
+#include "arrays/gkt_modular.hpp"
 
 namespace sysdp {
 namespace {
 
-class GktRtlSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(GktRtlSweep, MatchesArithmeticTimingModelCycleForCycle) {
-  const auto [n, seed] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 331 + static_cast<std::uint64_t>(n));
-  const auto dims = random_chain_dims(static_cast<std::size_t>(n), rng);
-  const auto rtl = GktRtlArray(dims).run();       // throws on link conflict
-  const auto model = GktArray(dims).run();
-  EXPECT_EQ(rtl.stats.busy_steps, model.stats.busy_steps);
-  // Compare the meaningful (upper-triangle) entries: costs and completion
-  // cycles must coincide cell for cell.
-  for (std::size_t i = 0; i + 1 < static_cast<std::size_t>(n); ++i) {
-    for (std::size_t j = i + 1; j < static_cast<std::size_t>(n); ++j) {
-      EXPECT_EQ(rtl.cost(i, j), model.cost(i, j))
-          << "(" << i << "," << j << ")";
-      EXPECT_EQ(rtl.done(i, j), model.ready(i, j))
-          << "(" << i << "," << j << ")";
-    }
-  }
-  EXPECT_EQ(rtl.total(), matrix_chain_order(dims).total());
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, GktRtlSweep,
-                         ::testing::Combine(::testing::Values(2, 3, 5, 9, 17,
-                                                              33),
-                                            ::testing::Values(1, 2, 3)));
-
-TEST(GktRtl, OperandBuffersStayShallow) {
+TEST(GktModular, OperandBuffersStayShallow) {
   // The per-cell staging requirement grows with the cell's candidate count
   // but stays far below the n operands a naive design would need.
   Rng rng(9);
-  const auto small = GktRtlArray(random_chain_dims(8, rng)).run();
-  const auto large = GktRtlArray(random_chain_dims(48, rng)).run();
+  const auto small = GktModularArray(random_chain_dims(8, rng)).run();
+  const auto large = GktModularArray(random_chain_dims(48, rng)).run();
   EXPECT_GE(large.peak_operand_buffer, small.peak_operand_buffer);
   EXPECT_LE(large.peak_operand_buffer, 96u);  // O(n), not O(n^2)
 }
 
-TEST(GktRtl, CompletionWithinProposition3Bound) {
+TEST(GktModular, CompletionWithinProposition3Bound) {
   Rng rng(10);
   for (std::size_t n : {4u, 16u, 64u}) {
-    const auto res = GktRtlArray(random_chain_dims(n, rng)).run();
+    const auto res = GktModularArray(random_chain_dims(n, rng)).run();
     EXPECT_LE(res.completion(), 2 * n);
     EXPECT_GE(res.completion() + 2, 2 * n);  // tight: 2n - 2
   }
-}
-
-TEST(GktRtl, RejectsBadDims) {
-  EXPECT_THROW(GktRtlArray({4}), std::invalid_argument);
-  EXPECT_THROW(GktRtlArray({4, -1}), std::invalid_argument);
 }
 
 }  // namespace
