@@ -67,7 +67,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
@@ -104,10 +103,9 @@ Sweep triangular_family_sweep() {
             const std::size_t n = sizes[i / kKinds];
             Rng rng(i);
             switch (i % kKinds) {
-              case 0: {
-                GktArray arr(random_chain_dims(n, rng));
-                return arr.run().stats.busy_steps;
-              }
+              case 0:
+                return run_chain_array(random_chain_dims(n, rng))
+                    .stats.busy_steps;
               case 1: {
                 SerializedChainArray arr(random_chain_dims(n, rng));
                 return arr.run().stats.busy_steps;

@@ -8,8 +8,8 @@
 #include "andor/chain_builder.hpp"
 #include "andor/level_schedule.hpp"
 #include "andor/serialize.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/paper_metrics.hpp"
+#include "arrays/triangular_array.hpp"
 #include "baseline/matrix_chain.hpp"
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
@@ -29,7 +29,7 @@ void report() {
   for (const std::size_t n : {2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
     const auto sched = simulate_chain_pipelined(n);
     const auto dims = random_chain_dims(n, rng);
-    GktArray arr(dims);
+    const TriangularArray<ChainRule> arr(ChainRule(dims), n);
     const auto gkt = arr.run();
     const bool ok = gkt.total() == matrix_chain_order(dims).total();
     const auto ser = serialize_andor(build_chain_andor(dims).graph);
@@ -53,17 +53,16 @@ void bm_pipelined_schedule(benchmark::State& state) {
 }
 BENCHMARK(bm_pipelined_schedule)->Arg(64)->Arg(256)->Arg(512);
 
-void bm_gkt_array(benchmark::State& state) {
+void bm_chain_array(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   const auto dims = random_chain_dims(n, rng);
   for (auto _ : state) {
-    GktArray arr(dims);
-    auto res = arr.run();
+    auto res = run_chain_array(dims);
     benchmark::DoNotOptimize(res.cost);
   }
 }
-BENCHMARK(bm_gkt_array)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(bm_chain_array)->Arg(16)->Arg(64)->Arg(128);
 
 void bm_serialize(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

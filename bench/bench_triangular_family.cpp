@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "andor/pipeline_array.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/paper_metrics.hpp"
 #include "arrays/triangular_array.hpp"
 #include "baseline/matrix_chain.hpp"
@@ -30,7 +29,7 @@ void report() {
   Rng rng(3);
   for (const std::size_t n : {4u, 8u, 16u, 32u, 64u}) {
     const auto dims = random_chain_dims(n, rng);
-    GktArray gkt(dims);
+    const TriangularArray<ChainRule> gkt(ChainRule(dims), n);
     const auto a = gkt.run();
     SerializedChainArray ser(dims);
     const auto b = ser.run();
@@ -54,8 +53,7 @@ void bm_gkt(benchmark::State& state) {
   Rng rng(1);
   const auto dims = random_chain_dims(n, rng);
   for (auto _ : state) {
-    GktArray arr(dims);
-    benchmark::DoNotOptimize(arr.run().cost);
+    benchmark::DoNotOptimize(run_chain_array(dims).cost);
   }
 }
 BENCHMARK(bm_gkt)->Arg(32)->Arg(64);
@@ -97,10 +95,8 @@ void bm_family_sweep_batch(benchmark::State& state) {
     const std::size_t n = sizes[i / kKinds];
     Rng rng(i);
     switch (i % kKinds) {
-      case 0: {
-        GktArray arr(random_chain_dims(n, rng));
-        return arr.run().stats.busy_steps;
-      }
+      case 0:
+        return run_chain_array(random_chain_dims(n, rng)).stats.busy_steps;
       case 1: {
         SerializedChainArray arr(random_chain_dims(n, rng));
         return arr.run().stats.busy_steps;

@@ -15,8 +15,8 @@
 #include "andor/chain_builder.hpp"
 #include "andor/level_schedule.hpp"
 #include "andor/serialize.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/paper_metrics.hpp"
+#include "arrays/triangular_array.hpp"
 #include "baseline/matrix_chain.hpp"
 #include "dnc/metrics.hpp"
 #include "dnc/schedule.hpp"
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   simulate_chain_pipelined(n).completion));
 
-  // GKT triangular systolic array.
-  GktArray gkt(dims);
+  // GKT triangular systolic array (the chain rule on the triangular array).
+  const TriangularArray<ChainRule> gkt(ChainRule(dims), n);
   const auto run = gkt.run();
   std::printf("GKT array        : cost %s in %llu cycles on %zu cells\n",
               cost_to_string(run.total()).c_str(),

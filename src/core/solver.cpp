@@ -4,10 +4,10 @@
 
 #include "arrays/design3_feedback.hpp"
 #include "arrays/graph_adapter.hpp"
+#include "arrays/triangular_array.hpp"
 #include "baseline/matrix_chain.hpp"
 #include "baseline/multistage_dp.hpp"
 #include "dnc/schedule.hpp"
-#include "arrays/gkt_array.hpp"
 #include "nonserial/elimination.hpp"
 #include "nonserial/grouping.hpp"
 #include "nonserial/serial_chain.hpp"
@@ -67,13 +67,13 @@ SolveReport solve_chain_order(const std::vector<Cost>& dims) {
   rep.cls = {Recursion::kPolyadic, Structure::kNonserial};
   rep.method =
       "serialised AND/OR-graph on a triangular (GKT) systolic array";
-  GktArray array(dims);
-  const auto run = array.run();
+  const auto run = run_chain_array(dims);
   rep.cost = run.total();
   rep.work_steps = run.stats.busy_steps;
   rep.cycles = run.stats.cycles;
-  // assignment: the split index per subchain is in run.split; expose the
-  // root split so callers can recurse if needed.
+  // assignment: run.split holds each subchain's split as an offset t from
+  // its first matrix i (the split is k = i + t); expose the root split,
+  // where i = 0 and t = k, so callers can recurse if needed.
   if (dims.size() > 2) rep.assignment = {run.split(0, dims.size() - 2)};
   return rep;
 }

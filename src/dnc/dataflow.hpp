@@ -35,9 +35,9 @@ struct DataflowResult {
   }
 };
 
-/// Schedule the parenthesisation given by `split` (as produced by
-/// matrix_chain_order / GktArray) over chain dimensions `dims` on `k`
-/// workers.
+/// Schedule the parenthesisation given by `split` (split(i, j) = k, the
+/// last matrix of the left factor, as matrix_chain_order produces it) over
+/// chain dimensions `dims` on `k` workers.
 [[nodiscard]] DataflowResult execute_chain_dataflow(
     const std::vector<Cost>& dims, const Matrix<std::size_t>& split,
     std::uint64_t k);

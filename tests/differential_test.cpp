@@ -18,7 +18,6 @@
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_feedback.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
@@ -117,8 +116,8 @@ TEST_P(ChainDifferential, SixRoutesOneOptimum) {
   // 2. Top-down memoised search with solution-tree extraction.
   const auto td = solve_top_down(chain.graph, chain.root);
   EXPECT_EQ(td.value, baseline);
-  // 3. GKT triangular array.
-  EXPECT_EQ(GktArray(dims).run().total(), baseline);
+  // 3. GKT triangular array (the chain rule on the cell array).
+  EXPECT_EQ(GktModularArray(dims).run().total(), baseline);
   // 4. Clocked serialised array (Proposition 3 machine).
   EXPECT_EQ(SerializedChainArray(dims).run().total(), baseline);
   // 5. The façade.

@@ -12,8 +12,8 @@
 #include "arrays/design1_pipeline.hpp"
 #include "arrays/design2_broadcast.hpp"
 #include "arrays/graph_adapter.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/paper_metrics.hpp"
+#include "arrays/triangular_array.hpp"
 #include "baseline/matrix_chain.hpp"
 #include "baseline/multistage_dp.hpp"
 #include "graph/generators.hpp"
@@ -126,7 +126,7 @@ TEST(Figure8, SerializedFourMatrixGraph) {
   EXPECT_EQ(simulate_chain_pipelined(4).completion, 8u);
 }
 
-TEST(Section6_2, GktArrayMatchesSerializedTiming) {
+TEST(Section6_2, ChainArrayMatchesSerializedTiming) {
   // "the derived structure is the same as that proposed by Guibas et al.":
   // the triangular array completes in Theta(N) wavefronts; its measured
   // completion grows linearly like T_p and never beats the broadcast bound.
@@ -134,8 +134,7 @@ TEST(Section6_2, GktArrayMatchesSerializedTiming) {
   std::vector<sim::Cycle> completions;
   for (std::size_t n : {4u, 8u, 16u, 32u, 64u}) {
     const auto dims = random_chain_dims(n, rng);
-    GktArray arr(dims);
-    const auto res = arr.run();
+    const auto res = run_chain_array(dims);
     EXPECT_EQ(res.total(), matrix_chain_order(dims).total());
     EXPECT_GE(res.completion(), t_broadcast(n) - 1);   // cannot beat T_d
     EXPECT_LE(res.completion(), t_pipelined(n));       // within the 2N bound

@@ -18,7 +18,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "graph/generators.hpp"
@@ -217,7 +216,7 @@ TEST(ParallelDeterminism, GktBatchSweepMatchesSerialLoop) {
       std::size(sizes),
       [&](std::size_t i) {
         Rng rng(100 + i);
-        return GktArray(random_chain_dims(sizes[i], rng)).run();
+        return run_chain_array(random_chain_dims(sizes[i], rng));
       },
       [](const auto& serial, const auto& par) {
         EXPECT_EQ(serial.total(), par.total());

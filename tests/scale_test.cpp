@@ -8,9 +8,9 @@
 
 #include "andor/level_schedule.hpp"
 #include "arrays/design3_feedback.hpp"
-#include "arrays/gkt_array.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/paper_metrics.hpp"
+#include "arrays/triangular_array.hpp"
 #include "baseline/matrix_chain.hpp"
 #include "baseline/multistage_dp.hpp"
 #include "dnc/metrics.hpp"
@@ -49,8 +49,7 @@ TEST(Scale, Design3LongHorizon) {
 TEST(Scale, GktLargeChain) {
   Rng rng(3);
   const auto dims = random_chain_dims(160, rng);
-  GktArray arr(dims);
-  const auto res = arr.run();
+  const auto res = run_chain_array(dims);
   EXPECT_EQ(res.total(), matrix_chain_order(dims).total());
   EXPECT_LE(res.completion(), 2u * 160);
 }
