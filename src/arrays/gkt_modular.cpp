@@ -61,10 +61,10 @@ struct GktModularArray::Arena {
 
   // Completion-launch bypass.  A real flit in both the through-shift (nxt)
   // and the launch slot is a link-register conflict, which would falsify
-  // the single-occupancy design — commit throws, mirroring the RTL
-  // assertion.  The row and column pending flags live in separate byte
-  // arrays, not one bitmask: a cell's row launcher and column launcher are
-  // different cells, so every element has exactly one writer.
+  // the single-occupancy design — commit throws.  The row and column
+  // pending flags live in separate byte arrays, not one bitmask: a cell's
+  // row launcher and column launcher are different cells, so every element
+  // has exactly one writer.
   std::vector<Flit> row_launch, col_launch;
   std::vector<std::uint8_t> row_launch_set, col_launch_set;
 
@@ -74,7 +74,8 @@ struct GktModularArray::Arena {
   // sat_add(left, right) once both have; op_set marks the arrived ones
   // (bit 0 row, bit 1 column).  The ready-candidate FIFO q_store holds
   // split indices k; entries below the eval-entry watermark were ready
-  // before the current cycle — exactly the RTL's `at <= c-1` eligibility.
+  // before the current cycle — exactly the analytic model's rule that a
+  // candidate arriving at cycle a folds no earlier than cycle a + 1.
   // A sum or FIFO lane is written before it is read, so only op_set
   // starts cleared.
   std::vector<Cost> op_sum;
