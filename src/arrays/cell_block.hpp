@@ -1,7 +1,6 @@
-// Storage shared by the engine-backed triangular arrays (GktModularArray,
-// TriangularModularCore): the diagonal-major cell numbering, the block
-// their cell modules live in, and the pool that recycles an array's
-// storage for the next array of its kind.
+// Storage for the engine-backed triangular array (TriangularModularCore):
+// the diagonal-major cell numbering, the block its cell modules live in,
+// and the pool that recycles an array's storage for the next array.
 #pragma once
 
 #include <cassert>
@@ -9,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <utility>
 
 namespace sysdp {
@@ -26,57 +26,68 @@ namespace sysdp {
 /// one allocation, in registration (diagonal-major) order: elaboration
 /// allocates once per array, not once per cell, and the gated engine's
 /// sorted active set walks the cells in address order.  Modules are
-/// neither copyable nor movable, hence no std::vector.  `T` may be
-/// incomplete where the block is declared; it must be complete where the
-/// block is filled or destroyed.
-template <typename T>
+/// neither copyable nor movable, hence no std::vector.  The block is
+/// untyped, so one parked arena serves every rule's cell type: reset<T>()
+/// names the type of the cells that follow, and the block destroys them
+/// as that type.
 class CellBlock {
  public:
   CellBlock() = default;
   ~CellBlock() {
     clear();
-    std::allocator<T>{}.deallocate(data_, capacity_);
+    ::operator delete(data_, std::align_val_t{kAlign});
   }
 
   CellBlock(const CellBlock&) = delete;
   CellBlock& operator=(const CellBlock&) = delete;
 
-  /// Destroy every cell and make room for `capacity` new ones, keeping
-  /// the allocation if it is large enough.
-  void reset(std::size_t capacity) {
+  /// Destroy every cell and make room for `count` new cells of type T,
+  /// keeping the allocation if it is large enough.
+  template <typename T>
+  void reset(std::size_t count) {
+    static_assert(alignof(T) <= kAlign);
     clear();
-    if (capacity > capacity_) {
-      std::allocator<T>{}.deallocate(data_, capacity_);
+    const std::size_t bytes = count * sizeof(T);
+    if (bytes > capacity_) {
+      ::operator delete(data_, std::align_val_t{kAlign});
       data_ = nullptr;  // consistent if allocate throws
       capacity_ = 0;
-      data_ = std::allocator<T>{}.allocate(capacity);
-      capacity_ = capacity;
+      data_ = static_cast<std::byte*>(
+          ::operator new(bytes, std::align_val_t{kAlign}));
+      capacity_ = bytes;
     }
+    destroy_ = [](std::byte* data, std::size_t n) noexcept {
+      std::destroy_n(std::launder(reinterpret_cast<T*>(data)), n);
+    };
   }
 
   /// Destroy every cell; the allocation stays for the next reset().
   void clear() noexcept {
-    std::destroy(data_, data_ + size_);
+    if (size_ > 0) destroy_(data_, size_);
     size_ = 0;
   }
 
-  /// Construct the next cell in place; at most `capacity` per reset().
-  template <typename... Args>
+  /// Construct the next cell, of the type the last reset() named, in
+  /// place; at most that reset's `count`.
+  template <typename T, typename... Args>
   T& emplace_back(Args&&... args) {
-    assert(size_ < capacity_);
-    T* const cell =
-        std::construct_at(data_ + size_, std::forward<Args>(args)...);
+    assert((size_ + 1) * sizeof(T) <= capacity_);
+    T* const cell = std::construct_at(
+        reinterpret_cast<T*>(data_) + size_, std::forward<Args>(args)...);
     ++size_;
     return *cell;
   }
 
-  [[nodiscard]] T& operator[](std::size_t k) { return data_[k]; }
+  /// Bytes held.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  T* data_ = nullptr;
+  static constexpr std::size_t kAlign = alignof(std::max_align_t);
+
+  std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
+  void (*destroy_)(std::byte*, std::size_t) noexcept = nullptr;
 };
 
 /// One retired storage object of type T, parked for the next array of the

@@ -88,7 +88,7 @@ struct GktModularArray::Arena {
   /// so fold operands resolve directly against origin lanes.
   sim::OpRecorder* rec = nullptr;
 
-  CellBlock<Cell> cells;  ///< arena (diagonal-major) order
+  CellBlock cells;  ///< arena (diagonal-major) order
 
   /// Lay out and clear every lane for an n-matrix chain, reusing the
   /// buffers' capacity.
@@ -434,7 +434,7 @@ std::size_t GktModularArray::Arena::footprint() const {
          buffer_bytes(col_launch) + buffer_bytes(row_launch_set) +
          buffer_bytes(col_launch_set) + buffer_bytes(op_sum) +
          buffer_bytes(op_set) + buffer_bytes(q_store) +
-         buffer_bytes(q_base) + cells.capacity() * sizeof(Cell);
+         buffer_bytes(q_base) + cells.capacity();
 }
 
 GktModularArray::~GktModularArray() {
@@ -450,10 +450,10 @@ void GktModularArray::elaborate(sim::Engine& engine) {
   // Registered in arena-id (diagonal-major) order so the engine's module
   // index equals the arena lane and the sorted active set walks the arena
   // and the cell block sequentially.
-  a.cells.reset(num_pes());
+  a.cells.reset<Cell>(num_pes());
   for (std::size_t d = 0; d < n; ++d) {
     for (std::size_t i = 0; i + d < n; ++i) {
-      engine.add(a.cells.emplace_back(i, i + d, a, dims_));
+      engine.add(a.cells.emplace_back<Cell>(i, i + d, a, dims_));
     }
   }
   // Wakeup edges follow the register dataflow: a cell can only be
@@ -463,12 +463,13 @@ void GktModularArray::elaborate(sim::Engine& engine) {
   // (it holds the not-yet-folded candidates that complete it), so the
   // receiver is always awake to latch the launch.  Each cell declares its
   // row edge to (i, j+1), then its column edge to (i-1, j).
+  const std::vector<sim::Module*>& cells = engine.modules();
   std::size_t id = 0;
   for (std::size_t d = 0; d < n; ++d) {
     for (std::size_t i = 0; i + d < n; ++i, ++id) {
       const std::size_t j = i + d;
-      if (j + 1 < n) engine.add_wakeup(a.cells[id], a.cells[a.id(i, j + 1)]);
-      if (i > 0) engine.add_wakeup(a.cells[id], a.cells[a.id(i - 1, j)]);
+      if (j + 1 < n) engine.add_wakeup(*cells[id], *cells[a.id(i, j + 1)]);
+      if (i > 0) engine.add_wakeup(*cells[id], *cells[a.id(i - 1, j)]);
     }
   }
 }
