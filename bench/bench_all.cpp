@@ -67,7 +67,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
@@ -332,7 +331,7 @@ std::vector<GatingEntry> measure_gating() {
     e.name = "gkt_modular_n96";
     Rng rng(96096);
     const auto dims = random_chain_dims(96, rng);
-    GktModularArray arr(dims);
+    TriangularModularArray<ChainRule> arr(ChainRule(dims), 96);
     std::uint64_t dense_busy = 0, sparse_busy = 0;
     Cost dense_total = 0, sparse_total = 0;
     e.dense_seconds = median5_seconds([&] {
@@ -450,8 +449,11 @@ std::vector<CompiledSample> measure_compiled(
     Rng rng(96096);  // same instance as the gkt_modular_n96 gating entry
     const auto dims = random_chain_dims(96, rng);
     out.push_back(measure_compiled_one(
-        "compiled_gkt_n96", [&] { return GktModularArray(dims); },
-        [](const GktModularArray::Result& r) { return r.stats.busy_steps; }));
+        "compiled_gkt_n96",
+        [&] { return TriangularModularArray<ChainRule>(ChainRule(dims), 96); },
+        [](const TriangularModularCore::Result& r) {
+          return r.stats.busy_steps;
+        }));
   }
   {
     Rng rng(777);
@@ -604,7 +606,7 @@ CompiledBatchSample measure_compiled_batch_one(const char* name,
 
 std::vector<CompiledBatchSample> measure_compiled_batch(
     const std::vector<Matrix<Cost>>& mats, const std::vector<Cost>& v) {
-  // The three rebindable 96-wide families (Design 3 and the BST rule pin
+  // The two rebindable 96-wide families (Design 3 and the BST rule pin
   // instance data in interned constants, so they batch under the oracle
   // binding only and are covered by the lane-exactness tests instead).
   std::vector<CompiledBatchSample> out;
@@ -614,18 +616,9 @@ std::vector<CompiledBatchSample> measure_compiled_batch(
   {
     Rng rng(96096);  // same instance as the compiled_gkt_n96 entry
     const auto dims = random_chain_dims(96, rng);
-    out.push_back(measure_compiled_batch_one(
-        "compiled_batch_gkt_n96", [&] { return GktModularArray(dims); }));
-  }
-  {
-    Rng rng(96955);
-    const auto dims = random_chain_dims(96, rng);
-    const ChainRule rule(dims);
-    out.push_back(measure_compiled_batch_one(
-        "compiled_batch_chain_n96", [&] {
-          return TriangularModularArray<ChainRule>(rule,
-                                                   rule.num_matrices());
-        }));
+    out.push_back(measure_compiled_batch_one("compiled_batch_gkt_n96", [&] {
+      return TriangularModularArray<ChainRule>(ChainRule(dims), 96);
+    }));
   }
   return out;
 }

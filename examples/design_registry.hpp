@@ -24,7 +24,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/run_result.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
@@ -187,16 +186,8 @@ inline std::vector<DesignSpec> all_designs() {
                          std::move(arr), std::move(graph));
                    }});
   }
-  // GKT matrix-chain triangle.
-  for (std::size_t m : {3u, 6u}) {
-    std::string name = "gkt-modular[m" + std::to_string(m) + "]";
-    out.push_back({name, [m] {
-                     return std::make_unique<TypedInstance<GktModularArray>>(
-                         std::make_unique<GktModularArray>(
-                             deterministic_costs(m + 1, m)));
-                   }});
-  }
-  // Generic triangular family: one instance per rule.
+  // Generic triangular family: one instance per rule (the chain rule is
+  // the GKT array).
   for (std::size_t n : {4u, 7u}) {
     using Bst = TriangularModularArray<BstRule>;
     using Poly = TriangularModularArray<PolygonRule>;

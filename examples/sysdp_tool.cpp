@@ -35,8 +35,8 @@
 #include "analysis/tape_verify.hpp"
 #include "andor/stage_reduction.hpp"
 #include "arrays/design1_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "cli_args.hpp"
 #include "compile/engine.hpp"
 #include "compile/lower.hpp"
@@ -280,9 +280,9 @@ SolveReport solve_chain_compiled(const std::vector<Cost>& dims,
                                  obs::MetricsRegistry* metrics) {
   SolveReport rep;
   rep.cls = {Recursion::kPolyadic, Structure::kNonserial};
-  GktModularArray arr(dims);
-  const auto low = compile::lower_array(arr);
   const std::size_t n = dims.size() - 1;
+  TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
+  const auto low = compile::lower_array(arr);
   const auto ce = checked_replay(low, metrics);
   if (metrics != nullptr) profiled_replays(low, *metrics);
   rep.cost = n >= 2 ? ce.output("cell", n - 1) : 0;

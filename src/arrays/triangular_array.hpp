@@ -266,8 +266,9 @@ class PolygonRule {
 /// Rule for the optimal matrix-multiplication order (the paper's eq. 6):
 ///   m(i, j) = min_{i <= k < j} m(i, k) + m(k+1, j) + d_i d_{k+1} d_{j+1}
 /// over chain dimensions d.  This is the recurrence the GKT array is
-/// specialised for: GktModularArray matches TriangularArray<ChainRule>
-/// cycle for cycle on identical inputs.
+/// specialised for: TriangularModularArray<ChainRule>, the GKT array on
+/// engine cells, matches TriangularArray<ChainRule> cycle for cycle on
+/// identical inputs.
 class ChainRule {
  public:
   explicit ChainRule(std::vector<Cost> dims);

@@ -341,7 +341,7 @@ TriangularModularCore::Result TriangularModularCore::finish(
       }
     }
   }
-  out.stats.cycles = until.cycles;
+  out.stats.cycles = out.completion();
   out.stats.active_evals = engine.active_evals();
   out.stats.dense_evals = engine.dense_evals();
   return out;

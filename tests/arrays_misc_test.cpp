@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "andor/pipeline_array.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/matmul_array.hpp"
 #include "arrays/triangular_array.hpp"
 #include "baseline/matrix_chain.hpp"
@@ -112,7 +111,6 @@ TEST(ChainArray, RejectsBadDims) {
   for (const auto& dims : bad) {
     SCOPED_TRACE("dims.size() = " + std::to_string(dims.size()));
     EXPECT_THROW(run_chain_array(dims), std::invalid_argument);
-    EXPECT_THROW(GktModularArray{dims}, std::invalid_argument);
     EXPECT_THROW(SerializedChainArray{dims}, std::invalid_argument);
   }
 }

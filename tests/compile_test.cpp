@@ -15,7 +15,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "compile/engine.hpp"
@@ -185,10 +184,10 @@ TEST(CompiledBackend, GktTapeReplaysBitIdentically) {
     Rng rng(500 + n);
     const auto dims = random_chain_dims(n, rng);
 
-    GktModularArray oracle_arr(dims);
+    TriangularModularArray<ChainRule> oracle_arr(ChainRule(dims), n);
     const auto interpreted = oracle_arr.run(sim::Gating::kDense);
 
-    GktModularArray arr(dims);
+    TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
     const auto low = compile::lower_array(arr);
     EXPECT_EQ(low.net.num_ops(), interpreted.stats.busy_steps);
 
@@ -298,8 +297,8 @@ TEST(CompiledBackend, RunSkipsEmptyLevelsViaSkipList) {
   // The GKT triangle's staged wavefront leaves empty dependency levels
   // between diagonals — exactly what the skip-list exists to bypass.
   Rng rng(4242);
-  const auto dims = random_chain_dims(9, rng);
-  GktModularArray arr(dims);
+  TriangularModularArray<ChainRule> arr(ChainRule(random_chain_dims(9, rng)),
+                                        9);
   const auto low = compile::lower_array(arr);
   std::uint64_t empty_levels = 0;
   for (std::size_t t = 0; t + 1 < low.net.cycle_off.size(); ++t) {

@@ -18,7 +18,6 @@
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_feedback.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
@@ -117,7 +116,7 @@ TEST_P(ChainDifferential, SixRoutesOneOptimum) {
   const auto td = solve_top_down(chain.graph, chain.root);
   EXPECT_EQ(td.value, baseline);
   // 3. GKT triangular array (the chain rule on the cell array).
-  EXPECT_EQ(GktModularArray(dims).run().total(), baseline);
+  EXPECT_EQ(run_chain_modular(dims).total(), baseline);
   // 4. Clocked serialised array (Proposition 3 machine).
   EXPECT_EQ(SerializedChainArray(dims).run().total(), baseline);
   // 5. The façade.
@@ -304,12 +303,14 @@ TEST(CompiledDifferential, GktAllEngineConfigs) {
   Rng rng(344);
   const std::size_t n = 9;
   const auto dims = random_chain_dims(n, rng);
-  const auto low = lower_checked([&] { return GktModularArray(dims); });
+  const auto low = lower_checked([&] {
+    return TriangularModularArray<ChainRule>(ChainRule(dims), n);
+  });
   compile::CompiledEngine ce(low.net);
   ce.run_all();
   for (const sim::Gating gating : kEngineConfigs) {
     SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
-    GktModularArray arr(dims);
+    TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
     const auto res = arr.run(gating);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
@@ -409,11 +410,12 @@ TEST_P(CompiledFuzzDifferential, RandomInstanceReplaysBitIdentically) {
       std::uniform_int_distribution<std::size_t> n_dist(2, 14);
       const std::size_t n = n_dist(rng);
       const auto dims = random_chain_dims(n, rng);
-      const auto low =
-          lower_checked([&] { return GktModularArray(dims); });
+      const auto low = lower_checked([&] {
+        return TriangularModularArray<ChainRule>(ChainRule(dims), n);
+      });
       compile::CompiledEngine ce(low.net);
       ce.run_all();
-      GktModularArray arr(dims);
+      TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
       const auto res = arr.run(gating);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
@@ -629,8 +631,8 @@ TEST(CompiledBatchDifferential, Design3LaneExactAcrossWidths) {
 TEST(CompiledBatchDifferential, GktLaneExactAcrossWidths) {
   Rng rng(441);
   const std::size_t n = 9;
-  const auto dims = random_chain_dims(n, rng);
-  GktModularArray arr(dims);
+  TriangularModularArray<ChainRule> arr(ChainRule(random_chain_dims(n, rng)),
+                                        n);
   compile::LowerOptions opt;
   opt.parameterise = true;
   const auto low = compile::lower_array(arr, opt);
@@ -642,8 +644,9 @@ TEST(CompiledBatchDifferential, GktLaneExactAcrossWidths) {
       continue;
     }
     auto vdims = random_chain_dims(n, rng);
-    tables.push_back(variant_params(
-        low.net, [&] { return GktModularArray(vdims); }));
+    tables.push_back(variant_params(low.net, [&] {
+      return TriangularModularArray<ChainRule>(ChainRule(vdims), n);
+    }));
   }
   for (const std::uint32_t lanes : kBatchWidths) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
@@ -718,7 +721,8 @@ TEST(CompiledBatchDifferential, BstLaneExactAcrossWidths) {
 TEST(CompiledBatchDifferential, RebindBetweenReplays) {
   Rng rng(471);
   const std::size_t n = 9;
-  GktModularArray arr(random_chain_dims(n, rng));
+  TriangularModularArray<ChainRule> arr(ChainRule(random_chain_dims(n, rng)),
+                                        n);
   compile::LowerOptions opt;
   opt.parameterise = true;
   const auto low = compile::lower_array(arr, opt);
@@ -726,8 +730,9 @@ TEST(CompiledBatchDifferential, RebindBetweenReplays) {
   std::vector<std::vector<Cost>> variants;
   for (int v = 0; v < 3; ++v) {
     auto vdims = random_chain_dims(n, rng);
-    variants.push_back(variant_params(
-        low.net, [&] { return GktModularArray(vdims); }));
+    variants.push_back(variant_params(low.net, [&] {
+      return TriangularModularArray<ChainRule>(ChainRule(vdims), n);
+    }));
   }
   const std::vector<Cost>& oracle = low.net.params;
   compile::CompiledEngine be(low.net, 4);
@@ -825,11 +830,12 @@ TEST_P(CompiledRebindFuzz, ReboundTapeMatchesFreshLowering) {
       std::uniform_int_distribution<std::size_t> n_dist(2, 12);
       const std::size_t n = n_dist(rng);
       const auto dims = random_chain_dims(n, rng);
-      GktModularArray arr(dims);
+      TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
       base = compile::lower_array(arr, opt);
       auto vdims = random_chain_dims(n, rng);
-      variant_net = variant_lowered(
-          base.net, [&] { return GktModularArray(vdims); });
+      variant_net = variant_lowered(base.net, [&] {
+        return TriangularModularArray<ChainRule>(ChainRule(vdims), n);
+      });
       break;
     }
     default: {

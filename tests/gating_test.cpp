@@ -5,8 +5,8 @@
 // that can reactivate a sleeping module is covered by a wakeup edge, so a
 // gated run visits a superset of the "useful" evals of a dense run and
 // nothing else observable.  These tests pin that contract down for the
-// engine-backed arrays (Designs 1-3 and the modular GKT cells), pin the
-// modular GKT array cycle-exactly to the analytic chain model, and
+// engine-backed arrays (Designs 1-3 and the triangular cells), pin the
+// engine-backed GKT array cycle-exactly to the analytic chain model, and
 // cross-check the engine's measured activity counter against the paper's
 // processor-utilisation analysis.
 #include <gtest/gtest.h>
@@ -20,10 +20,10 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/paper_metrics.hpp"
 #include "arrays/triangular_array.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/module.hpp"
@@ -113,7 +113,7 @@ TEST(ActivityGating, GktModularDenseVsSparseBitIdentical) {
   for (const std::size_t n : {2u, 3u, 5u, 9u, 17u, 24u}) {
     Rng rng(500 + n);
     const auto dims = random_chain_dims(n, rng);
-    GktModularArray arr(dims);
+    TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
     const auto dense = arr.run(sim::Gating::kDense);
     const auto sparse = arr.run(sim::Gating::kSparse);
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -121,20 +121,22 @@ TEST(ActivityGating, GktModularDenseVsSparseBitIdentical) {
     expect_same_matrix(dense.done, sparse.done);
     expect_identical(dense.stats, sparse.stats);
     EXPECT_EQ(dense.peak_operand_buffer, sparse.peak_operand_buffer);
+    EXPECT_EQ(dense.launch_waits, sparse.launch_waits);
   }
 }
 
 // ------------------------------------------------ GKT differentials -------
 
-// The modular cell array must be cycle-exact against the analytic chain
-// model, TriangularArray<ChainRule>: the same costs, per-cell completion
-// cycles, busy work and cycle count, in both gating modes, and no link
-// ever carries two values (run() throws if one does).  Every n up to 20,
-// the sweep benchmark's 48 and 96 (a cell stages up to 95 operands per
-// stream), and n in {2, 3, 5, 9, 17, 33} over three seeds.  The
-// operand-buffer peak has no analytic counterpart; it is pinned in
+// The engine-backed GKT array, TriangularModularArray<ChainRule>, must be
+// cycle-exact against the analytic chain model, TriangularArray<ChainRule>:
+// the same costs, per-cell completion cycles, busy work and cycle count,
+// in both gating modes, and no completion launch ever waits for a gap in
+// a link — GKT's single-occupancy theorem.  Every n up to 20, the sweep
+// benchmark's 48 and 96 (a cell stages up to 95 operands per stream), and
+// n in {2, 3, 5, 9, 17, 33} over three seeds.  The operand-buffer peak has
+// no analytic counterpart; it is pinned in
 // TriangularModular.SimulatedCountsPinnedAtBenchmarkSizes.
-TEST(ActivityGating, GktModularMatchesChainArrayCycleExactly) {
+TEST(ActivityGating, ChainModularMatchesChainArrayCycleExactly) {
   std::vector<std::vector<Cost>> chains;
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 20; ++n) sizes.push_back(n);
@@ -153,8 +155,8 @@ TEST(ActivityGating, GktModularMatchesChainArrayCycleExactly) {
     const auto& dims = chains[c];
     const std::size_t n = dims.size() - 1;
     const auto ref = run_chain_array(dims);
-    GktModularArray mod(dims);
-    const GktModularArray::Result runs[] = {
+    TriangularModularArray<ChainRule> mod(ChainRule(dims), n);
+    const TriangularModularCore::Result runs[] = {
         mod.run(sim::Gating::kDense),
         mod.run(sim::Gating::kSparse),
     };
@@ -169,6 +171,7 @@ TEST(ActivityGating, GktModularMatchesChainArrayCycleExactly) {
       expect_same_matrix(r.done, ref.ready);
       EXPECT_EQ(r.stats.cycles, ref.stats.cycles);
       EXPECT_EQ(r.stats.busy_steps, ref.stats.busy_steps);
+      EXPECT_EQ(r.launch_waits, 0u);
     }
   }
 }
@@ -230,7 +233,7 @@ TEST(ActivityGating, EngineActivityTracksPaperPuDesign2) {
 TEST(ActivityGating, GktActivityReflectsWavefrontSparsity) {
   Rng rng(2024);
   const auto dims = random_chain_dims(32, rng);
-  GktModularArray mod(dims);
+  TriangularModularArray<ChainRule> mod(ChainRule(dims), 32);
   const auto r = mod.run(sim::Gating::kSparse);
   EXPECT_GT(r.stats.dense_evals, 0u);
   EXPECT_LT(r.stats.engine_activity(), 0.6);
@@ -311,7 +314,7 @@ TEST(ActivityGating, DenseFallbackEngagesOnBroadcastArrayOnly) {
 
   Rng rng(77);
   const auto dims = random_chain_dims(24, rng);
-  GktModularArray gkt(dims);
+  TriangularModularArray<ChainRule> gkt(ChainRule(dims), 24);
   sim::Engine wave_eng(sim::Gating::kSparse);
   (void)gkt.run(wave_eng);
   EXPECT_FALSE(wave_eng.dense_fallback());

@@ -18,7 +18,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "graph/generators.hpp"
@@ -318,11 +317,6 @@ TEST(LintModels, Design3Clean) {
   expect_clean(lint_array(arr, "design3"));
 }
 
-TEST(LintModels, GktClean) {
-  GktModularArray arr({5, 3, 8, 2, 6});
-  expect_clean(lint_array(arr, "gkt"));
-}
-
 TEST(LintModels, TriangularFamilyClean) {
   TriangularModularArray<BstRule> bst(BstRule({3, 1, 4, 1, 5}), 5);
   expect_clean(lint_array(bst, "triangular-bst"));
@@ -363,14 +357,6 @@ analysis::Netlist capture_array(Array& arr, sim::Engine& engine) {
 TEST(LintAblation, EveryDesign1EdgeIsEssential) {
   Rng rng(6);
   Design1Modular arr(random_matrix_string(2, 5, rng), {1, 2, 3, 4, 5});
-  sim::Engine engine(sim::Gating::kSparse);
-  const auto net = capture_array(arr, engine);
-  ASSERT_GT(net.wakeups.size(), 0u);
-  EXPECT_TRUE(uncaught_removals(net).empty());
-}
-
-TEST(LintAblation, EveryGktEdgeIsEssential) {
-  GktModularArray arr({5, 3, 8, 2, 6, 4});
   sim::Engine engine(sim::Gating::kSparse);
   const auto net = capture_array(arr, engine);
   ASSERT_GT(net.wakeups.size(), 0u);

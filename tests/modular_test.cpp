@@ -1,5 +1,5 @@
 // Tests for the distributed-control Design 1, the resource-allocation
-// workload, random-DAG serialisation fuzzing, and the GKT cells' operand
+// workload, random-DAG serialisation fuzzing, and the GKT array's operand
 // buffers and completion bound.
 #include <gtest/gtest.h>
 
@@ -177,9 +177,10 @@ TEST(SerializeFuzz, RandomDagsStaySerialAndValuePreserving) {
 }  // namespace
 }  // namespace sysdp
 
-// The GKT cells' physical limits: how deep a cell's operand staging grows
-// and how soon the top cell completes.
-#include "arrays/gkt_modular.hpp"
+// The GKT array's physical limits (the chain rule on the engine-backed
+// triangular array): how deep a cell's operand staging grows and how soon
+// the top cell completes.
+#include "arrays/triangular_modular.hpp"
 
 namespace sysdp {
 namespace {
@@ -188,8 +189,8 @@ TEST(GktModular, OperandBuffersStayShallow) {
   // The per-cell staging requirement grows with the cell's candidate count
   // but stays far below the n operands a naive design would need.
   Rng rng(9);
-  const auto small = GktModularArray(random_chain_dims(8, rng)).run();
-  const auto large = GktModularArray(random_chain_dims(48, rng)).run();
+  const auto small = run_chain_modular(random_chain_dims(8, rng));
+  const auto large = run_chain_modular(random_chain_dims(48, rng));
   EXPECT_GE(large.peak_operand_buffer, small.peak_operand_buffer);
   EXPECT_LE(large.peak_operand_buffer, 96u);  // O(n), not O(n^2)
 }
@@ -197,7 +198,7 @@ TEST(GktModular, OperandBuffersStayShallow) {
 TEST(GktModular, CompletionWithinProposition3Bound) {
   Rng rng(10);
   for (std::size_t n : {4u, 16u, 64u}) {
-    const auto res = GktModularArray(random_chain_dims(n, rng)).run();
+    const auto res = run_chain_modular(random_chain_dims(n, rng));
     EXPECT_LE(res.completion(), 2 * n);
     EXPECT_GE(res.completion() + 2, 2 * n);  // tight: 2n - 2
   }

@@ -18,7 +18,7 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "graph/generators.hpp"
 #include "obs/timeline.hpp"
@@ -145,10 +145,10 @@ TEST(ParallelDeterminism, GktModularBitIdenticalAcrossThreadCounts) {
   expect_sweep_matches_serial(
       2 * dims.size(),
       [&](std::size_t i) {
-        return GktModularArray(dims[i / 2]).run(kGatings[i % 2]);
+        return run_chain_modular(dims[i / 2], kGatings[i % 2]);
       },
-      [](const GktModularArray::Result& serial,
-         const GktModularArray::Result& par) {
+      [](const TriangularModularCore::Result& serial,
+         const TriangularModularCore::Result& par) {
         EXPECT_EQ(serial.total(), par.total());
         EXPECT_EQ(serial.completion(), par.completion());
         EXPECT_EQ(serial.stats.cycles, par.stats.cycles);
@@ -197,11 +197,11 @@ TEST(ParallelDeterminism, Design1TelemetryBitIdenticalAcrossModes) {
 TEST(ParallelDeterminism, GktModularTelemetryBitIdenticalAcrossModes) {
   Rng rng(308);
   const auto dims = random_chain_dims(8, rng);
-  GktModularArray ref_arr(dims);
+  TriangularModularArray<ChainRule> ref_arr(ChainRule(dims), 8);
   const auto ref = capture_telemetry(ref_arr, sim::Gating::kDense);
   ASSERT_FALSE(ref.vcd.empty());
   for (const sim::Gating gating : kGatings) {
-    GktModularArray arr(dims);
+    TriangularModularArray<ChainRule> arr(ChainRule(dims), 8);
     const auto doc = capture_telemetry(arr, gating);
     SCOPED_TRACE("sparse=" + std::to_string(gating == sim::Gating::kSparse));
     EXPECT_EQ(ref.vcd, doc.vcd);

@@ -16,7 +16,6 @@
 #include "arrays/design1_modular.hpp"
 #include "arrays/design2_modular.hpp"
 #include "arrays/design3_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
@@ -161,11 +160,12 @@ TEST(Recorder, FinishWithStagedBindsPendingThrows) {
   expect_throws_at([&] { (void)rec.finish(); }, "finish");
 }
 
-/// The GKT array with its shape count one op too high.
+/// The GKT array (the chain rule) with its shape count one op too high.
 class MiscountedGkt {
  public:
-  explicit MiscountedGkt(std::vector<Cost> dims) : arr_(std::move(dims)) {}
-  [[nodiscard]] GktModularArray::Result run(sim::Engine& engine) {
+  explicit MiscountedGkt(const std::vector<Cost>& dims)
+      : arr_(ChainRule(dims), dims.size() - 1) {}
+  [[nodiscard]] TriangularModularCore::Result run(sim::Engine& engine) {
     return arr_.run(engine);
   }
   void describe_environment(sim::PortSet& ports) const {
@@ -178,7 +178,7 @@ class MiscountedGkt {
   }
 
  private:
-  GktModularArray arr_;
+  TriangularModularArray<ChainRule> arr_;
 };
 
 TEST(Recorder, LoweringRejectsAShapeCountTheOracleDisagreesWith) {
@@ -194,11 +194,12 @@ TEST(Recorder, LoweringRejectsAShapeCountTheOracleDisagreesWith) {
   }
 }
 
-/// The GKT array with its lane count one too high.
+/// The GKT array (the chain rule) with its lane count one too high.
 class MiscountedGktLanes {
  public:
-  explicit MiscountedGktLanes(std::vector<Cost> dims) : arr_(std::move(dims)) {}
-  [[nodiscard]] GktModularArray::Result run(sim::Engine& engine) {
+  explicit MiscountedGktLanes(const std::vector<Cost>& dims)
+      : arr_(ChainRule(dims), dims.size() - 1) {}
+  [[nodiscard]] TriangularModularCore::Result run(sim::Engine& engine) {
     return arr_.run(engine);
   }
   void describe_environment(sim::PortSet& ports) const {
@@ -211,7 +212,7 @@ class MiscountedGktLanes {
   }
 
  private:
-  GktModularArray arr_;
+  TriangularModularArray<ChainRule> arr_;
 };
 
 TEST(Recorder, LoweringRejectsALaneCountTheRunDisagreesWith) {
@@ -221,7 +222,7 @@ TEST(Recorder, LoweringRejectsALaneCountTheRunDisagreesWith) {
     (void)compile::lower_array(arr);
     ADD_FAILURE() << "a miscounted lane total lowered";
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("shape predicts 29 lanes"),
+    EXPECT_NE(std::string(e.what()).find("shape predicts 37 lanes"),
               std::string::npos)
         << e.what();
   }
@@ -270,8 +271,9 @@ TEST(Recorder, NarrationExtentsMatchEveryFamily) {
   }
   for (const std::size_t n : {1u, 2u, 5u, 17u}) {
     const std::string size = "n" + std::to_string(n);
-    GktModularArray gkt(random_chain_dims(n, rng));
-    const auto [e, net] = expect_extent(gkt, "gkt " + size);
+    TriangularModularArray<ChainRule> chain(
+        ChainRule(random_chain_dims(n, rng)), n);
+    const auto [e, net] = expect_extent(chain, "chain " + size);
     // One slot per fold plus the constants 0 and +inf, and one bind per
     // fold plus each lane's reset bind: inside the recorder's reserve.
     if (n >= 2) {
@@ -281,10 +283,6 @@ TEST(Recorder, NarrationExtentsMatchEveryFamily) {
     TriangularModularArray<BstRule> bst(BstRule(std::vector<Cost>(n, 3)), n);
     const auto [be, bnet] = expect_extent(bst, "bst " + size);
     EXPECT_LE(bnet.num_slots, be.ops + be.lanes + 1) << size;
-    TriangularModularArray<ChainRule> chain(
-        ChainRule(random_chain_dims(n, rng)), n);
-    const auto [ce, cnet] = expect_extent(chain, "chain " + size);
-    EXPECT_LE(cnet.num_slots, ce.ops + ce.lanes + 1) << size;
   }
 }
 

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "arrays/design1_modular.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "analysis/tape_verify.hpp"
@@ -133,8 +132,8 @@ TEST(ReplayProvenance, LoweredDesignsCarryVerifiedProvenance) {
   check(lower_design1(3, 6, 42), "design1", true);
   {
     Rng rng(7);
-    const auto dims = random_chain_dims(5, rng);
-    GktModularArray arr(dims);
+    TriangularModularArray<ChainRule> arr(ChainRule(random_chain_dims(5, rng)),
+                                          5);
     // GKT narrates arena cost lanes; describe_ports declares link flits —
     // no lane resolves to a name, and that is the documented contract.
     check(compile::lower_array(arr), "gkt", false);
@@ -244,8 +243,8 @@ TEST(ReplayTimeline, AggregateEqualsOpsExecuted) {
 
 TEST(ReplayTimeline, UnattributedOpsLandOnTheirOwnRow) {
   Rng rng(7);
-  const auto dims = random_chain_dims(4, rng);
-  GktModularArray arr(dims);
+  TriangularModularArray<ChainRule> arr(ChainRule(random_chain_dims(4, rng)),
+                                        4);
   const auto low = compile::lower_array(arr);
 
   compile::CompiledEngine ce(low.net);

@@ -27,7 +27,7 @@
 
 #include "../examples/design_registry.hpp"
 #include "arrays/design1_modular.hpp"
-#include "arrays/gkt_modular.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "compile/lower.hpp"
 #include "compile/program.hpp"
@@ -167,12 +167,6 @@ TEST(CompiledTapePin, RegistryDesignsAllVariants) {
       {"design3-modular[s6,w4]#compacted", 0x08ada0aa8c447d81ull},
       {"design3-modular[s6,w4]#param", 0x8adae2ceef3d69beull},
       {"design3-modular[s6,w4]#ssa", 0x87421534126859e5ull},
-      {"gkt-modular[m3]#compacted", 0xff15c1a0fcdd34feull},
-      {"gkt-modular[m3]#param", 0xe025f0c781221b33ull},
-      {"gkt-modular[m3]#ssa", 0xff15c1a0fcdd34feull},
-      {"gkt-modular[m6]#compacted", 0xed69bcb91335039cull},
-      {"gkt-modular[m6]#param", 0xede0f717c7d01a51ull},
-      {"gkt-modular[m6]#ssa", 0x07ea6961cec19cf1ull},
       {"triangular-bst[n4]#compacted", 0xc87757620dc7fed3ull},
       {"triangular-bst[n4]#param", 0x3b37f27371770338ull},
       {"triangular-bst[n4]#ssa", 0xd66f9ff6ece8a661ull},
@@ -234,15 +228,15 @@ TEST(CompiledTapePin, SeededDesign1AtOneshotSizes) {
 
 TEST(CompiledTapePin, SeededGktAtOneshotSizes) {
   const std::map<std::string, std::uint64_t> golden = {
-      {"gkt[n32]#compacted", 0x919f43dc52871e0eull},
-      {"gkt[n32]#param", 0x36d7d73ef9972857ull},
-      {"gkt[n32]#ssa", 0x8cc3030ac680748eull},
-      {"gkt[n64]#compacted", 0x0b52361e83a4094dull},
-      {"gkt[n64]#param", 0xb3c841e3c8a7c83dull},
-      {"gkt[n64]#ssa", 0x9a51e5af2b432f8bull},
-      {"gkt[n96]#compacted", 0x6c6db0f7c7f4affeull},
-      {"gkt[n96]#param", 0x75076ee2c2ee0311ull},
-      {"gkt[n96]#ssa", 0x8685432c954ced93ull},
+      {"gkt[n32]#compacted", 0x44267f5d57b05d3dull},
+      {"gkt[n32]#param", 0x24f4adf2822a20a4ull},
+      {"gkt[n32]#ssa", 0xcd78cec5d3aa083dull},
+      {"gkt[n64]#compacted", 0xec9afb1412ca3180ull},
+      {"gkt[n64]#param", 0x489e7b518b23c898ull},
+      {"gkt[n64]#ssa", 0xe993c1b25d93317aull},
+      {"gkt[n96]#compacted", 0x58fb71dc34608d5aull},
+      {"gkt[n96]#param", 0x01f3915a7a78d34dull},
+      {"gkt[n96]#ssa", 0x87fb8d00d5bfa07bull},
   };
   std::map<std::string, std::uint64_t> got;
   for (const std::size_t n : {32u, 64u, 96u}) {
@@ -250,7 +244,7 @@ TEST(CompiledTapePin, SeededGktAtOneshotSizes) {
     Rng rng(9100 + n);
     const auto dims = random_chain_dims(n, rng);
     for (const Variant& v : variants()) {
-      GktModularArray arr(dims);
+      TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
       got[name + v.suffix] = tape_hash(compile::lower_array(arr, v.opt).net);
     }
   }

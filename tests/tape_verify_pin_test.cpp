@@ -26,7 +26,7 @@
 #include "../examples/design_registry.hpp"
 #include "analysis/tape_verify.hpp"
 #include "arrays/design1_modular.hpp"
-#include "arrays/gkt_modular.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "arrays/graph_adapter.hpp"
 #include "compile/lower.hpp"
 #include "graph/generators.hpp"
@@ -114,12 +114,6 @@ TEST(TapeVerifyPin, LintTapeVariants) {
       {"design3-modular[s6,w4]#compacted", 0xafc84ebbacd6b7c9ull},
       {"design3-modular[s6,w4]#rebound", 0x0fb4039d4787a01full},
       {"design3-modular[s6,w4]#ssa", 0x17b443650da30a6cull},
-      {"gkt-modular[m3]#compacted", 0x2313bff3a4cc66adull},
-      {"gkt-modular[m3]#rebound", 0x37aca979cc6fec63ull},
-      {"gkt-modular[m3]#ssa", 0x005ae02839d0ddcbull},
-      {"gkt-modular[m6]#compacted", 0xfb58865e59c864f1ull},
-      {"gkt-modular[m6]#rebound", 0x3f4d46108dccf8afull},
-      {"gkt-modular[m6]#ssa", 0x32a73e6bb564d6acull},
       {"triangular-bst[n4]#compacted", 0x4184ba1212970c06ull},
       {"triangular-bst[n4]#rebound", 0xf5910ef3fd8b99c1ull},
       {"triangular-bst[n4]#ssa", 0xe25addb3d8b86c6cull},
@@ -162,15 +156,15 @@ TEST(TapeVerifyPin, OneshotSizedInstances) {
       {"design1[6x32]#compacted", 0x0f8d4c1cac4a2ca5ull},
       {"design1[6x32]#rebound", 0x6a7526b7c0e3aab5ull},
       {"design1[6x32]#ssa", 0x988f52483373f49aull},
-      {"gkt[n32]#compacted", 0x6bdae6bce067ce30ull},
-      {"gkt[n32]#rebound", 0xec9efb3ed702c8f2ull},
-      {"gkt[n32]#ssa", 0x4ffa6f4a042cd3efull},
-      {"gkt[n64]#compacted", 0x3c93ac1c0bb1ec45ull},
-      {"gkt[n64]#rebound", 0x67453085a39ece03ull},
-      {"gkt[n64]#ssa", 0xcc223ce8f85bf56dull},
-      {"gkt[n96]#compacted", 0xfa67fe334925302cull},
-      {"gkt[n96]#rebound", 0x45530107c67800faull},
-      {"gkt[n96]#ssa", 0xa72ac1459c63146bull},
+      {"gkt[n32]#compacted", 0x559ce06c10c4ed99ull},
+      {"gkt[n32]#rebound", 0x8505dad59433837full},
+      {"gkt[n32]#ssa", 0xb331183d1f735446ull},
+      {"gkt[n64]#compacted", 0x346d0fa84abd7c67ull},
+      {"gkt[n64]#rebound", 0x400861eeec36572full},
+      {"gkt[n64]#ssa", 0x7bba90fcc747bd29ull},
+      {"gkt[n96]#compacted", 0xf25e43ddb01d585full},
+      {"gkt[n96]#rebound", 0xa2e31eedd848672dull},
+      {"gkt[n96]#ssa", 0xf59005197bf439bcull},
   };
   std::map<std::string, std::string> got;
   struct Shape {
@@ -196,7 +190,7 @@ TEST(TapeVerifyPin, OneshotSizedInstances) {
     verify_variants(
         "gkt[n" + std::to_string(n) + "]",
         [&](const compile::LowerOptions& opt) {
-          GktModularArray arr(dims);
+          TriangularModularArray<ChainRule> arr(ChainRule(dims), n);
           return compile::lower_array(arr, opt);
         },
         got);

@@ -15,7 +15,7 @@
 
 #include "../examples/design_registry.hpp"
 #include "analysis/tape_verify.hpp"
-#include "arrays/gkt_modular.hpp"
+#include "arrays/triangular_modular.hpp"
 #include "compile/lower.hpp"
 #include "compile/program.hpp"
 #include "graph/generators.hpp"
@@ -494,8 +494,8 @@ TEST(TapeVerifyRegistry, AllDesignsAllVariantsVerifyClean) {
 
 TEST(TapeVerifyCertification, GktN96TapeIsInt32Safe) {
   Rng rng(96096);  // bench_all's gkt_modular_n96 instance
-  const auto dims = random_chain_dims(96, rng);
-  GktModularArray arr(dims);
+  TriangularModularArray<ChainRule> arr(ChainRule(random_chain_dims(96, rng)),
+                                        96);
   const auto low = compile::lower_array(arr);
   const auto rep = analysis::verify_tape(low.net, "gkt_n96");
   EXPECT_EQ(rep.errors(), 0u) << rep.to_text();

@@ -1,7 +1,7 @@
 // Differential tests for the engine-backed generic triangular array:
 // TriangularModularCore must agree with the analytic TriangularArray on
-// every rule in the interval-DP family, agree with the chain-specialised
-// GKT cells on chain inputs, and be bit-identical across engine modes.
+// every rule in the interval-DP family and be bit-identical across engine
+// modes.
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "andor/pipeline_array.hpp"
-#include "arrays/gkt_modular.hpp"
 #include "arrays/triangular_array.hpp"
 #include "arrays/triangular_modular.hpp"
 #include "sim/engine.hpp"
@@ -75,25 +74,6 @@ TEST(TriangularModular, ChainMatchesAnalytic) {
     const auto ref = run_chain_array(dims);
     SCOPED_TRACE("matrices = " + std::to_string(m));
     expect_costs_match(mod, ref);
-  }
-}
-
-// The chain rule on generic cells cross-checks the chain-specialised GKT
-// cells, closing the triangle: generic-modular == generic-analytic == GKT.
-TEST(TriangularModular, ChainMatchesGktModular) {
-  for (std::size_t m : {1u, 3u, 6u, 10u}) {
-    const auto dims = make_costs(m + 1, 13 * m + 5);
-    SCOPED_TRACE("matrices = " + std::to_string(m));
-    const auto mod = run_chain_modular(dims);
-    auto gkt = GktModularArray(dims);
-    const auto gmod = gkt.run();
-    EXPECT_EQ(mod.total(), gmod.total());
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = i; j < m; ++j) {
-        EXPECT_EQ(mod.cost(i, j), gmod.cost(i, j))
-            << "cell (" << i << ", " << j << ")";
-      }
-    }
   }
 }
 
@@ -234,36 +214,39 @@ TEST(TriangularModular, SimulatedCountsPinnedAtBenchmarkSizes) {
     std::size_t n;
     std::uint64_t cycles, busy_steps, active_evals, dense_evals;
   };
-  // GKT also pins the deepest operand staging any one cell needs.
-  struct GktPin {
+  // Each also pins the deepest operand staging any one cell needs and the
+  // cycles its launches waited for a gap in a link (none for the chain).
+  struct RulePin {
     Pin counts;
-    std::uint64_t peak_operand_buffer;
+    std::uint64_t peak_operand_buffer, launch_waits;
   };
-  const GktPin gkt_pins[] = {
-      {{64, 126, 43680, 51775, 264160}, 66},
-      {{96, 190, 147440, 165727, 889296}, 98},
-  };
-  for (const GktPin& g : gkt_pins) {
+  const auto expect_pinned = [](const TriangularModularCore::Result& r,
+                                const RulePin& g) {
     const Pin& p = g.counts;
-    SCOPED_TRACE("gkt n = " + std::to_string(p.n));
-    const auto r = GktModularArray(make_costs(p.n + 1, 29 * p.n + 7)).run();
     EXPECT_EQ(r.stats.cycles, p.cycles);
     EXPECT_EQ(r.stats.busy_steps, p.busy_steps);
     EXPECT_EQ(r.stats.active_evals, p.active_evals);
     EXPECT_EQ(r.stats.dense_evals, p.dense_evals);
     EXPECT_EQ(r.peak_operand_buffer, g.peak_operand_buffer);
-  }
-  const Pin bst_pins[] = {
-      {64, 127, 45696, 51775, 264160},
-      {96, 191, 152000, 165727, 889296},
+    EXPECT_EQ(r.launch_waits, g.launch_waits);
   };
-  for (const Pin& p : bst_pins) {
-    SCOPED_TRACE("bst n = " + std::to_string(p.n));
-    const auto r = run_bst_modular(make_costs(p.n, 31 * p.n + 11));
-    EXPECT_EQ(r.stats.cycles, p.cycles);
-    EXPECT_EQ(r.stats.busy_steps, p.busy_steps);
-    EXPECT_EQ(r.stats.active_evals, p.active_evals);
-    EXPECT_EQ(r.stats.dense_evals, p.dense_evals);
+  const RulePin gkt_pins[] = {
+      {{64, 126, 43680, 51775, 264160}, 66, 0},
+      {{96, 190, 147440, 165727, 889296}, 98, 0},
+  };
+  for (const RulePin& g : gkt_pins) {
+    const std::size_t n = g.counts.n;
+    SCOPED_TRACE("gkt n = " + std::to_string(n));
+    expect_pinned(run_chain_modular(make_costs(n + 1, 29 * n + 7)), g);
+  }
+  const RulePin bst_pins[] = {
+      {{64, 126, 45696, 51775, 264160}, 68, 0},
+      {{96, 190, 152000, 165727, 889296}, 100, 0},
+  };
+  for (const RulePin& g : bst_pins) {
+    const std::size_t n = g.counts.n;
+    SCOPED_TRACE("bst n = " + std::to_string(n));
+    expect_pinned(run_bst_modular(make_costs(n, 31 * n + 11)), g);
   }
 }
 
@@ -275,7 +258,6 @@ TEST(TriangularModular, InputScalarsComeFromTheRule) {
   const auto dims = make_costs(9, 51);  // eight matrices
   EXPECT_EQ(run_chain_array(dims).stats.input_scalars, dims.size());
   EXPECT_EQ(run_chain_modular(dims).stats.input_scalars, dims.size());
-  EXPECT_EQ(GktModularArray(dims).run().stats.input_scalars, dims.size());
   EXPECT_EQ(SerializedChainArray(dims).run().stats.input_scalars,
             dims.size());
   const auto freq = make_costs(7, 52);
@@ -288,10 +270,10 @@ TEST(TriangularModular, InputScalarsComeFromTheRule) {
 }
 
 // Cell names reach VCD scopes and compiled provenance, so they are pinned
-// here: GKT's c{i}_{j} and the triangular family's t{i}_{j}, registered
-// diagonal-major — the diagonal, then (0, 1), (1, 2), ..., then (0, 2), ...
+// here: t{i}_{j}, registered diagonal-major — the diagonal, then (0, 1),
+// (1, 2), ..., then (0, 2), ...
 TEST(TriangularModular, CellNamesPinnedInRegistrationOrder) {
-  const auto pinned = [](char prefix, std::size_t n) {
+  const auto pinned = [](std::size_t n) {
     std::vector<std::string> names;
     if (n == 1) names = {"0_0"};
     if (n == 2) names = {"0_0", "1_1", "0_1"};
@@ -299,7 +281,7 @@ TEST(TriangularModular, CellNamesPinnedInRegistrationOrder) {
       names = {"0_0", "1_1", "2_2", "3_3", "4_4", "0_1", "1_2", "2_3",
                "3_4", "0_2", "1_3", "2_4", "0_3", "1_4", "0_4"};
     }
-    for (auto& name : names) name.insert(name.begin(), prefix);
+    for (auto& name : names) name.insert(name.begin(), 't');
     return names;
   };
   const auto names_of = [](auto& array) {
@@ -311,17 +293,15 @@ TEST(TriangularModular, CellNamesPinnedInRegistrationOrder) {
   };
   for (const std::size_t n : {1u, 2u, 5u}) {
     SCOPED_TRACE("n = " + std::to_string(n));
-    GktModularArray gkt(make_costs(n + 1, 3));
-    EXPECT_EQ(names_of(gkt), pinned('c', n));
     TriangularModularArray<BstRule> bst(BstRule(make_costs(n, 5)), n);
-    EXPECT_EQ(names_of(bst), pinned('t', n));
+    EXPECT_EQ(names_of(bst), pinned(n));
     TriangularModularArray<ChainRule> chain(ChainRule(make_costs(n + 1, 7)),
                                             n);
-    EXPECT_EQ(names_of(chain), pinned('t', n));
+    EXPECT_EQ(names_of(chain), pinned(n));
     if (n >= 2) {  // a polygon needs two vertices
       TriangularModularArray<PolygonRule> poly(PolygonRule(make_costs(n, 9)),
                                                n);
-      EXPECT_EQ(names_of(poly), pinned('t', n));
+      EXPECT_EQ(names_of(poly), pinned(n));
     }
   }
 }
