@@ -1,7 +1,7 @@
 # Checks that the witness map in docs/ARCHITECTURE.md covers every array
-# model and names no model that is gone.
+# model, names no model that is gone, and cites only tests that exist.
 #
-#   cmake -DROOT=<source dir> -P witness_map.cmake
+#   cmake -DROOT=<source dir> -DTESTS=<sysdp_tests binary> -P witness_map.cmake
 #
 # A model is a `class Design*` or `class *Array` defined in
 # src/arrays/*.hpp or src/andor/pipeline_array.hpp.  Each must have a row
@@ -9,8 +9,14 @@
 # Every model-like name the map writes in backticks (`Name`, `Name<...>`,
 # `Name::...`) must be defined by one of those headers; test ids such as
 # `Design3.Foo` are not model names and are skipped.
-if(NOT ROOT)
-  message(FATAL_ERROR "witness_map: pass -DROOT=<source dir>")
+#
+# Every test id the map writes in backticks (`Suite.Name`, `Suite.*`, with
+# an optional parameterised prefix such as `Grid/`) must match a test that
+# `TESTS --gtest_list_tests` lists; a listed test's parameter suffix (`/0`)
+# and typed-suite suffix (`Suite/0`) are ignored.
+if(NOT ROOT OR NOT TESTS)
+  message(FATAL_ERROR "witness_map: pass -DROOT=<source dir> "
+                      "-DTESTS=<sysdp_tests binary>")
 endif()
 set(doc "${ROOT}/docs/ARCHITECTURE.md")
 set(model_pattern "^(Design[A-Za-z0-9_]*|[A-Za-z0-9_]*Array)$")
@@ -67,5 +73,44 @@ foreach(token IN LISTS named)
                           "no header in src/arrays or "
                           "src/andor/pipeline_array.hpp defines")
     endif()
+  endif()
+endforeach()
+
+# Test ids: "\n<id>\n" entries, each listed test under its full suite and,
+# for a parameterised suite, without its prefix too.
+execute_process(COMMAND "${TESTS}" --gtest_list_tests
+                OUTPUT_VARIABLE listing RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "witness_map: ${TESTS} --gtest_list_tests failed")
+endif()
+string(REPLACE ";" "," listing "${listing}")
+string(REPLACE "\n" ";" lines "${listing}")
+set(ids "\n")
+set(suite "")
+foreach(line IN LISTS lines)
+  if(line MATCHES "^([A-Za-z0-9_/]+)\\.( |$)")
+    string(REGEX REPLACE "/[0-9]+$" "" suite "${CMAKE_MATCH_1}")
+  elseif(suite AND line MATCHES "^  ([A-Za-z0-9_]+)")
+    set(test "${CMAKE_MATCH_1}")
+    string(APPEND ids "${suite}.${test}\n")
+    if(suite MATCHES "/([A-Za-z0-9_]+)$")
+      string(APPEND ids "${CMAKE_MATCH_1}.${test}\n")
+    endif()
+  endif()
+endforeach()
+
+string(REGEX MATCHALL
+       "`([A-Z][A-Za-z0-9_]*/)?[A-Z][A-Za-z0-9_]*\\.([A-Z][A-Za-z0-9_]*|\\*)`"
+       cited "${map}")
+foreach(token IN LISTS cited)
+  string(REGEX REPLACE "^`(.*)`$" "\\1" id "${token}")
+  if(id MATCHES "^(.*)\\.\\*$")
+    string(FIND "${ids}" "\n${CMAKE_MATCH_1}." found)
+  else()
+    string(FIND "${ids}" "\n${id}\n" found)
+  endif()
+  if(found EQUAL -1)
+    message(FATAL_ERROR "witness_map: the witness map cites ${id}, which "
+                        "matches no test in ${TESTS} --gtest_list_tests")
   endif()
 endforeach()
