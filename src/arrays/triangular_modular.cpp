@@ -82,29 +82,6 @@ void TriangularModularCore::Cell::launch_base(sim::Cycle c) {
   }
 }
 
-void TriangularModularCore::Cell::narrate(sim::OpRecorder& rec, Cost sum,
-                                          const IntervalTerms& terms,
-                                          std::size_t left_end,
-                                          std::size_t right_start) {
-  // A clamped operand is the rule's structural zero, not a transported
-  // value; otherwise read the origin's lane, whose final best is the value
-  // its flit carried.
-  Arena& a = a_;
-  CellMeta& mt = a.meta[id_];
-  const Cost* const lv = &a.meta[a.id(i_, left_end)].best;
-  const Cost* const rv = &a.meta[a.id(right_start, j_)].best;
-  // The flits must have delivered what the narrated lanes hold.
-  if (sum != sat_add(terms.use_left ? *lv : 0, terms.use_right ? *rv : 0)) {
-    throw std::logic_error(
-        "TriangularModularCore: delivered operands differ from their "
-        "origins' results");
-  }
-  const sim::SlotId sl = terms.use_left ? rec.lane(lv, *lv) : rec.constant(0);
-  const sim::SlotId sr = terms.use_right ? rec.lane(rv, *rv) : rec.constant(0);
-  rec.bind_now(&mt.best,
-               rec.fold(rec.lane(&mt.best, mt.best), sl, sr, terms.local));
-}
-
 void TriangularModularCore::Cell::complete(sim::Cycle c) {
   CellMeta& mt = a_.meta[id_];
   mt.is_done = 1;

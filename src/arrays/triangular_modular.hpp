@@ -126,7 +126,7 @@ class TriangularModularCore {
   struct CellMeta {
     Cost best = kInfCost;
     sim::Cycle done_at = 0;
-    std::uint64_t busy = 0;
+    std::uint32_t busy = 0;    ///< candidates folded (first[] is 32-bit)
     std::uint32_t q_head = 0;  ///< next ready candidate to fold
     std::uint32_t q_len = 0;   ///< ready candidates pushed so far
     std::uint32_t remaining = 0;
@@ -253,8 +253,27 @@ class TriangularModularCore {
     void launch_base(sim::Cycle c);
     /// Narrate one fold to the recorder: the candidate's counted operands
     /// (the origins' best lanes, or the structural zero) and local cost.
+    /// A clamped operand is the rule's structural zero, not a transported
+    /// value; otherwise the fold reads the origin's lane, whose final best
+    /// is the value its flit carried.
     void narrate(sim::OpRecorder& rec, Cost sum, const IntervalTerms& terms,
-                 std::size_t left_end, std::size_t right_start);
+                 std::size_t left_end, std::size_t right_start) {
+      CellMeta& mt = a_.meta[id_];
+      const Cost* const lv = &a_.meta[a_.id(i_, left_end)].best;
+      const Cost* const rv = &a_.meta[a_.id(right_start, j_)].best;
+      // The flits must have delivered what the narrated lanes hold.
+      if (sum != sat_add(terms.use_left ? *lv : 0, terms.use_right ? *rv : 0)) {
+        throw std::logic_error(
+            "TriangularModularCore: delivered operands differ from their "
+            "origins' results");
+      }
+      const sim::SlotId sl =
+          terms.use_left ? rec.lane(lv, *lv) : rec.constant(0);
+      const sim::SlotId sr =
+          terms.use_right ? rec.lane(rv, *rv) : rec.constant(0);
+      rec.bind_now(&mt.best,
+                   rec.fold(rec.lane(&mt.best, mt.best), sl, sr, terms.local));
+    }
     /// The last candidate folded at cycle c: record it and launch.
     void complete(sim::Cycle c);
     /// Stage the through-shift: one hop from upstream.
@@ -437,8 +456,8 @@ class TriangularModularArray : public TriangularModularCore {
         const std::size_t j = i + d;
         const std::size_t splits = rule_.splits(i, j);
         a.first[id + 1] = a.first[id] + static_cast<std::uint32_t>(splits);
-        p.assign(2 * d, kNoCandidate);
-        p.resize(2 * (d + splits));
+        p.resize(2 * (d + splits));  // the links are all written below
+        std::fill_n(p.begin(), 2 * d, kNoCandidate);
         std::uint32_t* const row_head = p.data();
         std::uint32_t* const col_head = row_head + d;
         std::uint32_t* const next_row = col_head + d;
@@ -446,20 +465,20 @@ class TriangularModularArray : public TriangularModularCore {
         for (std::size_t t = splits; t-- > 0;) {
           const auto [li, lj] = rule_.left_interval(i, j, t);
           const auto [ri, rj] = rule_.right_interval(i, j, t);
-          if (li != i || lj > j || ri < i || rj != j) {
+          const std::size_t row = lj - i;      // wraps when lj < i
+          const std::size_t col = ri - i - 1;  // wraps when ri <= i
+          if (li != i || rj != j || row >= d || col >= d ||
+              !launches(i, lj) || !launches(ri, j)) {
             throw std::invalid_argument(
-                "TriangularModularArray: rule's sub-intervals must lie on "
-                "the consumer's row and column");
-          }
-          if (lj < i || lj >= j || ri <= i || ri > j || !launches(i, lj) ||
-              !launches(ri, j)) {
-            throw std::invalid_argument(
-                "TriangularModularCore: candidate origin is not a launching "
-                "cell");
+                li != i || lj > j || ri < i || rj != j
+                    ? "TriangularModularArray: rule's sub-intervals must lie "
+                      "on the consumer's row and column"
+                    : "TriangularModularCore: candidate origin is not a "
+                      "launching cell");
           }
           const auto u = static_cast<std::uint32_t>(t);
-          next_row[t] = std::exchange(row_head[lj - i], u);
-          next_col[t] = std::exchange(col_head[ri - i - 1], u);
+          next_row[t] = std::exchange(row_head[row], u);
+          next_col[t] = std::exchange(col_head[col], u);
         }
         // Store the pattern unless the previous cell's, the last stored,
         // is the same.
