@@ -35,7 +35,7 @@ class CellBlock {
   CellBlock() = default;
   ~CellBlock() {
     clear();
-    ::operator delete(data_, std::align_val_t{kAlign});
+    ::operator delete(data_);
   }
 
   CellBlock(const CellBlock&) = delete;
@@ -45,15 +45,14 @@ class CellBlock {
   /// keeping the allocation if it is large enough.
   template <typename T>
   void reset(std::size_t count) {
-    static_assert(alignof(T) <= kAlign);
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
     clear();
     const std::size_t bytes = count * sizeof(T);
     if (bytes > capacity_) {
-      ::operator delete(data_, std::align_val_t{kAlign});
+      ::operator delete(data_);
       data_ = nullptr;  // consistent if allocate throws
       capacity_ = 0;
-      data_ = static_cast<std::byte*>(
-          ::operator new(bytes, std::align_val_t{kAlign}));
+      data_ = static_cast<std::byte*>(::operator new(bytes));
       capacity_ = bytes;
     }
     destroy_ = [](std::byte* data, std::size_t n) noexcept {
@@ -82,8 +81,6 @@ class CellBlock {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  static constexpr std::size_t kAlign = alignof(std::max_align_t);
-
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
