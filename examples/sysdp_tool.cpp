@@ -285,7 +285,7 @@ SolveReport solve_chain_compiled(const std::vector<Cost>& dims,
   const auto low = compile::lower_array(arr);
   const auto ce = checked_replay(low, metrics);
   if (metrics != nullptr) profiled_replays(low, *metrics);
-  rep.cost = n >= 2 ? ce.output("cell", n - 1) : 0;
+  rep.cost = ce.output("cell", n - 1);  // cell (0, n - 1), the root
   rep.method = "GKT array via compiled tape (" +
                std::to_string(low.net.num_ops()) + " ops, " +
                std::to_string(low.net.cycles()) + " levels" +
