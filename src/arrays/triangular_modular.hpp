@@ -28,6 +28,9 @@
 //     the receiver's link has a gap, and the run counts those waits
 //     (Result::launch_waits): none for the chain, as the theorem says.
 //
+// A 2-D DP array is the paper's worst case for processor utilisation: a
+// cell works only while operands ripple past it, about a sixth of all
+// cell-cycles for the chain, so the gated engine skips the idle triangle.
 // The quiescence contract extends to the waiting slots: a cell sleeps
 // only when its links are empty, its ready queue is drained, AND no
 // launch is pending in its slots; wakeup edges follow the two incoming
