@@ -143,7 +143,9 @@ std::string TriangularModularCore::Cell::format_name() const {
 
 /// Keys name the link registers and launch slots, with the leaf tie-off
 /// convention: a diagonal never writes its own links, so downstream cells
-/// do not declare reads of diagonal links.
+/// do not declare reads of diagonal links.  Each declaration asks
+/// wants() first, so a filtered sweep (lowering's lane naming) formats no
+/// label and builds no sampler for a key it would drop.
 void TriangularModularCore::Cell::describe_ports(sim::PortSet& ports) const {
   const Arena& a = a_;
   const auto slot = [](const char* base, std::size_t i, std::size_t j) {
@@ -151,62 +153,45 @@ void TriangularModularCore::Cell::describe_ports(sim::PortSet& ports) const {
            std::to_string(j) + "]";
   };
   // Flit lanes are structs, so the port layer cannot infer a sampler;
-  // probe the carried cost when a flit is present, 0 when the link is
-  // empty (telemetry only — occupancy is the interesting waveform).
-  const LinkPair* const lk = &a.link[id_];
+  // probe the carried cost while `has` is set, 0 otherwise (telemetry
+  // only — occupancy is the interesting waveform).
+  const auto writes = [&](const Flit* f, const std::uint8_t* has,
+                          const char* base, std::size_t i, std::size_t j) {
+    if (!ports.wants(f)) return;
+    ports.writes_register(f, slot(base, i, j), [f, has]() -> std::int64_t {
+      return *has != 0 ? static_cast<std::int64_t>(f->val) : 0;
+    });
+  };
+  const auto reads = [&](const Flit* f, const char* base, std::size_t i,
+                         std::size_t j) {
+    if (ports.wants(f)) ports.reads_register(f, slot(base, i, j));
+  };
+  const LinkPair& lk = a.link[id_];
   if (i_ != j_) {
-    ports.writes_register(&lk->row_cur, slot("row", i_, j_),
-                          [lk]() -> std::int64_t {
-                            return lk->row_has != 0
-                                       ? static_cast<std::int64_t>(
-                                             lk->row_cur.val)
-                                       : 0;
-                          });
-    ports.writes_register(&lk->col_cur, slot("col", i_, j_),
-                          [lk]() -> std::int64_t {
-                            return lk->col_has != 0
-                                       ? static_cast<std::int64_t>(
-                                             lk->col_cur.val)
-                                       : 0;
-                          });
+    writes(&lk.row_cur, &lk.row_has, "row", i_, j_);
+    writes(&lk.col_cur, &lk.col_has, "col", i_, j_);
     // A launch slot is staged only by the neighbour it belongs to; when
     // that neighbour never launches (a trivially-solved cell) the slot
     // stays architecturally empty and declaring the read would be a
     // dangling port.
-    if (a.launches(i_, j_ - 1)) {
-      ports.reads_register(&a.row_launch[id_], slot("row_launch", i_, j_));
-    }
-    if (a.launches(i_ + 1, j_)) {
-      ports.reads_register(&a.col_launch[id_], slot("col_launch", i_, j_));
-    }
+    if (a.launches(i_, j_ - 1)) reads(&a.row_launch[id_], "row_launch", i_, j_);
+    if (a.launches(i_ + 1, j_)) reads(&a.col_launch[id_], "col_launch", i_, j_);
     if (j_ > i_ + 1) {  // upstreams are real cells, not diagonals
-      ports.reads_register(&a.link[left_].row_cur, slot("row", i_, j_ - 1));
-      ports.reads_register(&a.link[below_].col_cur, slot("col", i_ + 1, j_));
+      reads(&a.link[left_].row_cur, "row", i_, j_ - 1);
+      reads(&a.link[below_].col_cur, "col", i_ + 1, j_);
     }
   }
   // Completion launch targets (trivially-solved cells never launch).
   if (a.launches(i_, j_)) {
     if (j_ + 1 < a.n) {
       const std::uint32_t t = a.id(i_, j_ + 1);
-      const Flit* const f = &a.row_launch[t];
-      const std::uint8_t* const set = &a.link[t].row_launch_set;
-      ports.writes_register(f, slot("row_launch", i_, j_ + 1),
-                            [f, set]() -> std::int64_t {
-                              return *set != 0
-                                         ? static_cast<std::int64_t>(f->val)
-                                         : 0;
-                            });
+      writes(&a.row_launch[t], &a.link[t].row_launch_set, "row_launch", i_,
+             j_ + 1);
     }
     if (i_ > 0) {
       const std::uint32_t t = a.id(i_ - 1, j_);
-      const Flit* const f = &a.col_launch[t];
-      const std::uint8_t* const set = &a.link[t].col_launch_set;
-      ports.writes_register(f, slot("col_launch", i_ - 1, j_),
-                            [f, set]() -> std::int64_t {
-                              return *set != 0
-                                         ? static_cast<std::int64_t>(f->val)
-                                         : 0;
-                            });
+      writes(&a.col_launch[t], &a.link[t].col_launch_set, "col_launch",
+             i_ - 1, j_);
     }
   }
 }
@@ -269,13 +254,17 @@ void TriangularModularCore::describe_environment(sim::PortSet& ports) const {
   // Boundary tie-offs: the last column's row streams and the top row's
   // column streams shift off the edge of the triangle by design.
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    ports.reads_register(&arena_->link[arena_->id(i, n - 1)].row_cur,
-                         "row[" + std::to_string(i) + "," +
-                             std::to_string(n - 1) + "]");
+    const Flit* const f = &arena_->link[arena_->id(i, n - 1)].row_cur;
+    if (ports.wants(f)) {
+      ports.reads_register(
+          f, "row[" + std::to_string(i) + "," + std::to_string(n - 1) + "]");
+    }
   }
   for (std::size_t j = 1; j < n; ++j) {
-    ports.reads_register(&arena_->link[arena_->id(0, j)].col_cur,
-                         "col[0," + std::to_string(j) + "]");
+    const Flit* const f = &arena_->link[arena_->id(0, j)].col_cur;
+    if (ports.wants(f)) {
+      ports.reads_register(f, "col[0," + std::to_string(j) + "]");
+    }
   }
 }
 

@@ -48,17 +48,28 @@ CompactStats compact_slots(CompiledNetlist& net) {
     last[g] = std::max(last[g], b.stamp - 1);
   }
 
-  // --- expiry schedule: non-pinned groups in last-touch order, released
-  // just before the first level past their last touch begins.
-  std::vector<std::uint32_t> expiry;
-  expiry.reserve(n);
+  // --- expiry schedule: non-pinned groups in last-touch order, slot order
+  // within one level, released just before the first level past their
+  // last touch begins.  A stable counting sort over last-touch levels; its
+  // table is sized from the largest last touch, not the level count,
+  // because a bind stamp may lie past the tape's last level.
+  const auto expires = [&](std::uint32_t s) {
+    return base[s] == s && last[s] != kPinned;
+  };
+  std::uint32_t max_last = 0;
   for (std::uint32_t s = 0; s < n; ++s) {
-    if (base[s] == s && last[s] != kPinned) expiry.push_back(s);
+    if (expires(s)) max_last = std::max(max_last, last[s]);
   }
-  std::stable_sort(expiry.begin(), expiry.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return last[a] < last[b];
-                   });
+  // start[t]: where the groups last touched in level t begin in expiry.
+  std::vector<std::uint32_t> start(std::size_t{max_last} + 2, 0);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (expires(s)) ++start[last[s] + 1];
+  }
+  for (std::size_t t = 1; t < start.size(); ++t) start[t] += start[t - 1];
+  std::vector<std::uint32_t> expiry(start.back());
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (expires(s)) expiry[start[last[s]]++] = s;
+  }
 
   // --- linear scan: allocate groups at their defining write (init entry
   // or op destination), recycle indices from expired groups, exact-size

@@ -16,11 +16,14 @@
 // registers its one combinational module first).
 //
 // Provenance names come after the run: one describe_ports sweep over the
-// oracle's modules (and the array's environment taps) keeps only the
-// ports whose storage key some lane narrated, and names each such lane by
-// the rules analysis::capture() applies to the full netlist — so the
-// compiled program is still the elaborated netlist, flattened, without
-// paying for the parts of it no lane touched.
+// oracle's modules (and the array's environment taps) into a port set
+// filtered on the recorder's lanes (sim::PortSet's key filter) keeps only
+// the ports whose storage key some lane narrated, and names each such
+// lane by the rules analysis::capture() applies to the full netlist — so
+// the compiled program is still the elaborated netlist, flattened,
+// without paying for the parts of it no lane touched.  A module that asks
+// PortSet::wants() before it declares a port formats no label and builds
+// no sampler for a key no lane holds.
 #pragma once
 
 #include <chrono>
@@ -42,7 +45,9 @@ namespace sysdp::compile {
 struct LowerOptions {
   /// Name provenance lanes after the oracle run: module and port label
   /// from the declared ports whose keys the narration touched (see the
-  /// file comment).  Off leaves every lane unnamed ("lane<N>").
+  /// file comment); ports no lane holds are filtered out as they are
+  /// declared, so the pass costs about one key lookup per port.  Off
+  /// leaves every lane unnamed ("lane<N>").
   bool capture_netlist = true;
   /// Rename slots by live-range reuse after lowering (compile/compact.hpp):
   /// the recorder's SSA slot file scales with the op count, compaction
@@ -92,8 +97,10 @@ inline constexpr const char* kEnvironmentModule = "environment";
 
 /// Name the recorder's provenance lanes from the ports the oracle's
 /// modules declare, in registration order, then the array's environment
-/// taps — the node order of analysis::capture().  Only ports whose key
-/// some lane narrated are kept, and each named lane gets what capture()
+/// taps — the node order of analysis::capture().  The sweep's port set
+/// filters on Recorder::lane_of, so only ports whose key some lane
+/// narrated are kept (and a module that asks PortSet::wants() formats
+/// nothing for the rest), and each named lane gets what capture()
 /// would give its storage: the label of its first declaration, replaced
 /// by any writer's non-empty label (the last one wins), or "lane<N>" when
 /// that is empty; and as module its first writer, or the environment node
@@ -120,7 +127,9 @@ std::uint64_t name_lanes(Provenance& prov, const Recorder& rec,
       if (out && writer[l] == Provenance::kNone) writer[l] = node;
     }
   };
-  sim::PortSet ports;
+  sim::PortSet ports([&rec](const void* key) {
+    return rec.lane_of(key) != Provenance::kNone;
+  });
   for (std::uint32_t m = 0; m < env; ++m) {
     ports.clear();
     modules[m]->describe_ports(ports);

@@ -1,7 +1,6 @@
 #include "io/problem_io.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cstdint>
 #include <fstream>
@@ -10,6 +9,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 
 namespace sysdp {
@@ -20,42 +20,69 @@ namespace {
   throw std::runtime_error("problem_io: " + what);
 }
 
-/// Next whitespace-separated token; throws with context if the stream ends.
-/// Scans the stream buffer directly: `is >> tok` builds a sentry and
-/// consults the locale for every token, which dominated reading large
-/// instances.  Stream state follows operator>>: eofbit when the scan hits
-/// the end, failbit when no token is left.
-std::string next_token(std::istream& is, const char* context) {
-  using Traits = std::istream::traits_type;
-  std::streambuf* const sb = is.good() ? is.rdbuf() : nullptr;
-  std::string tok;
-  if (sb != nullptr) {
-    int c = sb->sgetc();
-    while (c != Traits::eof() && std::isspace(c) != 0) c = sb->snextc();
-    while (c != Traits::eof() && std::isspace(c) == 0) {
-      tok.push_back(Traits::to_char_type(c));
-      c = sb->snextc();
-    }
-    if (c == Traits::eof()) is.setstate(std::ios::eofbit);
-  }
-  if (tok.empty()) {
-    is.setstate(std::ios::failbit);
-    fail(std::string("unexpected end of input reading ") + context);
-  }
-  return tok;
+/// Whitespace in the "C" locale, which is what operator>> skips there.
+constexpr bool is_space(int c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
+
+/// The one tokenizer every reader goes through.  It scans the stream
+/// buffer directly (`is >> tok` builds a sentry and consults the locale
+/// for every token, which dominated reading large instances) and copies
+/// each token into one buffer it reuses in place, written through a
+/// pointer and doubled when a token outgrows it, so a token costs no
+/// allocation.  Stream state follows operator>>: the scan stops right
+/// after the token, eofbit is set when it hits the end, and failbit when
+/// no token is left.
+class Scanner {
+ public:
+  explicit Scanner(std::istream& is) : is_(is), buf_(32, '\0') {}
+
+  /// Next whitespace-separated token, valid until the next call; throws
+  /// with context if the stream ends.
+  std::string_view next(const char* context) {
+    using Traits = std::istream::traits_type;
+    char* p = buf_.data();
+    if (is_.good()) {
+      std::streambuf* const sb = is_.rdbuf();
+      int c = sb->sgetc();
+      while (c != Traits::eof() && is_space(c)) c = sb->snextc();
+      const char* end = p + buf_.size();
+      while (c != Traits::eof() && !is_space(c)) {
+        if (p == end) {
+          const std::size_t used = buf_.size();
+          buf_.resize(2 * used);
+          p = buf_.data() + used;
+          end = buf_.data() + buf_.size();
+        }
+        *p++ = Traits::to_char_type(c);
+        c = sb->snextc();
+      }
+      if (c == Traits::eof()) is_.setstate(std::ios::eofbit);
+    }
+    const auto len = static_cast<std::size_t>(p - buf_.data());
+    if (len == 0) {
+      is_.setstate(std::ios::failbit);
+      fail(std::string("unexpected end of input reading ") + context);
+    }
+    return {buf_.data(), len};
+  }
+
+ private:
+  std::istream& is_;
+  std::string buf_;  ///< the token buffer; its size is its capacity
+};
 
 /// `tok` parsed whole as a decimal int64: std::errc{} on success,
 /// result_out_of_range for a well-formed literal past int64, and
 /// invalid_argument for anything else — a fraction, an exponent, a suffix.
-std::errc parse_int(const std::string& tok, std::int64_t& v) {
+std::errc parse_int(std::string_view tok, std::int64_t& v) {
   const char* const end = tok.data() + tok.size();
   const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
   return ptr == end ? ec : std::errc::invalid_argument;
 }
 
-Cost next_cost(std::istream& is, const char* context) {
-  const std::string tok = next_token(is, context);
+Cost next_cost(Scanner& in, const char* context) {
+  const std::string_view tok = in.next(context);
   if (tok == "inf") return kInfCost;
   if (tok == "-inf") return kNegInfCost;
   std::int64_t v = 0;
@@ -63,13 +90,13 @@ Cost next_cost(std::istream& is, const char* context) {
   // A finite literal in a sentinel band would silently read as +/-inf.
   if (ec == std::errc::result_out_of_range ||
       (ec == std::errc() && (is_inf(v) || is_neg_inf(v)))) {
-    fail(std::string(context) + " literal '" + tok +
+    fail(std::string(context) + " literal '" + std::string(tok) +
          "' lies in the infinity sentinel band (|value| >= " +
          std::to_string(kInfCost) + "); write 'inf' or '-inf'");
   }
   if (ec != std::errc()) {
     fail("expected a cost value for " + std::string(context) + ", got '" +
-         tok + "'");
+         std::string(tok) + "'");
   }
   return v;
 }
@@ -85,12 +112,12 @@ std::size_t checked_product(std::size_t a, std::size_t b, What&& what) {
   return a * b;
 }
 
-std::size_t next_size(std::istream& is, const char* context) {
-  const std::string tok = next_token(is, context);
+std::size_t next_size(Scanner& in, const char* context) {
+  const std::string_view tok = in.next(context);
   std::int64_t v = 0;
   if (parse_int(tok, v) != std::errc() || v < 0 || is_inf(v)) {
     fail("expected a nonnegative count for " + std::string(context) +
-         ", got '" + tok + "'");
+         ", got '" + std::string(tok) + "'");
   }
   return static_cast<std::size_t>(v);
 }
@@ -105,10 +132,11 @@ void put_cost(std::ostream& os, Cost c) {
   }
 }
 
-void expect_keyword(std::istream& is, const char* keyword) {
-  const std::string tok = next_token(is, "problem kind");
+void expect_keyword(Scanner& in, const char* keyword) {
+  const std::string_view tok = in.next("problem kind");
   if (tok != keyword) {
-    fail("expected '" + std::string(keyword) + "', got '" + tok + "'");
+    fail("expected '" + std::string(keyword) + "', got '" +
+         std::string(tok) + "'");
   }
 }
 
@@ -126,9 +154,9 @@ void reserve_declared(std::vector<T>& v, std::size_t declared) {
   v.reserve(std::min(declared, kReserveCap));
 }
 
-MultistageGraph read_multistage_body(std::istream& is);
-std::vector<Cost> read_chain_body(std::istream& is);
-NonserialObjective read_objective_body(std::istream& is);
+MultistageGraph read_multistage_body(Scanner& in);
+std::vector<Cost> read_chain_body(Scanner& in);
+NonserialObjective read_objective_body(Scanner& in);
 
 }  // namespace
 
@@ -148,18 +176,20 @@ void write_multistage(std::ostream& os, const MultistageGraph& g) {
 }
 
 MultistageGraph read_multistage(std::istream& is) {
-  expect_keyword(is, "multistage");
-  return read_multistage_body(is);
+  Scanner in(is);
+  expect_keyword(in, "multistage");
+  return read_multistage_body(in);
 }
 
 namespace {
-MultistageGraph read_multistage_body(std::istream& is) {
-  const std::size_t stages = next_size(is, "stage count");
+MultistageGraph read_multistage_body(Scanner& in) {
+  const std::size_t stages = next_size(in, "stage count");
   if (stages < 2) fail("multistage graph needs >= 2 stages");
   std::vector<std::size_t> sizes;
   reserve_declared(sizes, stages);
   for (std::size_t k = 0; k < stages; ++k) {
-    sizes.push_back(next_size(is, "stage size"));
+    sizes.push_back(next_size(in, "stage size"));
+    if (sizes.back() == 0) fail("multistage stage sizes must be positive");
   }
   std::vector<Matrix<Cost>> costs;
   costs.reserve(stages - 1);  // every stage size has been read
@@ -171,7 +201,7 @@ MultistageGraph read_multistage_body(std::istream& is) {
     std::vector<Cost> edges;
     reserve_declared(edges, count);
     for (std::size_t e = 0; e < count; ++e) {
-      edges.push_back(next_cost(is, "edge cost"));
+      edges.push_back(next_cost(in, "edge cost"));
     }
     costs.emplace_back(sizes[k], sizes[k + 1], std::move(edges));
   }
@@ -188,18 +218,19 @@ void write_chain(std::ostream& os, const std::vector<Cost>& dims) {
 }
 
 std::vector<Cost> read_chain(std::istream& is) {
-  expect_keyword(is, "chain");
-  return read_chain_body(is);
+  Scanner in(is);
+  expect_keyword(in, "chain");
+  return read_chain_body(in);
 }
 
 namespace {
-std::vector<Cost> read_chain_body(std::istream& is) {
-  const std::size_t n = next_size(is, "matrix count");
+std::vector<Cost> read_chain_body(Scanner& in) {
+  const std::size_t n = next_size(in, "matrix count");
   if (n == 0) fail("chain needs >= 1 matrix");
   std::vector<Cost> dims;
   reserve_declared(dims, n + 1);
   for (std::size_t i = 0; i <= n; ++i) {
-    const Cost d = next_cost(is, "chain dimension");
+    const Cost d = next_cost(in, "chain dimension");
     if (d <= 0 || is_inf(d)) fail("chain dimensions must be positive");
     dims.push_back(d);
   }
@@ -225,31 +256,37 @@ void write_objective(std::ostream& os, const NonserialObjective& obj) {
 }
 
 NonserialObjective read_objective(std::istream& is) {
-  expect_keyword(is, "objective");
-  return read_objective_body(is);
+  Scanner in(is);
+  expect_keyword(in, "objective");
+  return read_objective_body(in);
 }
 
 namespace {
-NonserialObjective read_objective_body(std::istream& is) {
-  const std::size_t nvars = next_size(is, "variable count");
+NonserialObjective read_objective_body(Scanner& in) {
+  const std::size_t nvars = next_size(in, "variable count");
   if (nvars == 0) fail("objective needs >= 1 variable");
   std::vector<std::size_t> domains;
   reserve_declared(domains, nvars);
   for (std::size_t v = 0; v < nvars; ++v) {
-    domains.push_back(next_size(is, "domain size"));
+    domains.push_back(next_size(in, "domain size"));
+    if (domains.back() == 0) fail("objective domain sizes must be positive");
   }
   NonserialObjective obj(domains);
-  const std::size_t nterms = next_size(is, "term count");
+  const std::size_t nterms = next_size(in, "term count");
   for (std::size_t t = 0; t < nterms; ++t) {
-    const std::string kw = next_token(is, "term keyword");
-    if (kw != "term") fail("expected 'term', got '" + kw + "'");
-    const std::size_t arity = next_size(is, "term arity");
+    const std::string_view kw = in.next("term keyword");
+    if (kw != "term") fail("expected 'term', got '" + std::string(kw) + "'");
+    const std::size_t arity = next_size(in, "term arity");
+    if (arity == 0) fail("term needs >= 1 variable");
     TermScope scope;
     reserve_declared(scope, arity);
     std::size_t table_size = 1;
     for (std::size_t i = 0; i < arity; ++i) {
-      const std::size_t v = next_size(is, "term variable");
+      const std::size_t v = next_size(in, "term variable");
       if (v >= nvars) fail("term variable out of range");
+      if (!scope.empty() && v <= scope.back()) {
+        fail("term variables must be strictly increasing");
+      }
       table_size = checked_product(table_size, domains[v], [t, arity] {
         return "table size of term " + std::to_string(t) + " (" +
                std::to_string(arity) + " variables)";
@@ -259,7 +296,7 @@ NonserialObjective read_objective_body(std::istream& is) {
     std::vector<Cost> table;
     reserve_declared(table, table_size);
     for (std::size_t i = 0; i < table_size; ++i) {
-      table.push_back(next_cost(is, "term table entry"));
+      table.push_back(next_cost(in, "term table entry"));
     }
     obj.add_term(std::move(scope), std::move(table));
   }
@@ -268,11 +305,12 @@ NonserialObjective read_objective_body(std::istream& is) {
 }  // namespace
 
 AnyProblem read_problem(std::istream& is) {
-  const std::string kind = next_token(is, "problem kind");
-  if (kind == "multistage") return read_multistage_body(is);
-  if (kind == "chain") return read_chain_body(is);
-  if (kind == "objective") return read_objective_body(is);
-  fail("unknown problem kind '" + kind + "'");
+  Scanner in(is);
+  const std::string_view kind = in.next("problem kind");
+  if (kind == "multistage") return read_multistage_body(in);
+  if (kind == "chain") return read_chain_body(in);
+  if (kind == "objective") return read_objective_body(in);
+  fail("unknown problem kind '" + std::string(kind) + "'");
 }
 
 AnyProblem load_problem(const std::string& path) {

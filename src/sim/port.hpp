@@ -36,6 +36,14 @@
 // attach one explicitly via the three-argument overloads, or stay opaque
 // (empty sampler) — the probe-coverage lint check reports opaque written
 // storage so unprobeable state is a visible, reviewed fact.
+//
+// A set may carry a key filter.  Without one it keeps every declaration,
+// which is what analysis::capture(), the VCD sinks and lint read.  With
+// one it keeps only the declarations whose key the filter accepts, and
+// wants() tells a module in advance whether a declaration would be kept,
+// so a module with many ports can skip formatting the label and building
+// the sampler of one that would be dropped.  Lowering's lane naming
+// (compile/lower.hpp) filters on the keys the oracle run narrated.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +89,26 @@ struct SignalDerivation {
   const void* reg = nullptr;
 };
 
+/// Key filter of a PortSet: true keeps a declaration of `key`.
+using KeyFilter = std::function<bool(const void* key)>;
+
 /// Collector passed to Module::describe_ports (and, for testbench-side
 /// taps, filled directly by array models' describe_environment).
 class PortSet {
  public:
+  /// A set that keeps every declaration.
+  PortSet() = default;
+  /// A set that keeps only the declarations whose key `filter` accepts
+  /// (every one, if `filter` is empty).
+  explicit PortSet(KeyFilter filter) : filter_(std::move(filter)) {}
+
+  /// Whether a declaration of `key` would be kept.  A module may ask
+  /// before it formats a label or builds a sampler; declaring a key the
+  /// set does not want is harmless, only wasted work.
+  [[nodiscard]] bool wants(const void* key) const {
+    return !filter_ || filter_(key);
+  }
+
   /// Raw-key declarations — use these for arena lanes, naming the lane by
   /// the address of one stable element (conventionally the value field).
   /// Arithmetic-typed keys get an automatic sampler (the key *is* the
@@ -168,8 +192,9 @@ class PortSet {
   [[nodiscard]] const std::vector<Port>& ports() const noexcept {
     return ports_;
   }
-  /// Drop every declaration, keeping the storage: a sweep over many
-  /// modules reuses one collector instead of reallocating per module.
+  /// Drop every declaration, keeping the storage and the filter: a sweep
+  /// over many modules reuses one collector instead of reallocating per
+  /// module.
   void clear() noexcept {
     ports_.clear();
     derivations_.clear();
@@ -218,10 +243,12 @@ class PortSet {
 
   void add(const void* key, PortKind kind, PortDir dir, std::string label,
            Sampler sample) {
+    if (!wants(key)) return;
     ports_.push_back(Port{key, kind, dir, std::move(label),
                           std::move(sample)});
   }
 
+  KeyFilter filter_;
   std::vector<Port> ports_;
   std::vector<SignalDerivation> derivations_;
 };

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 #include "sim/bus.hpp"
 #include "sim/engine.hpp"
 #include "sim/module.hpp"
+#include "sim/port.hpp"
 #include "sim/register.hpp"
 #include "sim/stats.hpp"
 #include "sim/thread_pool.hpp"
@@ -283,6 +285,80 @@ TEST(Bus, SingleDriverPerCycle) {
   bus.drive(1, 3);
   EXPECT_EQ(bus.sample(1), std::optional<int>(3));
   EXPECT_EQ(bus.drive_count(), 2u);
+}
+
+// Without a filter a port set keeps every declaration, with its label,
+// kind, direction and sampler: what analysis::capture(), the VCD sinks
+// and lint read.
+TEST(PortSet, UnfilteredSetKeepsEveryDeclaration) {
+  std::int64_t lane = 7;
+  struct Flit {
+    std::int64_t val;
+  } flit{9};
+  Register<int> reg;
+  Bus<int> bus;
+  for (PortSet ports : {PortSet(), PortSet(KeyFilter())}) {
+    ports.writes_register(&lane, "lane");
+    ports.reads_register(&flit, "flit");
+    ports.drives_signal(&flit, "flit_probe",
+                        [&flit] { return flit.val; });
+    ports.writes(reg, "reg");
+    ports.reads(bus, "bus");
+    EXPECT_TRUE(ports.wants(&lane));
+    EXPECT_TRUE(ports.wants(nullptr));
+    const std::vector<Port>& got = ports.ports();
+    ASSERT_EQ(got.size(), 5u);
+    EXPECT_EQ(got[0].storage, &lane);
+    EXPECT_EQ(got[0].label, "lane");
+    EXPECT_EQ(got[0].dir, PortDir::kOut);
+    ASSERT_TRUE(got[0].sample);
+    EXPECT_EQ(got[0].sample(), 7);
+    EXPECT_EQ(got[1].label, "flit");
+    EXPECT_FALSE(got[1].sample);  // a struct lane stays opaque
+    EXPECT_EQ(got[2].kind, PortKind::kSignal);
+    ASSERT_TRUE(got[2].sample);
+    EXPECT_EQ(got[2].sample(), 9);
+    EXPECT_EQ(got[3].storage, &reg);
+    EXPECT_EQ(got[4].storage, &bus);
+    EXPECT_EQ(got[4].kind, PortKind::kSignal);
+  }
+}
+
+// With a filter a set keeps only the declarations whose key it accepts,
+// in declaration order, wants() answers the filter, and clear() keeps
+// the filter.
+TEST(PortSet, FilterKeepsOnlyAcceptedKeys) {
+  std::int64_t a = 1;
+  std::int64_t b = 2;
+  std::int64_t c = 3;
+  std::size_t asked = 0;
+  PortSet ports([&](const void* key) {
+    ++asked;
+    return key == &a || key == &c;
+  });
+  EXPECT_TRUE(ports.wants(&a));
+  EXPECT_FALSE(ports.wants(&b));
+  EXPECT_TRUE(ports.wants(&c));
+  EXPECT_EQ(asked, 3u);
+  ports.reads_register(&b, "b");
+  ports.writes_register(&c, "c");
+  ports.reads_register(&a, "a");
+  ports.writes_register(&b, "b");
+  ASSERT_EQ(ports.ports().size(), 2u);
+  EXPECT_EQ(ports.ports()[0].storage, &c);
+  EXPECT_EQ(ports.ports()[0].label, "c");
+  EXPECT_EQ(ports.ports()[0].dir, PortDir::kOut);
+  ASSERT_TRUE(ports.ports()[0].sample);
+  EXPECT_EQ(ports.ports()[0].sample(), 3);
+  EXPECT_EQ(ports.ports()[1].storage, &a);
+  EXPECT_EQ(ports.ports()[1].dir, PortDir::kIn);
+  ports.clear();
+  EXPECT_TRUE(ports.ports().empty());
+  ports.writes_register(&b, "b");
+  ports.writes_register(&a, "a");
+  ASSERT_EQ(ports.ports().size(), 1u);
+  EXPECT_EQ(ports.ports()[0].storage, &a);
+  EXPECT_FALSE(ports.wants(&b));
 }
 
 TEST(Stats, UtilizationMath) {

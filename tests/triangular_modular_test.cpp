@@ -3,6 +3,7 @@
 // every rule in the interval-DP family and be bit-identical across engine
 // modes.
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "arrays/triangular_modular.hpp"
 #include "sim/engine.hpp"
 #include "sim/module.hpp"
+#include "sim/port.hpp"
 
 namespace sysdp {
 namespace {
@@ -346,6 +348,108 @@ TEST(TriangularModular, OneOriginFeedingThreeCandidatesMatchesAnalytic) {
     expect_same_run(arr.run(sim::Gating::kDense), sparse);
     // Every candidate folds exactly once: sum over cells of (j-i+2).
     EXPECT_EQ(sparse.stats.busy_steps, ref.stats.busy_steps);
+  }
+}
+
+// A cell asks PortSet::wants() before it declares a port, so a filtered
+// sweep (lowering's lane naming) must keep exactly the declarations an
+// unfiltered sweep makes for the keys the filter accepts: same order,
+// labels, kinds, directions and samplers.  The polygon rule has cells
+// that never launch, so every launch-slot branch is declared both ways.
+TEST(TriangularModular, FilteredPortsAreTheAcceptedUnfilteredOnes) {
+  const auto check = [](const auto& declare) {
+    sim::PortSet all;
+    declare(all);
+    std::set<const void*> odd;  // every other key the cell declares
+    for (std::size_t k = 1; k < all.ports().size(); k += 2) {
+      odd.insert(all.ports()[k].storage);
+    }
+    sim::PortSet kept([&odd](const void* key) { return odd.count(key) > 0; });
+    declare(kept);
+    std::vector<const sim::Port*> want;
+    for (const sim::Port& p : all.ports()) {
+      if (odd.count(p.storage) > 0) want.push_back(&p);
+    }
+    ASSERT_EQ(kept.ports().size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const sim::Port& got = kept.ports()[k];
+      EXPECT_EQ(got.storage, want[k]->storage);
+      EXPECT_EQ(got.label, want[k]->label);
+      EXPECT_EQ(got.kind, want[k]->kind);
+      EXPECT_EQ(got.dir, want[k]->dir);
+      ASSERT_EQ(static_cast<bool>(got.sample),
+                static_cast<bool>(want[k]->sample));
+      if (got.sample) {
+        EXPECT_EQ(got.sample(), want[k]->sample());
+      }
+    }
+  };
+  const auto check_array = [&check](auto& arr) {
+    sim::Engine engine(sim::Gating::kSparse);
+    arr.elaborate(engine);
+    for (const sim::Module* m : engine.modules()) {
+      SCOPED_TRACE(m->name());
+      check([m](sim::PortSet& ports) { m->describe_ports(ports); });
+    }
+    check([&arr](sim::PortSet& ports) { arr.describe_environment(ports); });
+  };
+  TriangularModularArray<BstRule> bst(BstRule(make_costs(6, 3)), 6);
+  check_array(bst);
+  TriangularModularArray<PolygonRule> poly(PolygonRule(make_costs(6, 4)), 6);
+  check_array(poly);
+}
+
+// One candidate per cell, split in the middle at k = i + (j - i) / 2.  A
+// cell completes as soon as its two origins have, so completions crowd
+// onto the links while other flits are still shifting through, and a
+// completion launch finds the receiver's link register occupied: the
+// launch waits in its patient slot (TriangularModularCore::Cell::commit's
+// waiting branch), and the cell may not sleep on it (the launch-slot
+// clause of quiescent()).
+struct MiddleSplitRule {
+  std::vector<Cost> dims;  // n + 1 chain dimensions
+
+  [[nodiscard]] Cost base(std::size_t) const { return 0; }
+  [[nodiscard]] std::size_t splits(std::size_t, std::size_t) const {
+    return 1;
+  }
+  [[nodiscard]] IntervalTerms terms(std::size_t i, std::size_t j,
+                                    std::size_t) const {
+    return {dims[i] * dims[mid(i, j) + 1] * dims[j + 1], true, true};
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> left_interval(
+      std::size_t i, std::size_t j, std::size_t) const {
+    return {i, mid(i, j)};
+  }
+  [[nodiscard]] std::pair<std::size_t, std::size_t> right_interval(
+      std::size_t i, std::size_t j, std::size_t) const {
+    return {mid(i, j) + 1, j};
+  }
+  [[nodiscard]] std::size_t input_scalars() const { return dims.size(); }
+
+  [[nodiscard]] static std::size_t mid(std::size_t i, std::size_t j) {
+    return i + (j - i) / 2;
+  }
+};
+
+TEST(TriangularModular, MiddleSplitLaunchesWaitForAGapInTheLink) {
+  struct Case {
+    std::size_t n;
+    std::uint64_t launch_waits;
+  };
+  for (const Case c : {Case{8, 26}, Case{16, 390}, Case{32, 4046}}) {
+    SCOPED_TRACE("n = " + std::to_string(c.n));
+    const MiddleSplitRule rule{make_costs(c.n + 1, 43 * c.n + 1)};
+    const auto ref = TriangularArray<MiddleSplitRule>(rule, c.n).run();
+    TriangularModularArray<MiddleSplitRule> arr(rule, c.n);
+    const auto sparse = arr.run(sim::Gating::kSparse);
+    const auto dense = arr.run(sim::Gating::kDense);
+    expect_costs_match(sparse, ref);
+    expect_same_run(dense, sparse);
+    EXPECT_EQ(sparse.stats.busy_steps, ref.stats.busy_steps);
+    EXPECT_GT(sparse.launch_waits, 0u);
+    EXPECT_EQ(sparse.launch_waits, c.launch_waits);
+    EXPECT_EQ(dense.launch_waits, sparse.launch_waits);
   }
 }
 
