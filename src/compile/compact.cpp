@@ -30,10 +30,10 @@ CompactStats compact_slots(CompiledNetlist& net) {
   // --- grouping + liveness (compile/live_range.hpp): pair groups, plus
   // the last dependency level that touches each group.  Output slots are
   // pinned (verify_outputs reads them after the run).
-  const TapeLiveness lv = compute_liveness(net);
+  TapeLiveness lv = compute_liveness(net);
   const std::vector<std::uint32_t>& base = lv.base;
   const std::vector<std::uint32_t>& extent = lv.extent;
-  std::vector<std::uint32_t> last = lv.last;
+  std::vector<std::uint32_t>& last = lv.last;
   const auto cycles = static_cast<std::uint32_t>(net.cycles());
 
   // Provenance binds sample their slot at the end of level stamp-1 (the
